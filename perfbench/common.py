@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import http.client
 import json
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "Failures",
+    "HostMeter",
     "HttpClient",
     "Outcome",
     "canonical_digest",
@@ -51,6 +53,80 @@ def fingerprint() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+#: CPU seconds one :func:`reference_slice` takes on an uncontended core of
+#: the machine the benchmark was written on.  Only the ratio of the slices
+#: measured in a run to this constant matters, and it never changes.
+REFERENCE_SLICE_S = 0.00095
+
+_SLICE_KEYS = np.arange(1 << 16, dtype=np.uint64)
+
+
+def reference_slice() -> float:
+    """CPU seconds the calling thread spends on one fixed slice of work.
+
+    The slice mixes interpreted Python (dict and float updates) with a numpy
+    hash-and-count pass, like the summarizers' own code, and never calls the
+    program, so no change to the program can move it.
+    """
+    start = time.thread_time()
+    cells: dict[int, float] = {}
+    for key in range(4000):
+        cells[key & 255] = cells.get(key & 255, 0.0) + key * 0.5
+    hashed = (_SLICE_KEYS * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52)
+    np.bincount(hashed.astype(np.intp), minlength=4096)
+    return time.thread_time() - start
+
+
+def _mark_time(mark: tuple[float, float]) -> float:
+    return mark[0]
+
+
+class HostMeter:
+    """How fast the host runs, measured between the workload's operations.
+
+    The machines this benchmark runs on are shared: the same code runs up to
+    half again slower from one second to the next, and the CPU clock slows
+    with it (the time goes to contention, it is not stolen), so neither the
+    wall nor the CPU time of the program is steady on its own.  The workload
+    calls :meth:`mark` at points where none of its own threads is busy;
+    :meth:`factor` then turns a time measured over ``[start, end]`` into
+    *reference time*: the time the same work takes on a host that runs
+    :func:`reference_slice` in ``REFERENCE_SLICE_S``.  A change to the
+    program moves a rescaled figure as much as the raw one, and a change of
+    the host's speed does not.  Marks are taken only while the program is
+    idle, so that nothing the program does can slow the slices.
+    """
+
+    def __init__(self) -> None:
+        #: ``(perf_counter, median slice CPU seconds)`` of each mark, in time order.
+        self._marks: list[tuple[float, float]] = []
+        reference_slice()  # the first slice after start-up runs cold
+
+    def mark(self, slices: int = 3) -> None:
+        """Time ``slices`` reference slices now and record their median."""
+        seconds = statistics.median(reference_slice() for _ in range(slices))
+        self._marks.append((time.perf_counter(), seconds))
+
+    def factor(self, start: float, end: float) -> float:
+        """Reference seconds per measured second over ``[start, end]``.
+
+        Uses the median of the marks inside the interval plus the last one
+        before it and the first one after it.
+        """
+        marks = self._marks
+        low = max(bisect.bisect_left(marks, start, key=_mark_time) - 1, 0)
+        high = bisect.bisect_right(marks, end, key=_mark_time) + 1
+        return REFERENCE_SLICE_S / statistics.median(s for _, s in marks[low:high])
+
+    def scaled(self, start: float, end: float) -> float:
+        """The interval's length in reference seconds."""
+        return (end - start) * self.factor(start, end)
+
+    def slice_us(self, start: float, end: float) -> float:
+        """Median slice time over ``[start, end]``, in microseconds."""
+        return 1e6 * REFERENCE_SLICE_S / self.factor(start, end)
 
 
 def median(values) -> float:

@@ -2,21 +2,29 @@
 
 Wired the way ``repro ingest --serve`` wires it: an in-process
 ``IngestService(workers=2, store=...)`` with ``create_server(store)`` serving
-on a thread.  Two benchmark threads drive it:
+on a thread.  One benchmark thread drives it in a closed loop of *rounds*:
 
-* the load generator, an open loop at fixed offered rates: 1,000
-  background tenants (every 4th continual) get 64-item appends round-robin,
-  and one continual *hot* tenant, whose snapshots have ~4k leaves, gets a
-  2,048-item append once every ``HOT_PERIOD_S``.  Every append is timed
-  from when it was due, so a stall also delays the appends queued behind it;
-* the probe, which polls the hot tenant back to back over one keep-alive
-  HTTP connection and records the ``items_processed`` each answer reports.
+* it appends one 64-item batch to each of the next ``ROUND_APPENDS``
+  background tenants (1,000, round-robin, every 4th continual) and one
+  2,048-item batch to the continual *hot* tenant, whose snapshots have ~4k
+  leaves;
+* it polls the hot tenant over one keep-alive HTTP connection until an
+  answer's ``items_processed`` covers that batch: the round's append ->
+  visible latency, timed from the start of the round;
+* it flushes the service, so that the next round starts with every worker
+  idle.
+
+The hot tenant's worker applies its share of the background batches and
+the hot batch, then takes the snapshot the probe asked for (grow and
+compile), while the other worker applies its share, so a change trading
+ingest speed against snapshot speed shows here and not in ``fit_release``.
+The loop is closed, not open at a fixed rate: on the shared machines this
+runs on, an open loop's latencies swung by a third from run to run, and
+the host's speed can only be measured while the program is idle (see
+``common.HostMeter``), which in a closed loop is between rounds.
 
 There is no memory budget: eviction would unregister live tenants in the
 middle of a probe, which is a failure mode rather than a steady workload.
-Grow and compile run once per snapshot on the worker thread that also
-applies appends, so a change trading ingest speed against snapshot speed
-shows here and not in ``fit_release``.
 """
 
 from __future__ import annotations
@@ -24,32 +32,36 @@ from __future__ import annotations
 import gc
 import http.client
 import json
-import random
 import threading
 import time
 
 import numpy as np
 
-from common import Failures, HttpClient, Outcome, canonical_digest, median, percentile, self_peak_rss_mb
+from common import (
+    REFERENCE_SLICE_S,
+    Failures,
+    HostMeter,
+    HttpClient,
+    Outcome,
+    canonical_digest,
+    median,
+    percentile,
+    self_peak_rss_mb,
+)
 
 WORKERS = 2
 BACKGROUND_TENANTS = 1000
 CONTINUAL_EVERY = 4
 BACKGROUND_BATCH = 64
 BACKGROUND_STREAM = 4096
-#: Offered background appends per second: about half of the
-#: ~200/s at which the backlog of the commit this benchmark was written
-#: against stopped growing on a 2-core machine while the hot tenant is
-#: appended to and probed (see README.md).
-OFFERED_APPENDS_PER_S = 100.0
+#: Background appends per round, beside one hot append.
+ROUND_APPENDS = 100
 HOT = "hot"
 HOT_BATCH = 2048
-#: Also the hot tenant's horizon: it covers the warm-up plus 60 s of hot
-#: appends, the longest window a run may measure.
+#: Also the hot tenant's horizon: it covers the warm-up plus a hot append
+#: per round for far longer than the longest window a run may measure.
 HOT_STREAM = 1 << 20
 HOT_WARMUP_APPENDS = 16
-HOT_PERIOD_S = 0.25
-BACKLOG_EVERY_S = 0.5
 SETUP_REPEATS = 3
 VISIBLE_TIMEOUT_S = 30.0
 PROBE_QUERY = json.dumps(
@@ -137,9 +149,6 @@ class Fleet:
         self.appended[HOT] += len(batch)
         return self.appended[HOT]
 
-    def processed(self) -> int:
-        return sum(self.service.items_processed(tenant) for tenant in self.appended)
-
     def close(self) -> None:
         self.probe.close()
         self.server.shutdown()
@@ -148,81 +157,55 @@ class Fleet:
         self.service.close()
 
 
-def _load(fleet: Fleet, start: float, seconds: float, record: dict, failures: Failures) -> None:
-    """The open-loop generator; runs on its own thread until the window ends.
-
-    Each append is due at a seeded uniformly random point of its own slot
-    (slot ``k`` of a stream with period ``p`` is ``[k p, (k+1) p)``): the
-    number of appends in a window is exact, while no fixed period can
-    phase-lock with the snapshot cycle or the flush timer.
-    """
-    arrivals = random.Random(fleet.inputs.seed)
-    end = start + seconds
-    background_period = 1.0 / OFFERED_APPENDS_PER_S
-
-    def due_in_slot(index: int, period: float) -> float:
-        return start + (index + arrivals.random()) * period
-
-    background_slot = hot_slot = 0
-    next_background = due_in_slot(0, background_period)
-    next_hot = due_in_slot(0, HOT_PERIOD_S)
-    next_sample = start
-    while True:
-        due = min(next_hot, next_background, next_sample)
-        if due >= end:
-            break
-        delay = due - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        if due == next_sample:
-            record["backlog"].append(sum(fleet.appended.values()) - fleet.processed())
-            next_sample += BACKLOG_EVERY_S
-            continue
-        began = time.perf_counter()
-        hot = due == next_hot
-        if hot:
-            hot_slot += 1
-            next_hot = due_in_slot(hot_slot, HOT_PERIOD_S)
-        else:
-            background_slot += 1
-            next_background = due_in_slot(background_slot, background_period)
-        try:
-            if hot:
-                record["hot"].append((due, fleet.append_hot()))
-            else:
-                fleet.append_background()
-            failures.check(True, "")
-        except Exception as error:  # noqa: BLE001 - every failed append is counted
-            failures.fail(f"append failed: {type(error).__name__}: {error}")
-        finished = time.perf_counter()
-        record["late"].append(began - due)
-        record["append"].append(finished - due)
+def _append(append, record: dict, failures: Failures) -> None:
+    """One timed append; every failed append is counted."""
+    began = time.perf_counter()
+    try:
+        append()
+        failures.check(True, "")
+    except Exception as error:  # noqa: BLE001 - every failed append is counted
+        failures.fail(f"append failed: {type(error).__name__}: {error}")
+    record["append"].append((began, time.perf_counter()))
 
 
-def _probe(fleet: Fleet, stop: threading.Event, answers: list, failures: Failures) -> None:
-    """Polls the hot tenant back to back over one keep-alive connection."""
-    while not stop.is_set():
-        sent = time.perf_counter()
+def _wait_visible(fleet: Fleet, covered: int, record: dict, failures: Failures) -> float | None:
+    """Poll the hot tenant until an answer covers ``covered`` items; returns
+    when that answer was received, or None if it never came."""
+    deadline = time.perf_counter() + VISIBLE_TIMEOUT_S
+    while time.perf_counter() < deadline:
         try:
             seconds, status, body = fleet.probe.post(PROBE_QUERY)
         except (OSError, http.client.HTTPException) as error:
             failures.fail(f"probe connection failed: {type(error).__name__}: {error}")
-            return
-        if failures.check(status == 200, f"probe got HTTP {status}: {body[:200]!r}"):
-            answers.append((sent, sent + seconds, json.loads(body)["items_processed"]))
-
-
-def _visible(hot: list, answers: list) -> list[float] | None:
-    """Per hot append: seconds from due until an answer first covers it."""
-    delays = []
-    position = 0
-    for due, covered in hot:
-        while position < len(answers) and answers[position][2] < covered:
-            position += 1
-        if position == len(answers):
             return None
-        delays.append(answers[position][1] - due)
-    return delays
+        received = time.perf_counter()
+        if not failures.check(status == 200, f"probe got HTTP {status}: {body[:200]!r}"):
+            continue
+        record["query"].append(seconds)
+        if json.loads(body)["items_processed"] >= covered:
+            return received
+    failures.fail(f"hot append covering {covered} items never became visible")
+    return None
+
+
+def _round(fleet: Fleet, host: HostMeter, record: dict, failures: Failures) -> None:
+    """One round: appends, wait until the hot append is visible, flush."""
+    host.mark()
+    items_before = sum(fleet.appended.values())
+    cpu_start = time.process_time()
+    start = time.perf_counter()
+    for _ in range(ROUND_APPENDS):
+        _append(fleet.append_background, record, failures)
+    _append(fleet.append_hot, record, failures)
+    seen = _wait_visible(fleet, fleet.appended[HOT], record, failures)
+    if seen is not None:
+        record["visible"].append((start, seen))
+    for tenant, message in fleet.service.flush(raise_on_failure=False)["failures"]:
+        failures.fail(f"{tenant}: {message}")
+    record["rounds"].append(
+        (start, time.perf_counter(), time.process_time() - cpu_start,
+         sum(fleet.appended.values()) - items_before)
+    )
 
 
 def _check_final(fleet: Fleet, failures: Failures) -> None:
@@ -245,9 +228,9 @@ def _check_final(fleet: Fleet, failures: Failures) -> None:
     )
 
 
-def run(seed: int, seconds: float, tracer=None) -> Outcome:
-    failures = Failures()
-    setups = []
+def _measure(seed: int, seconds: float, tracer, host: HostMeter, failures: Failures) -> dict:
+    """Set up (several times), run rounds for the window, check the final state."""
+    record = {"setups": [], "rounds": [], "visible": [], "append": [], "query": []}
     fleet = None
     for _ in range(SETUP_REPEATS if tracer is None else 1):
         if fleet is not None:
@@ -256,83 +239,80 @@ def run(seed: int, seconds: float, tracer=None) -> Outcome:
         gc.collect()
         start = time.perf_counter()
         fleet = Fleet(seed)
-        setups.append(time.perf_counter() - start)
-    record = {"backlog": [], "hot": [], "late": [], "append": []}
-    answers: list = []
-    stop = threading.Event()
-    probe = threading.Thread(target=_probe, args=(fleet, stop, answers, failures))
+        record["setups"].append((start, time.perf_counter()))
     try:
         before = fleet.service.stats()
-        processed_before = fleet.processed()
         if tracer is not None:
             tracer.phase = "window"
-        cpu_start = time.process_time()
         window_start = time.perf_counter()
-        load = threading.Thread(
-            target=_load, args=(fleet, window_start, seconds, record, failures)
-        )
-        probe.start()
-        load.start()
-        load.join()
-        cpu_s = time.process_time() - cpu_start
-        window = time.perf_counter() - window_start
-        processed = fleet.processed() - processed_before
+        while not record["rounds"] or time.perf_counter() - window_start < seconds:
+            _round(fleet, host, record, failures)
+        host.mark()
         if tracer is not None:
             tracer.phase = "after"
         after = fleet.service.stats()
-        # Keep probing until the last hot append shows up in an answer.
-        deadline = time.perf_counter() + VISIBLE_TIMEOUT_S
-        last = fleet.appended[HOT]
-        while time.perf_counter() < deadline and probe.is_alive():
-            if answers and answers[-1][2] >= last:
-                break
-            time.sleep(0.01)
-        stop.set()
-        probe.join()
+        record["appends"] = after["appends"] - before["appends"]
+        record["exact_measures"] = after["exact_measures"] - before["exact_measures"]
         _check_final(fleet, failures)
     finally:
-        stop.set()
-        if probe.is_alive():
-            probe.join()
         fleet.close()
+    return record
 
-    visible = _visible(record["hot"], answers)
-    if not failures.check(bool(visible), "no hot append in the window, or one never became visible"):
-        visible = [float("nan")]
-    in_window = [received - sent for sent, received, _ in answers if sent < window_start + window]
-    # The run is unsustainable when the backlog grew by more than one second
-    # of offered items between the first and the last third of the window.
-    backlog = record["backlog"]
-    third = max(1, len(backlog) // 3)
-    growth = float(np.mean(backlog[-third:]) - np.mean(backlog[:third]))
-    offered = OFFERED_APPENDS_PER_S * BACKGROUND_BATCH + HOT_BATCH / HOT_PERIOD_S
-    sustainable = growth <= offered
-    notes = [
-        f"{len(record['append'])} appends: {OFFERED_APPENDS_PER_S:g} background appends/s and "
-        f"one {HOT_BATCH}-item hot append per {HOT_PERIOD_S:g} s, each at a random point "
-        "of its slot; "
-        f"{len(answers)} probe answers",
-        f"backlog mean {np.mean(backlog):.0f} items, growth {growth:.0f} items over the window: "
-        + ("sustainable" if sustainable else "UNSUSTAINABLE -- latencies are not meaningful"),
-    ]
-    failures.check(sustainable, "the offered rate is unsustainable: the backlog grew")
+
+def run(seed: int, seconds: float, tracer=None) -> Outcome:
+    failures = Failures()
+    host = HostMeter()
+    record = _measure(seed, seconds, tracer, host, failures)
+    rounds = record["rounds"]
+    items = sum(count for *_, count in rounds)
+    failures.check(bool(record["visible"]), "no hot append became visible")
+    visible = record["visible"] or [(0.0, float("nan"))]
+
+    # Times are rescaled to reference time by the host marks taken between
+    # rounds (see common.HostMeter); set-up time and the probe's query
+    # latency are not.  The raw figures are printed alongside.
+    figures = {}
+    for kind, length in (("", host.scaled), ("raw", lambda start, end: end - start)):
+        visible_s = [length(start, seen) for start, seen in visible]
+        append_s = [length(start, end) for start, end in record["append"]]
+        busy_s = sum(length(start, end) for start, end, _, _ in rounds)
+        cpu_s = sum(cpu * length(start, end) / (end - start) for start, end, cpu, _ in rounds)
+        figures[kind] = {
+            "items_per_s": items / busy_s,
+            "visible_p50_ms": 1e3 * median(visible_s),
+            "visible_p90_ms": 1e3 * percentile(visible_s, 90),
+            "append_p90_ms": 1e3 * percentile(append_s, 90),
+            "append_p99_ms": 1e3 * percentile(append_s, 99),
+            "cpu_us_per_item": 1e6 * cpu_s / items,
+        }
+    scaled = figures[""]
+    window_start, window_end = rounds[0][0], rounds[-1][1]
+    slice_us = host.slice_us(window_start, window_end)
     return Outcome(
         metrics={
-            "setup_s": (median(setups), "s", len(setups)),
-            "items_per_s": (processed / window, "items/s", processed),
-            "visible_p50_ms": (1e3 * median(visible), "ms", len(visible)),
-            "visible_p90_ms": (1e3 * percentile(visible, 90), "ms", len(visible)),
-            "append_p99_ms": (1e3 * percentile(record["append"], 99), "ms", len(record["append"])),
-            "query_p50_ms": (1e3 * median(in_window), "ms", len(in_window)),
-            "cpu_us_per_item": (1e6 * cpu_s / processed, "us", processed),
+            "setup_s": (median([end - start for start, end in record["setups"]]), "s",
+                        len(record["setups"])),
+            "items_per_s": (scaled["items_per_s"], "items/s", items),
+            "visible_p50_ms": (scaled["visible_p50_ms"], "ms", len(visible)),
+            "visible_p90_ms": (scaled["visible_p90_ms"], "ms", len(visible)),
+            "append_p90_ms": (scaled["append_p90_ms"], "ms", len(record["append"])),
+            "append_p99_ms": (scaled["append_p99_ms"], "ms", len(record["append"])),
+            "query_p50_ms": (1e3 * median(record["query"]), "ms", len(record["query"])),
+            "cpu_us_per_item": (scaled["cpu_us_per_item"], "us", items),
             "peak_rss_mb": (self_peak_rss_mb(), "MB", 1),
         },
         failures=failures,
         layers={
-            "ingest.appends": float(after["appends"] - before["appends"]),
-            "ingest.exact_measures": float(after["exact_measures"] - before["exact_measures"]),
-            "ingest.backlog_items": float(np.mean(backlog)),
-            "loadgen.late_ms": 1e3 * percentile(record["late"], 99),
+            "ingest.appends": float(record["appends"]),
+            "ingest.exact_measures": float(record["exact_measures"]),
+            "host.slice_us": slice_us,
         },
-        notes=notes,
+        notes=[
+            f"{len(rounds)} rounds of {ROUND_APPENDS} background appends of "
+            f"{BACKGROUND_BATCH} items and one {HOT_BATCH}-item hot append; "
+            f"{len(record['query'])} probe answers",
+            f"host ran the reference slice in {slice_us:.0f} us (reference "
+            f"{1e6 * REFERENCE_SLICE_S:.0f} us); raw: "
+            + " ".join(f"{name}={value:.6g}" for name, value in figures["raw"].items()),
+        ],
     )

@@ -218,8 +218,7 @@ WORKLOAD_METRICS: list[tuple[str, str]] = [
     ("server.cpu_util", "ratio"),
     ("ingest.appends", "count"),
     ("ingest.exact_measures", "count"),
-    ("ingest.backlog_items", "count"),
-    ("loadgen.late_ms", "ms"),
+    ("host.slice_us", "us"),
 ]
 
 #: Spans whose totals come from the set-up phase rather than the window:

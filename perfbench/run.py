@@ -58,7 +58,7 @@ SLOTS = {
     ],
     "fleet_live": [
         "setup_s", "items_per_s", "visible_p50_ms", "visible_p90_ms",
-        "append_p99_ms", "cpu_us_per_item", "peak_rss_mb",
+        "append_p90_ms", "cpu_us_per_item", "peak_rss_mb",
     ],
 }
 #: Workload metrics reported by name in traced runs (0 where a workload
@@ -74,6 +74,7 @@ NAMED = [
     ("queries_per_s", "answers/s"),
     ("visible_p50_ms", "ms"),
     ("visible_p90_ms", "ms"),
+    ("append_p90_ms", "ms"),
     ("append_p99_ms", "ms"),
     ("cpu_us_per_item", "us"),
     ("peak_rss_mb", "MB"),
