@@ -65,7 +65,8 @@ def measure_continual_throughput(
     loop_items = min(int(loop_items), int(stream_size))
     loop_model = builder.build(rng=np.random.default_rng(seed))
     start = time.perf_counter()
-    loop_model.process(data[:loop_items])
+    for point in data[:loop_items]:
+        loop_model.update(point)
     loop_seconds = time.perf_counter() - start
 
     batch_model = builder.build(rng=np.random.default_rng(seed))

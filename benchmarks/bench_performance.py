@@ -105,8 +105,8 @@ def test_sampling_latency(benchmark):
     domain = UnitInterval()
     config = PrivHPConfig.from_stream_size(stream_size=4096, epsilon=1.0, pruning_k=8, seed=0)
     algorithm = PrivHP(domain, config, rng=0)
-    algorithm.process(np.random.default_rng(2).random(4096))
-    generator = algorithm.finalize()
+    algorithm.update_batch(np.random.default_rng(2).random(4096))
+    generator = algorithm.release().generator
 
     benchmark(lambda: generator.sample_one())
 

@@ -26,8 +26,8 @@ def _run(dimension: int, stream_size: int, epsilon: float, num_queries: int, see
     rng = np.random.default_rng(seed)
     data = gaussian_mixture_stream(stream_size, dimension=dimension, rng=rng)
     config = PrivHPConfig.from_stream_size(stream_size, epsilon=epsilon, pruning_k=8, seed=seed)
-    algorithm = PrivHP(domain, config, rng=seed).process(data)
-    algorithm.finalize()
+    algorithm = PrivHP(domain, config, rng=seed).update_batch(data)
+    algorithm.release()
     engine = RangeQueryEngine(algorithm.tree, domain)
     queries = random_range_queries(domain, num_queries, rng=seed)
     report = evaluate_range_workload(engine, data, domain, queries)

@@ -39,8 +39,7 @@ def main() -> None:
         stream_size=len(checkins), epsilon=1.0, pruning_k=24, seed=23
     )
     algorithm = PrivHP(domain, config)
-    algorithm.process(checkins)
-    generator = algorithm.finalize()
+    generator = algorithm.update_batch(checkins).release().generator
     synthetic = generator.sample(len(checkins))
 
     print(f"stream length {len(checkins)}, summary memory "

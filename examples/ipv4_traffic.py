@@ -49,7 +49,7 @@ def main() -> None:
 
     stream = DataStream(trace, name="flow-log")
     stats = stream.feed(algorithm)
-    generator = algorithm.finalize()
+    generator = algorithm.release().generator
     synthetic = generator.sample(len(trace))
 
     print(f"processed {stats.items} packets at "

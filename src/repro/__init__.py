@@ -40,8 +40,10 @@ Quickstart::
     synthetic = release.sample(5000)
 
 The original single-shot surface
-(``PrivHP(domain, config).process(data).finalize()``) keeps working as a thin
-shim over the same machinery.
+(``PrivHP(domain, config).process(data).finalize()``) has been removed: feed
+batches through ``update_batch`` (or ``update`` per item) and call
+``release()``; README's migration table maps each old call to its
+replacement.
 """
 
 from repro.api.builder import PrivHPBuilder

@@ -103,8 +103,7 @@ def decompose_error(
     )
 
     algorithm = PrivHP(domain, config, rng=generator)
-    algorithm.process(data)
-    release = algorithm.finalize()
+    release = algorithm.update_batch(data_array).release()
     total_error = empirical_wasserstein(
         data_array, np.asarray(release.sample(synthetic_size)), domain=domain
     )

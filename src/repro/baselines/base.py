@@ -116,7 +116,7 @@ class PrivHPMethod(SyntheticDataMethod):
         # call covers arrays and generators alike.
         ingest_batches(algorithm, data, self.batch_size)
         self._last = algorithm
-        return algorithm.finalize()
+        return algorithm.release().generator
 
     def memory_words(self) -> int:
         if self._last is None:

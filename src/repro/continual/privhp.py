@@ -15,10 +15,9 @@ level one :class:`~repro.continual.sketch.ContinualPrivateCountMinSketch`,
 all advancing a shared event-driven time axis (one event per
 :meth:`PrivHPContinual.update_batch` call, or per single
 :meth:`PrivHPContinual.update`).  A batch costs one vectorised
-``locate_batch`` pass, one ``bincount`` per exact level and one aggregated
-sketch step per deep level -- the same shape as :class:`repro.core.privhp.PrivHP`'s
-hot path -- so the continual variant ingests at batch speed instead of the
-historical per-item crawl.
+``locate_batch`` pass, the :func:`repro.core.base.level_counts` roll-up that
+:class:`repro.core.privhp.PrivHP` ingests with too, one bank step per exact
+level and one aggregated sketch step per deep level.
 
 It satisfies the full :class:`repro.api.summarizer.StreamSummarizer`
 protocol: batched ingestion, shard :meth:`PrivHPContinual.merge`, versioned
@@ -39,21 +38,18 @@ deferring one injection to release time).
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable
 from dataclasses import asdict
 
 import numpy as np
 
 from repro.continual.counter import BinaryMechanismCounterBank
 from repro.continual.sketch import ContinualPrivateCountMinSketch
-from repro.core.budget import allocate_budgets
+from repro.core.base import SummarizerBase, cell_keys, level_counts
 from repro.core.config import PrivHPConfig
 from repro.core.partition import grow_partition
-from repro.core.privhp import _jsonify_rng_state
 from repro.core.sampler import SyntheticDataGenerator
 from repro.core.tree import PartitionTree, cell_at
 from repro.domain.base import Domain
-from repro.privacy.accountant import BudgetAccountant
 
 __all__ = ["PrivHPContinual"]
 
@@ -64,7 +60,7 @@ CONTINUAL_STATE_VERSION = 1
 CONTINUAL_STATE_KIND = "privhp-continual"
 
 
-class PrivHPContinual:
+class PrivHPContinual(SummarizerBase):
     """PrivHP whose state is differentially private under continual observation.
 
     Example:
@@ -89,48 +85,10 @@ class PrivHPContinual:
     ) -> None:
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
-        if config.depth > 62:
-            raise ValueError(
-                f"continual PrivHP supports depth <= 62 (cell codes must fit "
-                f"an int64), got {config.depth}"
-            )
-        self.domain = domain
-        self.config = config
+        super().__init__(domain, config, rng)
         self.horizon = int(horizon)
-        # Same randomness contract as PrivHP: a Generator is used as-is, an
-        # int must agree with config.seed, and hash seeds always derive from
-        # config.seed so shards share their hash families.
-        if rng is None:
-            self._rng = np.random.default_rng(config.seed)
-            hash_base = config.seed
-        elif isinstance(rng, np.random.Generator):
-            self._rng = rng
-            hash_base = config.seed
-        else:
-            rng = int(rng)
-            if config.seed is not None and rng != config.seed:
-                raise ValueError(
-                    f"explicit rng seed {rng} disagrees with config.seed {config.seed}; "
-                    "pass one of them (or a Generator)"
-                )
-            self._rng = np.random.default_rng(rng)
-            hash_base = config.seed if config.seed is not None else rng
-        self._hash_base = int(hash_base) if hash_base is not None else 0
-        self._items_processed = 0
         self._events = 0
-        self._finalized = False
         self._lock = threading.RLock()
-
-        self.level_budgets = allocate_budgets(
-            domain=domain,
-            epsilon=config.epsilon,
-            depth=config.depth,
-            level_cutoff=config.level_cutoff,
-            pruning_k=config.pruning_k,
-            sketch_depth=config.sketch_depth,
-            method=config.budget_allocation,
-        )
-        self.accountant = BudgetAccountant(total_budget=config.epsilon)
 
         # One continual counter bank per exact level (all 2^level cells share
         # the event time axis), one continual sketch per deep level.
@@ -155,12 +113,6 @@ class PrivHPContinual:
             self.accountant.spend(sigma, label=f"continual sketch level {level}")
         self.accountant.assert_within_budget()
 
-    def _sketch_hash_seed(self, level: int) -> int:
-        """Per-level hash seed, derived from one root seed via SeedSequence
-        (the same derivation as PrivHP, so configs agree across variants)."""
-        sequence = np.random.SeedSequence(entropy=self._hash_base, spawn_key=(level,))
-        return int(sequence.generate_state(1)[0])
-
     # ------------------------------------------------------------------ #
     # streaming
     # ------------------------------------------------------------------ #
@@ -172,57 +124,17 @@ class PrivHPContinual:
         """Vectorised ingestion of a whole batch as one continual event.
 
         One :meth:`~repro.domain.base.Domain.locate_batch` pass locates every
-        point, each exact level aggregates its batch with a prefix
-        ``bincount`` and advances its counter bank one step, and each deep
-        level takes one aggregated sketch step over the batch's distinct
-        cells.  The exact counts after the batch are identical to item-wise
+        point; :func:`repro.core.base.level_counts` aggregates the batch, each
+        exact level advances its counter bank one step, and each deep level
+        takes one aggregated sketch step over the batch's distinct cells.
+        The exact counts after the batch are identical to item-wise
         processing (up to float summation order); the noise layout follows
         the event time axis, so private snapshots remain available after
         every batch.  Returns ``self`` for chaining.
         """
-        if self._finalized:
-            raise RuntimeError(
-                "PrivHPContinual has been finalized; no further updates are allowed"
-            )
-        bits = self.domain.locate_batch(points, self.config.depth)
-        return self._apply_event(bits)
-
-    def _apply_event(self, bits) -> "PrivHPContinual":
-        """Advance all banks and sketches one event from pre-located bits."""
-        with self._lock:
-            if self._finalized:
-                raise RuntimeError(
-                    "PrivHPContinual has been finalized; no further updates are allowed"
-                )
-            depth = self.config.depth
-            batch_size = int(bits.shape[0])
-            if batch_size == 0:
-                return self
-            if self._items_processed + batch_size > self.horizon:
-                raise RuntimeError(
-                    f"stream horizon of {self.horizon} items exhausted; "
-                    "construct PrivHPContinual with a larger horizon"
-                )
-            full_codes = Domain.pack_paths(bits)
-
-            cutoff = self.config.level_cutoff
-            for level in range(cutoff + 1):
-                codes = full_codes >> (depth - level)
-                weights = np.bincount(codes, minlength=1 << level)
-                self._banks[level].step(weights.astype(float))
-
-            for level in range(cutoff + 1, depth + 1):
-                codes = full_codes >> (depth - level)
-                occupied, weights = np.unique(codes, return_counts=True)
-                # (1 << level) | code is exactly canonical_key of the bit
-                # tuple, so the aggregated batch hits the same buckets as
-                # per-item tuple updates.
-                keys = occupied.astype(np.uint64) | (np.uint64(1) << np.uint64(level))
-                self._sketches[level].update_batch(keys, weights.astype(float))
-
-            self._items_processed += batch_size
-            self._events += 1
-            return self
+        self._check_open()
+        codes = self._locate_codes(points)
+        return self._ingest(codes, [codes.size])
 
     def update_segments(self, points, lengths) -> "PrivHPContinual":
         """Apply several consecutive batches, one continual event per segment.
@@ -232,41 +144,49 @@ class PrivHPContinual:
         axis, so unlike the one-shot variant the counter steps cannot be
         fused across segments without changing the noise layout.  What *is*
         shared is the elementwise location pass: the concatenation is located
-        once and each event consumes its slice of the bit matrix (locating a
-        slice equals slicing the located whole).  This method exists so the
-        batched ingestion service can hand any summarizer a coerced
-        concatenation plus segment lengths through one uniform call.
+        once and each event consumes its slice of the cell codes.  This
+        method exists so the batched ingestion service can hand any
+        summarizer a coerced concatenation plus segment lengths through one
+        uniform call.
         """
-        lengths = [int(length) for length in lengths]
-        if any(length < 0 for length in lengths):
-            raise ValueError("segment lengths must be non-negative")
-        if sum(lengths) != len(points):
-            raise ValueError(
-                f"segment lengths sum to {sum(lengths)} but the concatenated "
-                f"batch has {len(points)} items"
-            )
-        if self._finalized:
-            raise RuntimeError(
-                "PrivHPContinual has been finalized; no further updates are allowed"
-            )
-        bits = self.domain.locate_batch(points, self.config.depth)
-        offset = 0
+        self._check_open()
+        lengths = self._segment_lengths(points, lengths)
+        if not any(lengths):
+            return self
+        return self._ingest(self._locate_codes(points), lengths)
+
+    def _ingest(self, codes: np.ndarray, lengths: list[int]) -> "PrivHPContinual":
+        start = 0
         for length in lengths:
-            self._apply_event(bits[offset : offset + length])
-            offset += length
+            self._apply_event(codes[start : start + length])
+            start += length
         return self
 
-    def process(self, stream: Iterable) -> "PrivHPContinual":
-        """Process an iterable item by item (one event each); returns ``self``.
-
-        Kept as the continual analogue of :meth:`repro.core.privhp.PrivHP.process`
-        and as the slow baseline the continual benchmark compares against; new
-        code should feed batches through :meth:`update_batch` (see
-        :func:`repro.api.summarizer.ingest_batches`).
-        """
-        for point in stream:
-            self.update(point)
-        return self
+    def _apply_event(self, codes: np.ndarray) -> None:
+        """Advance all banks and sketches one event from one segment's codes."""
+        with self._lock:
+            self._check_open()
+            if codes.size == 0:
+                return
+            if self._items_processed + codes.size > self.horizon:
+                raise RuntimeError(
+                    f"stream horizon of {self.horizon} items exhausted; "
+                    "construct PrivHPContinual with a larger horizon"
+                )
+            levels = level_counts(codes, self.config.depth)
+            cutoff = self.config.level_cutoff
+            for level in range(cutoff + 1):
+                cells, counts = levels[level]
+                weights = np.zeros(1 << level)
+                weights[cells] = counts
+                self._banks[level].step(weights)
+            for level in range(cutoff + 1, self.config.depth + 1):
+                cells, counts = levels[level]
+                self._sketches[level].update_batch(
+                    cell_keys(level, cells), counts.astype(float)
+                )
+            self._items_processed += int(codes.size)
+            self._events += 1
 
     # ------------------------------------------------------------------ #
     # sharding: linear merge of continually-private summaries
@@ -293,40 +213,21 @@ class PrivHPContinual:
         first with zero-weight padding events, which are data-independent and
         therefore privacy-free.
         """
-        from repro.io.serialization import domain_to_dict
-
-        if not isinstance(other, PrivHPContinual):
-            raise TypeError("can only merge with another PrivHPContinual")
-        if self._finalized or other._finalized:
-            raise RuntimeError("cannot merge a summarizer that has already been released")
-        if self.config != other.config:
-            raise ValueError("cannot merge summarizers with different configurations")
+        self._check_mergeable(other)
         if self.horizon != other.horizon:
             raise ValueError("cannot merge summarizers with different horizons")
-        if domain_to_dict(self.domain) != domain_to_dict(other.domain):
-            raise ValueError("cannot merge summarizers over different domains")
-        if self._hash_base != other._hash_base:
-            raise ValueError("cannot merge summarizers with different hash seed bases")
 
         target_events = max(self._events, other._events)
         self._pad_events_to(target_events)
         other._pad_events_to(target_events)
 
-        cls = type(self)
-        merged = cls.__new__(cls)
-        merged.domain = self.domain
-        merged.config = self.config
+        merged = self._bare(self.domain, self.config, self._rng, self._hash_base)
         merged.horizon = self.horizon
-        merged._rng = self._rng
-        merged._hash_base = self._hash_base
         merged._items_processed = self._items_processed + other._items_processed
         merged._events = target_events
-        merged._finalized = False
         merged._lock = threading.RLock()
-        merged.level_budgets = self.level_budgets
-        merged.accountant = BudgetAccountant(total_budget=self.config.epsilon)
-        for entry in self.accountant.ledger:
-            merged.accountant.spend(entry.epsilon, label=entry.label)
+        for epsilon, label in self._ledger():
+            merged.accountant.spend(epsilon, label=label)
         merged._banks = {
             level: bank.merged_with(other._banks[level])
             for level, bank in self._banks.items()
@@ -335,17 +236,6 @@ class PrivHPContinual:
             level: sketch.merge(other._sketches[level])
             for level, sketch in self._sketches.items()
         }
-        return merged
-
-    @classmethod
-    def merge_all(cls, shards: Iterable["PrivHPContinual"]) -> "PrivHPContinual":
-        """Left fold of :meth:`merge` over an iterable of shard summaries."""
-        shards = list(shards)
-        if not shards:
-            raise ValueError("merge_all requires at least one shard")
-        merged = shards[0]
-        for shard in shards[1:]:
-            merged = merged.merge(shard)
         return merged
 
     # ------------------------------------------------------------------ #
@@ -368,22 +258,17 @@ class PrivHPContinual:
         what the binary envelope writer stores without a list round trip.
         ``restore`` accepts either form.
         """
-        from repro.io.serialization import domain_to_dict
-
         with self._lock:
             if self._finalized:
                 raise RuntimeError(
                     "cannot checkpoint a released summarizer; persist the Release instead"
                 )
             return {
+                **self._checkpoint_base(),
                 "state_version": CONTINUAL_STATE_VERSION,
                 "summarizer": CONTINUAL_STATE_KIND,
-                "config": asdict(self.config),
-                "domain": domain_to_dict(self.domain),
                 "horizon": self.horizon,
-                "items_processed": self._items_processed,
                 "events": self._events,
-                "hash_base": self._hash_base,
                 "banks": [
                     {"level": level, "state": bank.state_dict(arrays=arrays)}
                     for level, bank in sorted(self._banks.items())
@@ -392,58 +277,15 @@ class PrivHPContinual:
                     {"level": level, "state": sketch.state_dict(arrays=arrays)}
                     for level, sketch in sorted(self._sketches.items())
                 ],
-                "accountant": {
-                    "total_budget": self.accountant.total_budget,
-                    "spends": [[entry.epsilon, entry.label] for entry in self.accountant.ledger],
-                },
-                "rng": {
-                    "bit_generator": type(self._rng.bit_generator).__name__,
-                    "state": _jsonify_rng_state(self._rng.bit_generator.state),
-                },
             }
 
     @classmethod
     def restore(cls, state: dict) -> "PrivHPContinual":
         """Reconstruct a summarizer from a :meth:`checkpoint` snapshot."""
-        from repro.io.serialization import domain_from_dict
-
-        version = int(state.get("state_version", 0))
-        if version > CONTINUAL_STATE_VERSION:
-            raise ValueError(
-                f"continual checkpoint state version {version} is newer than "
-                f"supported version {CONTINUAL_STATE_VERSION}"
-            )
-        config = PrivHPConfig(**state["config"])
-        domain = domain_from_dict(state["domain"])
-
-        algorithm = cls.__new__(cls)
-        algorithm.domain = domain
-        algorithm.config = config
+        algorithm = cls._restore_base(state, CONTINUAL_STATE_VERSION)
         algorithm.horizon = int(state["horizon"])
-        algorithm._hash_base = int(state["hash_base"])
-        algorithm._items_processed = int(state["items_processed"])
         algorithm._events = int(state["events"])
-        algorithm._finalized = False
         algorithm._lock = threading.RLock()
-        algorithm.level_budgets = allocate_budgets(
-            domain=domain,
-            epsilon=config.epsilon,
-            depth=config.depth,
-            level_cutoff=config.level_cutoff,
-            pruning_k=config.pruning_k,
-            sketch_depth=config.sketch_depth,
-            method=config.budget_allocation,
-        )
-        accountant_state = state["accountant"]
-        algorithm.accountant = BudgetAccountant(total_budget=accountant_state["total_budget"])
-        for epsilon, label in accountant_state["spends"]:
-            algorithm.accountant.spend(epsilon, label=label)
-
-        rng_state = state["rng"]
-        bit_generator = getattr(np.random, rng_state["bit_generator"])()
-        bit_generator.state = rng_state["state"]
-        algorithm._rng = np.random.Generator(bit_generator)
-
         algorithm._banks = {
             int(entry["level"]): BinaryMechanismCounterBank.from_state(
                 entry["state"], rng=algorithm._rng
@@ -495,7 +337,7 @@ class PrivHPContinual:
             items = self._items_processed
             events = self._events
             memory = self.memory_words()
-            ledger = [[entry.epsilon, entry.label] for entry in self.accountant.ledger]
+            ledger = self._ledger()
         if sampling_seed is not None:
             sampler_rng = np.random.default_rng(sampling_seed)
         else:
@@ -535,24 +377,9 @@ class PrivHPContinual:
     # introspection
     # ------------------------------------------------------------------ #
     @property
-    def epsilon(self) -> float:
-        """Total privacy budget guarding the whole stream of releases."""
-        return self.config.epsilon
-
-    @property
-    def items_processed(self) -> int:
-        """Number of stream items consumed so far."""
-        return self._items_processed
-
-    @property
     def events(self) -> int:
         """Number of ingestion events (batches or single items) so far."""
         return self._events
-
-    @property
-    def finalized(self) -> bool:
-        """Whether :meth:`release` has sealed the summarizer."""
-        return self._finalized
 
     @property
     def banks(self) -> dict[int, BinaryMechanismCounterBank]:
@@ -569,10 +396,6 @@ class PrivHPContinual:
         bank_words = sum(bank.memory_words() for bank in self._banks.values())
         sketch_words = sum(sketch.memory_words() for sketch in self._sketches.values())
         return bank_words + sketch_words
-
-    def privacy_summary(self) -> str:
-        """Human-readable ledger of the per-level budget spends."""
-        return self.accountant.summary()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -96,8 +96,8 @@ class ContinualPrivateCountMinSketch:
     def update_batch(self, keys, counts) -> None:
         """Aggregated vectorised update: one event for a whole batch.
 
-        ``keys`` must be pre-canonicalised integer keys (what
-        :func:`repro.sketch.hashing.canonical_key` would produce; the batched
+        ``keys`` must be canonical integer keys below ``2^63`` (see
+        :meth:`repro.sketch.countmin.CountMinSketch.update_batch`; the batched
         ingestion path packs hierarchy cells this way) and ``counts`` their
         aggregated weights.  One ``bincount`` per row builds the weight table
         and the bank advances a single step, so the cost is

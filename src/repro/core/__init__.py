@@ -6,6 +6,8 @@
 * :mod:`repro.core.budget` -- per-level privacy budget allocation (Lemma 5).
 * :mod:`repro.core.config` -- parameter container with the paper's defaults.
 * :mod:`repro.core.privhp` -- Algorithm 1, the one-pass streaming algorithm.
+* :mod:`repro.core.base` -- the ingest kernel and the state that PrivHP and
+  its continual variant share.
 * :mod:`repro.core.sampler` -- the synthetic data generator (Section 5).
 """
 

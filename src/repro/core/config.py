@@ -33,7 +33,7 @@ class PrivHPConfig:
     pruning_k:
         Number of hot branches kept per level below ``level_cutoff``.
     depth:
-        Total hierarchy depth ``L``.
+        Total hierarchy depth ``L``, at most 62.
     level_cutoff:
         ``L*``, the deepest level stored with exact (noisy) counters.
     sketch_width:
@@ -65,8 +65,10 @@ class PrivHPConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.pruning_k < 1:
             raise ValueError(f"pruning parameter k must be at least 1, got {self.pruning_k}")
-        if self.depth < 1:
-            raise ValueError(f"hierarchy depth must be at least 1, got {self.depth}")
+        if not 1 <= self.depth <= 62:
+            # 62 is the deepest level whose cell codes fit an int64 (see
+            # Domain.pack_paths); L = ceil(log2(epsilon * n)) never gets near it.
+            raise ValueError(f"hierarchy depth must lie in [1, 62], got {self.depth}")
         if not 0 <= self.level_cutoff <= self.depth:
             raise ValueError(
                 f"level cutoff L* must lie in [0, depth]; got {self.level_cutoff} with depth {self.depth}"

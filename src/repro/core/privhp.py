@@ -7,10 +7,11 @@ This module implements Algorithm 1 of the paper end to end:
    one private Count-Min sketch per level ``L*+1 .. L`` pre-loaded with
    ``Laplace(j/sigma_l)`` noise per cell.
 2. **Parsing** -- stream items increment the exact counter at levels
-   ``<= L*`` and update the level sketch below.  :meth:`PrivHP.update_batch`
-   is the batch-native hot path: one vectorised location pass per batch, a
-   prefix ``bincount`` per exact level and an aggregated sketch update per
-   deep level, producing the same state as item-by-item :meth:`PrivHP.update`.
+   ``<= L*`` and update the level sketch below.  :meth:`PrivHP.update_segments`
+   is the batch path (:meth:`PrivHP.update_batch` is its one-segment case):
+   one vectorised location pass, then per segment the
+   :func:`repro.core.base.level_counts` roll-up and one add per (level, cell),
+   producing the same state as item-by-item :meth:`PrivHP.update`.
 3. **Growing** -- :meth:`PrivHP.release` runs
    :func:`repro.core.partition.grow_partition` (Algorithm 2) and wraps the
    result in a :class:`repro.api.release.Release`.
@@ -21,32 +22,23 @@ the default mode, or once at release time in *shard mode*
 (``add_noise=False``), where several raw summaries built from disjoint
 sub-streams are combined with :meth:`PrivHP.merge` before the single noise
 injection.  Everything after noise injection is deterministic post-processing
-of the noisy statistics.
-
-Randomness contract: the noise generator is ``rng`` when given (a Generator is
-used as-is; an int must agree with ``config.seed`` when both are set, so the
-two can never silently disagree) and ``config.seed`` otherwise.  Sketch hash
-seeds are always derived from ``config.seed`` (falling back to an explicit int
-``rng``, then 0) through one :class:`numpy.random.SeedSequence` per level, so
-shards built from the same config always agree on their hash families.
+of the noisy statistics.  The randomness contract is stated in
+:mod:`repro.core.base`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Iterable
 from dataclasses import asdict
 
 import numpy as np
 
-from repro.core.budget import allocate_budgets
+from repro.core.base import SummarizerBase, cell_keys, level_counts
 from repro.core.config import PrivHPConfig
 from repro.core.partition import grow_partition
 from repro.core.sampler import SyntheticDataGenerator
-from repro.core.tree import PartitionTree, cell_at as _cell_of
+from repro.core.tree import PartitionTree, cell_at
 from repro.domain.base import Domain
-from repro.privacy.accountant import BudgetAccountant
 from repro.sketch.private import PrivateCountMinSketch
 
 __all__ = ["PrivHP"]
@@ -55,19 +47,7 @@ __all__ = ["PrivHP"]
 CHECKPOINT_STATE_VERSION = 1
 
 
-def _jsonify_rng_state(value):
-    """Make a bit-generator state dict JSON-safe (MT19937/Philox/SFC64 carry
-    ndarrays); numpy's state setters accept the listified form unchanged."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: _jsonify_rng_state(entry) for key, entry in value.items()}
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
-class PrivHP:
+class PrivHP(SummarizerBase):
     """The PrivHP streaming synthetic data generator (Algorithm 1)."""
 
     def __init__(
@@ -77,103 +57,43 @@ class PrivHP:
         rng: np.random.Generator | int | None = None,
         add_noise: bool = True,
     ) -> None:
-        self.domain = domain
-        self.config = config
-        if rng is None:
-            self._rng = np.random.default_rng(config.seed)
-            hash_base = config.seed
-        elif isinstance(rng, np.random.Generator):
-            self._rng = rng
-            hash_base = config.seed
-        else:
-            rng = int(rng)
-            if config.seed is not None and rng != config.seed:
-                raise ValueError(
-                    f"explicit rng seed {rng} disagrees with config.seed {config.seed}; "
-                    "pass one of them (or a Generator) -- see the module docstring "
-                    "for the randomness contract"
-                )
-            self._rng = np.random.default_rng(rng)
-            hash_base = config.seed if config.seed is not None else rng
-        self._hash_base = int(hash_base) if hash_base is not None else 0
-        self._finalized = False
-        self._items_processed = 0
-        self._noise_applied = False
-
-        # Per-level privacy budgets (Theorem 2 / Lemma 5).
-        self.level_budgets = allocate_budgets(
-            domain=domain,
-            epsilon=config.epsilon,
-            depth=config.depth,
-            level_cutoff=config.level_cutoff,
-            pruning_k=config.pruning_k,
-            sketch_depth=config.sketch_depth,
-            method=config.budget_allocation,
-        )
-        self.accountant = BudgetAccountant(total_budget=config.epsilon)
-
-        self._tree = self._initialize_tree(add_noise)
-        self._sketches = self._initialize_sketches(add_noise)
-        self._noise_applied = bool(add_noise)
-        self.accountant.assert_within_budget()
-
-    # ------------------------------------------------------------------ #
-    # initialisation (Algorithm 1, lines 2-8)
-    # ------------------------------------------------------------------ #
-    def _sketch_hash_seed(self, level: int) -> int:
-        """Per-level hash seed, derived from one root seed via SeedSequence."""
-        sequence = np.random.SeedSequence(entropy=self._hash_base, spawn_key=(level,))
-        return int(sequence.generate_state(1)[0])
-
-    def _initialize_tree(self, add_noise: bool) -> PartitionTree:
-        """Complete tree of depth ``L*``, noisy unless in shard mode."""
-        tree = PartitionTree.complete(self.config.level_cutoff, initial_count=0.0)
-        if add_noise:
-            for level in range(self.config.level_cutoff + 1):
-                sigma = self.level_budgets[level]
-                scale = 1.0 / sigma
-                # One vectorised draw per level consumes the generator in
-                # exactly the per-cell sorted order of the historical scalar
-                # loop (itertools.product yields cells in sorted order), so
-                # the preload stays byte-identical while skipping the
-                # per-node Generator call overhead.
-                noise = self._rng.laplace(0.0, scale, size=1 << level)
-                # Write straight into the count dict: complete() just created
-                # every key, so set_count's per-node existence check (and its
-                # per-call overhead) buys nothing here.
-                counts = tree._counts
-                for theta, value in zip(
-                    itertools.product((0, 1), repeat=level), noise.tolist()
-                ):
-                    counts[theta] = value
-                self.accountant.spend(sigma, label=f"tree level {level}")
-        return tree
-
-    def _initialize_sketches(self, add_noise: bool) -> dict[int, PrivateCountMinSketch]:
-        """One private Count-Min sketch per level ``L*+1 .. L``."""
-        sketches: dict[int, PrivateCountMinSketch] = {}
-        for level in range(self.config.level_cutoff + 1, self.config.depth + 1):
-            sigma = self.level_budgets[level]
-            sketches[level] = PrivateCountMinSketch(
-                width=self.config.sketch_width,
-                depth=self.config.sketch_depth,
-                epsilon=sigma,
+        super().__init__(domain, config, rng)
+        # Algorithm 1, lines 2-8: the complete tree of depth L* and one
+        # private Count-Min sketch per level L*+1 .. L, noisy unless in shard
+        # mode.  The noise pass itself fills in a noisy tree's cells.
+        self._tree = PartitionTree() if add_noise else PartitionTree.complete(config.level_cutoff)
+        self._sketches = {
+            level: PrivateCountMinSketch(
+                width=config.sketch_width,
+                depth=config.sketch_depth,
+                epsilon=self.level_budgets[level],
                 seed=self._sketch_hash_seed(level),
                 rng=self._rng,
-                apply_noise=add_noise,
+                apply_noise=False,
             )
-            if add_noise:
-                self.accountant.spend(sigma, label=f"sketch level {level}")
-        return sketches
+            for level in range(config.level_cutoff + 1, config.depth + 1)
+        }
+        self._noise_applied = False
+        if add_noise:
+            self._apply_noise()
+        self.accountant.assert_within_budget()
 
-    def _apply_deferred_noise(self) -> None:
-        """Shard mode: inject the one noise copy, consuming the generator in
-        exactly the same order as a noisy initialisation would have."""
+    def _apply_noise(self) -> None:
+        """Inject the one oblivious noise copy and spend the budget.
+
+        At initialisation by default, at release time in shard mode; both
+        consume the generator in the same order, so a merged shard release
+        draws what a noisy single-stream run would have drawn.
+        """
+        counts = self._tree._counts
         for level in range(self.config.level_cutoff + 1):
             sigma = self.level_budgets[level]
-            scale = 1.0 / sigma
-            for theta in self._tree.nodes_at_level(level):
-                self._tree.increment(theta, float(self._rng.laplace(0.0, scale)))
+            # One vector draw per level consumes the generator exactly like
+            # one scalar draw per cell, in the sorted cell order that
+            # itertools.product yields -- the order complete() inserts cells.
+            noise = self._rng.laplace(0.0, 1.0 / sigma, size=1 << level)
+            for theta, value in zip(itertools.product((0, 1), repeat=level), noise.tolist()):
+                counts[theta] = counts.get(theta, 0.0) + value
             self.accountant.spend(sigma, label=f"tree level {level}")
         for level in range(self.config.level_cutoff + 1, self.config.depth + 1):
             self._sketches[level].apply_noise_now(self._rng)
@@ -185,8 +105,7 @@ class PrivHP:
     # ------------------------------------------------------------------ #
     def update(self, point) -> None:
         """Process one stream item in ``O(L * j)`` time and O(1) extra space."""
-        if self._finalized:
-            raise RuntimeError("PrivHP has been finalized; no further updates are allowed")
+        self._check_open()
         path = self.domain.locate(point, self.config.depth)
         for level in range(self.config.depth + 1):
             theta = path[:level]
@@ -197,62 +116,15 @@ class PrivHP:
         self._items_processed += 1
 
     def update_batch(self, points) -> "PrivHP":
-        """Vectorised ingestion of a whole batch; returns ``self`` for chaining.
+        """Vectorised ingestion of one batch; returns ``self`` for chaining.
 
-        One :meth:`~repro.domain.base.Domain.locate_batch` pass locates every
-        point, the exact levels are aggregated with a prefix ``bincount`` and
-        applied through :meth:`~repro.core.tree.PartitionTree.increment_many`,
-        and each sketch level receives one aggregated
-        :meth:`~repro.sketch.countmin.CountMinSketch.update_batch` over the
-        batch's distinct cells.  The resulting tree and sketch state is
-        identical to calling :meth:`update` once per item (up to float
-        summation order).
+        The one-segment case of :meth:`update_segments`.  The resulting tree
+        and sketch state is identical to calling :meth:`update` once per item
+        (up to float summation order).
         """
-        if self._finalized:
-            raise RuntimeError("PrivHP has been finalized; no further updates are allowed")
-        depth = self.config.depth
-        if depth > 62:  # cell codes no longer fit an int64; take the scalar path
-            for point in points:
-                self.update(point)
-            return self
-        bits = self.domain.locate_batch(points, depth)
-        batch_size = int(bits.shape[0])
-        if batch_size == 0:
-            return self
-        full_codes = Domain.pack_paths(bits)
-
-        cutoff = self.config.level_cutoff
-        for level in range(cutoff + 1):
-            codes = full_codes >> (depth - level)
-            if (1 << level) <= max(4 * batch_size, 1024):
-                counts = np.bincount(codes, minlength=1 << level)
-                occupied = np.flatnonzero(counts)
-                weights = counts[occupied]
-            else:
-                occupied, weights = np.unique(codes, return_counts=True)
-            self._tree.increment_many(
-                [_cell_of(level, int(code)) for code in occupied],
-                weights.astype(float),
-            )
-
-        for level in range(cutoff + 1, depth + 1):
-            codes = full_codes >> (depth - level)
-            occupied, weights = np.unique(codes, return_counts=True)
-            sketch = self._sketches[level]
-            if level <= 59:
-                # (1 << level) | code is exactly canonical_key of the bit
-                # tuple, so the aggregated batch hits the same buckets as
-                # per-item tuple updates.
-                keys = occupied.astype(np.uint64) | (np.uint64(1) << np.uint64(level))
-                sketch.update_batch(keys, weights.astype(float))
-            else:
-                sketch.update_many(
-                    [_cell_of(level, int(code)) for code in occupied],
-                    weights.astype(float),
-                )
-
-        self._items_processed += batch_size
-        return self
+        self._check_open()
+        codes = self._locate_codes(points)
+        return self._ingest(codes, [codes.size])
 
     def update_segments(self, points, lengths) -> "PrivHP":
         """Apply several consecutive batches in one pass over their concatenation.
@@ -268,132 +140,43 @@ class PrivHP:
         service: a worker drains many queued appends for one tenant and lands
         them with a single call.
 
-        Empty segments are permitted and contribute nothing (matching the
-        empty-batch early return of :meth:`update_batch`).
+        Empty segments are permitted and contribute nothing.
         """
-        if self._finalized:
-            raise RuntimeError("PrivHP has been finalized; no further updates are allowed")
-        lengths = [int(length) for length in lengths]
-        if any(length < 0 for length in lengths):
-            raise ValueError("segment lengths must be non-negative")
-        total = sum(lengths)
-        if total != len(points):
-            raise ValueError(
-                f"segment lengths sum to {total} but the concatenated batch has "
-                f"{len(points)} items"
-            )
-        depth = self.config.depth
-        if depth > 62:  # mirror update_batch's scalar fallback per segment
-            offset = 0
-            for length in lengths:
-                self.update_batch(points[offset : offset + length])
-                offset += length
+        self._check_open()
+        lengths = self._segment_lengths(points, lengths)
+        if not any(lengths):
             return self
-        if total == 0:
-            return self
-        bits = self.domain.locate_batch(points, depth)
-        full_codes = Domain.pack_paths(bits)
+        return self._ingest(self._locate_codes(points), lengths)
 
-        # Segment-major application.  Either ingest helper lands exactly one
-        # aggregated add per (level, cell) per segment with an identical
-        # float weight, so the counters see the same additions in the same
-        # segment order as sequential update_batch calls -- the two helpers
-        # (and the bincount-vs-unique pivot inside the numpy one) are pure
-        # speed dispatch with no observable effect on the state bytes.
+    def _ingest(self, codes: np.ndarray, lengths: list[int]) -> "PrivHP":
+        """Add each segment's :func:`level_counts`: one add per (level, cell).
+
+        Exact levels go through :meth:`PartitionTree.increment_many`, deep
+        levels through one aggregated sketch update with keys in ascending
+        order, so hash-colliding buckets accumulate in a fixed sequence.
+        """
+        depth = self.config.depth
+        cutoff = self.config.level_cutoff
         start = 0
         for length in lengths:
             if length:
-                segment_codes = full_codes[start : start + length]
-                if length <= 512:
-                    self._ingest_codes_small(segment_codes)
-                else:
-                    self._ingest_codes_numpy(segment_codes, length)
+                levels = level_counts(codes[start : start + length], depth)
+                exact = levels[: cutoff + 1]
+                self._tree.increment_many(
+                    [
+                        cell_at(level, code)
+                        for level, (cells, _) in enumerate(exact)
+                        for code in cells.tolist()
+                    ],
+                    np.concatenate([counts for _, counts in exact]).tolist(),
+                )
+                for level in range(cutoff + 1, depth + 1):
+                    cells, counts = levels[level]
+                    self._sketches[level].update_batch(
+                        cell_keys(level, cells), counts.astype(float)
+                    )
             start += length
-
-        self._items_processed += total
-        return self
-
-    def _ingest_codes_small(self, segment_codes) -> None:
-        """Aggregate one small segment in pure Python (no per-level numpy).
-
-        Counts the distinct full-depth codes once, rolls the *integer*
-        counts up level by level (integer sums are exact, so nothing here
-        touches float ordering), then applies one fused tree update and one
-        aggregated sketch update per deep level.  Cells are visited in
-        ascending code order per level -- the same order the numpy path's
-        ``bincount``/``unique`` produce -- so even hash-colliding sketch
-        buckets accumulate in an identical sequence.
-        """
-        depth = self.config.depth
-        cutoff = self.config.level_cutoff
-        per_level: list[dict[int, int]] = [Counter(segment_codes.tolist())] * (depth + 1)
-        for level in range(depth - 1, -1, -1):
-            parents: dict[int, int] = {}
-            get = parents.get
-            for code, count in per_level[level + 1].items():
-                parent = code >> 1
-                parents[parent] = get(parent, 0) + count
-            per_level[level] = parents
-        # Every exact-level cell exists in the complete tree (initialisation
-        # builds all of them and nothing ever removes one pre-release), so
-        # the adds can skip increment_many's per-cell existence check.  Cell
-        # visit order within a level is irrelevant to the bytes: each
-        # distinct cell receives exactly one add per segment.
-        tree_counts = self._tree._counts
-        for level in range(cutoff + 1):
-            for code, count in per_level[level].items():
-                tree_counts[_cell_of(level, code)] += float(count)
-        for level in range(cutoff + 1, depth + 1):
-            level_counts = per_level[level]
-            occupied = sorted(level_counts)
-            level_weights = np.array([float(level_counts[code]) for code in occupied])
-            sketch = self._sketches[level]
-            if level <= 59:
-                keys = np.array(occupied, dtype=np.uint64) | (np.uint64(1) << np.uint64(level))
-                sketch.update_batch(keys, level_weights)
-            else:
-                sketch.update_many(
-                    [_cell_of(level, code) for code in occupied], level_weights
-                )
-
-    def _ingest_codes_numpy(self, segment_codes, batch_size: int) -> None:
-        """One segment through exactly the per-level path of update_batch."""
-        depth = self.config.depth
-        cutoff = self.config.level_cutoff
-        for level in range(cutoff + 1):
-            codes = segment_codes >> (depth - level)
-            if (1 << level) <= max(4 * batch_size, 1024):
-                counts = np.bincount(codes, minlength=1 << level)
-                occupied = np.flatnonzero(counts)
-                weights = counts[occupied]
-            else:
-                occupied, weights = np.unique(codes, return_counts=True)
-            self._tree.increment_many(
-                [_cell_of(level, int(code)) for code in occupied],
-                weights.astype(float),
-            )
-        for level in range(cutoff + 1, depth + 1):
-            codes = segment_codes >> (depth - level)
-            occupied, weights = np.unique(codes, return_counts=True)
-            sketch = self._sketches[level]
-            if level <= 59:
-                keys = occupied.astype(np.uint64) | (np.uint64(1) << np.uint64(level))
-                sketch.update_batch(keys, weights.astype(float))
-            else:
-                sketch.update_many(
-                    [_cell_of(level, int(code)) for code in occupied],
-                    weights.astype(float),
-                )
-
-    def process(self, stream: Iterable) -> "PrivHP":
-        """Process an entire stream item by item (single pass).
-
-        .. deprecated::
-            Kept as a thin shim over :meth:`update`; new code should feed
-            batches through :meth:`update_batch` (see :mod:`repro.api`).
-        """
-        for point in stream:
-            self.update(point)
+        self._items_processed += start
         return self
 
     # ------------------------------------------------------------------ #
@@ -410,56 +193,25 @@ class PrivHP:
         -- when a seed is set -- draws the same noise a single-stream run
         would have drawn.
         """
-        from repro.io.serialization import domain_to_dict
-
-        if not isinstance(other, PrivHP):
-            raise TypeError("can only merge with another PrivHP")
-        if self._finalized or other._finalized:
-            raise RuntimeError("cannot merge a summarizer that has already been released")
+        self._check_mergeable(other)
         if self._noise_applied or other._noise_applied:
             raise ValueError(
                 "merge requires shard-mode (raw) summarizers; build them with "
                 "add_noise=False or PrivHPBuilder.build_shards() so noise is "
                 "injected exactly once at release time"
             )
-        if self.config != other.config:
-            raise ValueError("cannot merge summarizers with different configurations")
-        if domain_to_dict(self.domain) != domain_to_dict(other.domain):
-            raise ValueError("cannot merge summarizers over different domains")
-        if self._hash_base != other._hash_base:
-            raise ValueError("cannot merge summarizers with different hash seed bases")
-
-        # Built via __new__ rather than __init__ so the throwaway tree and
+        # Built bare rather than through __init__ so the throwaway tree and
         # sketch tables of a fresh raw summarizer are never allocated; the
         # fresh default_rng(config.seed) matches what a noisy single-stream
         # initialisation would have drawn from.
-        cls = type(self)
-        merged = cls.__new__(cls)
-        merged.domain = self.domain
-        merged.config = self.config
-        merged._rng = np.random.default_rng(self.config.seed)
-        merged._hash_base = self._hash_base
-        merged._finalized = False
+        merged = self._bare(self.domain, self.config, None, self._hash_base)
         merged._noise_applied = False
-        merged.level_budgets = self.level_budgets
-        merged.accountant = BudgetAccountant(total_budget=self.config.epsilon)
         merged._tree = self._tree.merge(other._tree)
         merged._sketches = {
             level: self._sketches[level].merge(other._sketches[level])
             for level in self._sketches
         }
         merged._items_processed = self._items_processed + other._items_processed
-        return merged
-
-    @classmethod
-    def merge_all(cls, shards: Iterable["PrivHP"]) -> "PrivHP":
-        """Left fold of :meth:`merge` over an iterable of shard summaries."""
-        shards = list(shards)
-        if not shards:
-            raise ValueError("merge_all requires at least one shard")
-        merged = shards[0]
-        for shard in shards[1:]:
-            merged = merged.merge(shard)
         return merged
 
     # ------------------------------------------------------------------ #
@@ -479,16 +231,15 @@ class PrivHP:
         the binary envelope writer stores without a list round trip.
         ``restore`` accepts either form.
         """
-        from repro.io.serialization import domain_to_dict, tree_to_dict
+        from repro.io.serialization import tree_to_dict
 
         if self._finalized:
             raise RuntimeError(
                 "cannot checkpoint a released summarizer; persist the Release instead"
             )
         return {
+            **self._checkpoint_base(),
             "state_version": CHECKPOINT_STATE_VERSION,
-            "config": asdict(self.config),
-            "domain": domain_to_dict(self.domain),
             "tree": tree_to_dict(self._tree),
             "sketches": [
                 {
@@ -502,65 +253,22 @@ class PrivHP:
                 }
                 for level, sketch in sorted(self._sketches.items())
             ],
-            "accountant": {
-                "total_budget": self.accountant.total_budget,
-                "spends": [[entry.epsilon, entry.label] for entry in self.accountant.ledger],
-            },
-            "rng": {
-                "bit_generator": type(self._rng.bit_generator).__name__,
-                "state": _jsonify_rng_state(self._rng.bit_generator.state),
-            },
             "noise_applied": self._noise_applied,
-            "items_processed": self._items_processed,
-            "hash_base": self._hash_base,
         }
 
     @classmethod
     def restore(cls, state: dict) -> "PrivHP":
         """Reconstruct a summarizer from a :meth:`checkpoint` snapshot."""
-        from repro.io.serialization import domain_from_dict, tree_from_dict
+        from repro.io.serialization import tree_from_dict
 
-        version = int(state.get("state_version", 0))
-        if version > CHECKPOINT_STATE_VERSION:
-            raise ValueError(
-                f"checkpoint state version {version} is newer than supported "
-                f"version {CHECKPOINT_STATE_VERSION}"
-            )
-        config = PrivHPConfig(**state["config"])
-        domain = domain_from_dict(state["domain"])
-
-        algorithm = cls.__new__(cls)
-        algorithm.domain = domain
-        algorithm.config = config
-        algorithm._hash_base = int(state["hash_base"])
-        algorithm._finalized = False
-        algorithm._items_processed = int(state["items_processed"])
+        algorithm = cls._restore_base(state, CHECKPOINT_STATE_VERSION)
         algorithm._noise_applied = bool(state["noise_applied"])
-        algorithm.level_budgets = allocate_budgets(
-            domain=domain,
-            epsilon=config.epsilon,
-            depth=config.depth,
-            level_cutoff=config.level_cutoff,
-            pruning_k=config.pruning_k,
-            sketch_depth=config.sketch_depth,
-            method=config.budget_allocation,
-        )
-        accountant_state = state["accountant"]
-        algorithm.accountant = BudgetAccountant(total_budget=accountant_state["total_budget"])
-        for epsilon, label in accountant_state["spends"]:
-            algorithm.accountant.spend(epsilon, label=label)
-
-        rng_state = state["rng"]
-        bit_generator = getattr(np.random, rng_state["bit_generator"])()
-        bit_generator.state = rng_state["state"]
-        algorithm._rng = np.random.Generator(bit_generator)
-
         algorithm._tree = tree_from_dict(state["tree"])
         algorithm._sketches = {}
         for entry in state["sketches"]:
             sketch = PrivateCountMinSketch(
-                width=config.sketch_width,
-                depth=config.sketch_depth,
+                width=algorithm.config.sketch_width,
+                depth=algorithm.config.sketch_depth,
                 epsilon=float(entry["epsilon"]),
                 seed=entry["seed"],
                 rng=algorithm._rng,
@@ -590,7 +298,7 @@ class PrivHP:
         if self._finalized:
             raise RuntimeError("PrivHP has already been finalized")
         if not self._noise_applied:
-            self._apply_deferred_noise()
+            self._apply_noise()
         self.accountant.assert_within_budget()
         self._finalized = True
         grow_partition(
@@ -607,48 +315,12 @@ class PrivHP:
             epsilon=self.config.epsilon,
             items_processed=self._items_processed,
             memory_words=self.memory_words(),
-            metadata={
-                "config": asdict(self.config),
-                "privacy_ledger": [
-                    [entry.epsilon, entry.label] for entry in self.accountant.ledger
-                ],
-            },
+            metadata={"config": asdict(self.config), "privacy_ledger": self._ledger()},
         )
-
-    def finalize(self) -> SyntheticDataGenerator:
-        """Grow the pruned partition and return the synthetic data generator.
-
-        .. deprecated::
-            Thin shim over :meth:`release` for the original single-shot API;
-            new code should call ``release()`` and keep the returned
-            :class:`~repro.api.release.Release` (it carries the privacy and
-            memory metadata and serialises through :mod:`repro.io`).
-        """
-        return self.release().generator
-
-    def generate(self, stream: Iterable, size: int) -> np.ndarray:
-        """Convenience wrapper: process the stream, release, and sample ``size`` points."""
-        self.process(stream)
-        return self.release().sample(size)
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
-    @property
-    def epsilon(self) -> float:
-        """Total privacy budget of the release."""
-        return self.config.epsilon
-
-    @property
-    def items_processed(self) -> int:
-        """Number of stream items consumed so far."""
-        return self._items_processed
-
-    @property
-    def finalized(self) -> bool:
-        """Whether :meth:`release` (or the :meth:`finalize` shim) has been called."""
-        return self._finalized
-
     @property
     def noise_applied(self) -> bool:
         """Whether the oblivious noise has been injected (False for raw shards)."""
@@ -668,10 +340,6 @@ class PrivHP:
         """Words of memory held by the tree and all sketches right now."""
         sketch_words = sum(sketch.memory_words() for sketch in self._sketches.values())
         return self._tree.memory_words() + sketch_words
-
-    def privacy_summary(self) -> str:
-        """Human-readable ledger of the per-level budget spends."""
-        return self.accountant.summary()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -27,10 +27,11 @@ def cell_at(level: int, code: int) -> Cell:
     """The bit tuple of the ``code``-th cell at ``level`` (big-endian order).
 
     Inverse of :meth:`repro.domain.base.Domain.pack_paths` for a single code;
-    the batched ingestion paths use it to translate ``bincount`` indices back
-    into tree cells.  Cells are immutable and the same few cells recur on
-    every batch of every stream, so the translation is memoised (bounded)
-    rather than rebuilt tuple-by-tuple on each call.
+    the batched ingestion paths use it to translate the level codes of
+    :func:`repro.core.base.level_counts` back into tree cells.  Cells are
+    immutable and the same few cells recur on every batch of every stream,
+    so the translation is memoised (bounded) rather than rebuilt
+    tuple-by-tuple on each call.
     """
     return tuple((code >> (level - 1 - position)) & 1 for position in range(level))
 
@@ -97,9 +98,10 @@ class PartitionTree:
         """Add ``amounts`` (1.0 each when omitted) to existing nodes.
 
         This is the application half of the batched ingestion path: the
-        caller aggregates a batch into per-cell totals (e.g. with a prefix
-        ``bincount``) and applies them here in one pass over the distinct
-        cells rather than one dict operation per stream item.
+        caller aggregates a batch into per-cell totals (with
+        :func:`repro.core.base.level_counts`) and applies them here in one
+        pass over the distinct cells rather than one dict operation per
+        stream item.
         """
         counts = self._counts
         if amounts is None:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Cell", "Domain", "coerce_integer_stream"]
+__all__ = ["Cell", "Domain", "coerce_integer_stream", "dyadic_index"]
 
 
 def coerce_integer_stream(data):
@@ -28,6 +28,18 @@ def coerce_integer_stream(data):
     return data
 
 Cell = tuple[int, ...]
+
+
+def dyadic_index(value: float, splits: int) -> int:
+    """``floor(value * 2^splits)`` clamped to ``[0, 2^splits - 1]``, computed exactly.
+
+    The index of the dyadic sub-interval of ``[0, 1]`` at ``splits`` halvings
+    that contains ``value`` -- what :meth:`Domain.locate_batch` computes in
+    int64 -- at any depth.  Halving ``[lower, upper]`` in floats instead
+    would round its midpoints from the 53rd halving on.
+    """
+    numerator, denominator = float(value).as_integer_ratio()
+    return min(max((numerator << splits) // denominator, 0), (1 << splits) - 1)
 
 
 def validate_cell(theta: Cell) -> Cell:
@@ -193,9 +205,9 @@ class Domain(ABC):
         """Pack a ``(n, level)`` bit matrix into integer cell codes.
 
         The code of row ``b_0 .. b_{l-1}`` is ``sum b_i 2^{l-1-i}``, i.e. the
-        index of the cell among the ``2^l`` cells of its level, which is the
-        form ``np.bincount`` consumes.  Requires ``level <= 62`` so codes fit
-        in int64 (hierarchies here are never remotely that deep).
+        index of the cell among the ``2^l`` cells of its level.  Requires
+        ``level <= 62`` so codes fit in int64, the depth bound
+        :class:`repro.core.config.PrivHPConfig` enforces.
         """
         level = bits.shape[1]
         if level > 62:

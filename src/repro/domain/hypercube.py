@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.domain.base import Cell, Domain, validate_cell
+from repro.domain.base import Cell, Domain, dyadic_index, validate_cell
 
 __all__ = ["Hypercube"]
 
@@ -95,18 +95,14 @@ class Hypercube(Domain):
         if level < 0:
             raise ValueError(f"level must be non-negative, got {level}")
         coords = self._as_point(point)
-        lower = np.zeros(self.dimension)
-        upper = np.ones(self.dimension)
-        bits: list[int] = []
-        for position in range(level):
-            axis = position % self.dimension
-            mid = 0.5 * (lower[axis] + upper[axis])
-            if coords[axis] >= mid:
-                bits.append(1)
-                lower[axis] = mid
-            else:
-                bits.append(0)
-                upper[axis] = mid
+        bits = [0] * level
+        # Position p splits axis p mod d; an axis's positions carry the bits
+        # of its exact dyadic index, most significant first.
+        for axis in range(self.dimension):
+            positions = range(axis, level, self.dimension)
+            code = dyadic_index(coords[axis], len(positions))
+            for shift, position in enumerate(reversed(positions)):
+                bits[position] = (code >> shift) & 1
         return tuple(bits)
 
     def locate_batch(self, points, level: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.domain.base import Cell, Domain, validate_cell
+from repro.domain.base import Cell, Domain, dyadic_index, validate_cell
 
 __all__ = ["UnitInterval"]
 
@@ -65,23 +65,14 @@ class UnitInterval(Domain):
         value = float(point)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"point {value} lies outside [0, 1]")
-        lower, upper = 0.0, 1.0
-        bits: list[int] = []
-        for _ in range(level):
-            mid = 0.5 * (lower + upper)
-            if value >= mid:
-                bits.append(1)
-                lower = mid
-            else:
-                bits.append(0)
-                upper = mid
-        return tuple(bits)
+        code = dyadic_index(value, level)
+        return tuple((code >> shift) & 1 for shift in range(level - 1, -1, -1))
 
     def locate_batch(self, points, level: int) -> np.ndarray:
         """Vectorised :meth:`locate`: the bits are the binary expansion of the value.
 
         ``floor(v * 2^level)`` (clamped to the last cell for ``v = 1.0``) is
-        exactly the cell index the halving loop produces, because scaling by a
+        exactly the cell index :meth:`locate` computes, because scaling by a
         power of two is exact in floating point.
         """
         if level < 0:

@@ -381,21 +381,15 @@ class IngestWorker(threading.Thread):
         segments = [np.asarray(values) for values in arrays]
         applied_before = int(state.summarizer.items_processed)
         try:
-            if len(segments) == 1:
-                stream = state.domain.coerce_stream(segments[0])
-                state.summarizer.update_batch(stream)
-            else:
-                # coerce_stream is elementwise, so coercing the concatenation
-                # equals concatenating the coerced segments.
-                stream = state.domain.coerce_stream(np.concatenate(segments))
-                state.summarizer.update_segments(
-                    stream, [len(segment) for segment in segments]
-                )
+            # coerce_stream is elementwise, so coercing the concatenation
+            # equals concatenating the coerced segments.
+            stream = state.domain.coerce_stream(np.concatenate(segments))
+            state.summarizer.update_segments(stream, [len(segment) for segment in segments])
             self.items_ingested += len(stream)
             self.appends += len(segments)
         except BaseException:
             landed = int(state.summarizer.items_processed) - applied_before
-            if landed or len(segments) == 1:
+            if landed:
                 # Part of the run is already in (only possible between
                 # continual segments); replaying would double-apply, so
                 # surface the whole run as one failure.

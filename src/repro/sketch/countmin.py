@@ -108,7 +108,7 @@ class CountMinSketch:
         """Aggregated vectorised update: canonical integer keys with weights.
 
         ``keys`` must be canonical integer keys (see
-        :func:`repro.sketch.hashing.canonical_key`) below ``2^61 - 1``; for a
+        :func:`repro.sketch.hashing.canonical_key`) below ``2^63``; for a
         hierarchy cell at level ``l`` with in-level index ``c`` that is the
         packed value ``(1 << l) | c``, so the batch lands in exactly the same
         buckets as per-item tuple updates.  ``counts`` are aggregated

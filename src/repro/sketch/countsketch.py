@@ -67,7 +67,7 @@ class CountSketch:
         """Aggregated vectorised update: canonical integer keys with weights.
 
         ``keys`` must be canonical integer keys (see
-        :func:`repro.sketch.hashing.canonical_key`) below ``2^61 - 1``; each
+        :func:`repro.sketch.hashing.canonical_key`) below ``2^63``; each
         row receives ``sign(key) * count``, landing in exactly the same
         buckets with the same signs as per-item updates.  ``counts`` are
         aggregated multiplicities, and the ``updates`` counter advances by

@@ -64,12 +64,15 @@ def _mulmod_mersenne61(multiplier: int, keys: np.ndarray) -> np.ndarray:
 
     The 64x64-bit products are assembled from 32-bit halves and the 128-bit
     result is folded with ``2^61 = 1 (mod p)``, so the arithmetic matches the
-    arbitrary-precision Python-int computation bit for bit.
+    arbitrary-precision Python-int computation bit for bit for every
+    ``multiplier < p`` and every key below ``2^63``.
     """
     a = np.uint64(multiplier)
     a_hi, a_lo = a >> np.uint64(32), a & np.uint64(0xFFFFFFFF)
     k_hi, k_lo = keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)
-    # multiplier * keys = hh<<64 + (hl + lh)<<32 + ll, every partial < 2^62.
+    # multiplier * keys = hh<<64 + (hl + lh)<<32 + ll.  With a_hi < 2^29 and
+    # k_hi < 2^31 (keys < 2^63), hh < 2^60 and mid < 2^61 + 2^63, and the
+    # folded sum below stays under 2^63 + 2^62 + 2^36: nothing wraps 2^64.
     hh = a_hi * k_hi
     mid = a_hi * k_lo + a_lo * k_hi
     ll = a_lo * k_lo
@@ -108,10 +111,12 @@ class PairwiseHash:
         return int(((self.a * value + self.b) % MERSENNE_PRIME) % self.width)
 
     def buckets_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Bucket indices for an array of pre-canonicalised integer keys.
+        """Bucket indices for an array of integer keys below ``2^63``.
 
-        ``keys`` must already be reduced mod p (true for any key below
-        ``2^61 - 1``); the result equals ``[self(k) for k in keys]``.
+        The result equals ``[self(k) for k in keys]``: keys need not be
+        reduced mod p, because the fold in :func:`_mulmod_mersenne61` is exact
+        for every key below ``2^63`` -- which covers the cell keys
+        ``(1 << l) | c`` of every level ``l <= 62``.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         hashed = _reduce61(_mulmod_mersenne61(self.a, keys) + np.uint64(self.b))
@@ -131,10 +136,10 @@ class SignedHash:
         return 1 if bit else -1
 
     def signs_batch(self, keys: np.ndarray) -> np.ndarray:
-        """``+/-1`` signs for an array of pre-canonicalised integer keys.
+        """``+/-1`` signs for an array of integer keys below ``2^63``.
 
-        ``keys`` must already be reduced mod p (true for any key below
-        ``2^61 - 1``); the result equals ``[self(k) for k in keys]``.
+        The result equals ``[self(k) for k in keys]``, under the same key
+        bound as :meth:`PairwiseHash.buckets_batch`.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         hashed = _reduce61(_mulmod_mersenne61(self.a, keys) + np.uint64(self.b))

@@ -50,6 +50,9 @@ def domain_datasets(rng):
     )
     return [
         (UnitInterval(), rng.beta(2, 5, 400), small_config()),
+        # The deepest config allowed: scalar and batch location must agree
+        # past the 53 bits of a float's mantissa.
+        (UnitInterval(), rng.beta(2, 5, 400), small_config(depth=62)),
         (Hypercube(2), rng.random((300, 2)), small_config()),
         (Hypercube(3), rng.random((200, 3)), small_config(depth=9, level_cutoff=3)),
         (geo, geo_points, small_config()),
@@ -462,7 +465,7 @@ class TestRelease:
 
         data = rng.random(300)
         config = small_config()
-        generator = PrivHP(interval, config, rng=0).process(data).finalize()
+        generator = PrivHP(interval, config, rng=0).update_batch(data).release().generator
         path = save_generator(generator, tmp_path / "legacy.json", metadata={"epsilon": 1.0})
         release = Release.load(path)
         assert release.epsilon == 1.0

@@ -383,7 +383,8 @@ class TestPrivHPContinual:
         config = self.make_config(256)
         loop = PrivHPContinual(interval, config, horizon=256, rng=0)
         batch = PrivHPContinual(interval, config, horizon=256, rng=0)
-        loop.process(data)
+        for point in data:
+            loop.update(point)
         batch.update_batch(data)
         for level, bank in batch._banks.items():
             np.testing.assert_allclose(
@@ -406,7 +407,7 @@ class TestPrivHPContinual:
 
     def test_horizon_enforced(self, interval, rng):
         model = PrivHPContinual(interval, self.make_config(50), horizon=10, rng=0)
-        model.process(rng.random(10))
+        model.update_batch(rng.random(10))
         with pytest.raises(RuntimeError):
             model.update(0.5)
         with pytest.raises(RuntimeError):
@@ -414,7 +415,7 @@ class TestPrivHPContinual:
 
     def test_memory_reported(self, interval, rng):
         model = PrivHPContinual(interval, self.make_config(100), horizon=100, rng=0)
-        model.process(rng.random(50))
+        model.update_batch(rng.random(50))
         assert model.memory_words() > 0
 
     def test_invalid_horizon(self, interval):

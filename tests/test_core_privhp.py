@@ -58,30 +58,26 @@ class TestStreaming:
             algorithm.update(value)
         assert algorithm.items_processed == 25
 
-    def test_process_returns_self(self, interval, rng):
-        algorithm = PrivHP(interval, small_config(), rng=0)
-        assert algorithm.process(rng.random(10)) is algorithm
-
     def test_update_after_finalize_rejected(self, interval, rng):
         algorithm = PrivHP(interval, small_config(), rng=0)
-        algorithm.process(rng.random(10))
-        algorithm.finalize()
+        algorithm.update_batch(rng.random(10))
+        algorithm.release()
         with pytest.raises(RuntimeError):
             algorithm.update(0.5)
 
     def test_finalize_twice_rejected(self, interval, rng):
         algorithm = PrivHP(interval, small_config(), rng=0)
-        algorithm.process(rng.random(10))
-        algorithm.finalize()
+        algorithm.update_batch(rng.random(10))
+        algorithm.release()
         with pytest.raises(RuntimeError):
-            algorithm.finalize()
+            algorithm.release()
 
     def test_exact_counters_track_path_counts(self, interval):
         """With a huge budget the counters equal the true path counts (almost no noise)."""
         config = small_config(epsilon=10_000.0)
         algorithm = PrivHP(interval, config, rng=0)
         data = [0.1] * 20 + [0.9] * 10
-        algorithm.process(data)
+        algorithm.update_batch(data)
         # Level-1 cells: [0, 0.5) holds 20 points, [0.5, 1] holds 10.
         assert algorithm.tree.count((0,)) == pytest.approx(20, abs=1.0)
         assert algorithm.tree.count((1,)) == pytest.approx(10, abs=1.0)
@@ -90,28 +86,28 @@ class TestStreaming:
 class TestFinalize:
     def test_generator_samples_in_domain(self, interval, rng):
         algorithm = PrivHP(interval, small_config(), rng=0)
-        algorithm.process(rng.beta(2, 5, size=400))
-        generator = algorithm.finalize()
-        samples = generator.sample(300)
+        algorithm.update_batch(rng.beta(2, 5, size=400))
+        release = algorithm.release()
+        samples = release.sample(300)
         assert np.all((samples >= 0) & (samples <= 1))
 
     def test_grown_tree_reaches_depth(self, interval, rng):
         algorithm = PrivHP(interval, small_config(), rng=0)
-        algorithm.process(rng.random(400))
-        algorithm.finalize()
+        algorithm.update_batch(rng.random(400))
+        algorithm.release()
         assert algorithm.tree.depth() == algorithm.config.depth
 
     def test_grown_tree_is_consistent(self, interval, rng):
         algorithm = PrivHP(interval, small_config(), rng=0)
-        algorithm.process(rng.random(400))
-        algorithm.finalize()
+        algorithm.update_batch(rng.random(400))
+        algorithm.release()
         assert algorithm.tree.is_consistent()
 
     def test_memory_respects_pruning_budget(self, interval, rng):
         config = small_config()
         algorithm = PrivHP(interval, config, rng=0)
-        algorithm.process(rng.random(500))
-        algorithm.finalize()
+        algorithm.update_batch(rng.random(500))
+        algorithm.release()
         # Tree nodes: the complete tree to L*, plus one full expansion of the
         # level-L* frontier (Algorithm 2 starts from every node at L*), plus at
         # most 2k new nodes for every deeper level.
@@ -122,18 +118,12 @@ class TestFinalize:
         )
         assert len(algorithm.tree) <= max_nodes
 
-    def test_generate_convenience_wrapper(self, interval, rng):
-        algorithm = PrivHP(interval, small_config(), rng=0)
-        samples = algorithm.generate(rng.random(200), size=150)
-        assert samples.shape == (150,)
-        assert algorithm.finalized
-
     def test_high_budget_run_has_low_error(self, interval, rng):
         """With effectively no noise the synthetic data tracks a skewed input closely."""
         data = rng.beta(2.0, 8.0, size=3000)
         config = PrivHPConfig.from_stream_size(len(data), epsilon=1000.0, pruning_k=16, seed=1)
-        generator = PrivHP(interval, config, rng=1).process(data).finalize()
-        synthetic = generator.sample(3000)
+        release = PrivHP(interval, config, rng=1).update_batch(data).release()
+        synthetic = release.sample(3000)
         low_noise_error = wasserstein1_1d(data, synthetic)
         assert low_noise_error < 0.05
 
@@ -143,8 +133,8 @@ class TestFinalize:
 
         def error(epsilon, seed):
             config = PrivHPConfig.from_stream_size(len(data), epsilon=epsilon, pruning_k=8, seed=seed)
-            generator = PrivHP(interval, config, rng=seed).process(data).finalize()
-            return wasserstein1_1d(data, generator.sample(1500))
+            release = PrivHP(interval, config, rng=seed).update_batch(data).release()
+            return wasserstein1_1d(data, release.sample(1500))
 
         tight = np.mean([error(1000.0, seed) for seed in range(3)])
         loose = np.mean([error(0.1, seed) for seed in range(3)])
@@ -153,15 +143,15 @@ class TestFinalize:
     def test_works_on_hypercube(self, square, rng):
         data = np.clip(rng.normal(0.5, 0.1, size=(300, 2)), 0, 1)
         config = PrivHPConfig.from_stream_size(len(data), epsilon=2.0, pruning_k=8, seed=0)
-        generator = PrivHP(square, config, rng=0).process(data).finalize()
-        samples = generator.sample(100)
+        release = PrivHP(square, config, rng=0).update_batch(data).release()
+        samples = release.sample(100)
         assert samples.shape == (100, 2)
 
     def test_works_on_ipv4(self, ipv4, rng):
         addresses = rng.integers(0, 2**32, size=300)
         config = PrivHPConfig.from_stream_size(300, epsilon=2.0, pruning_k=8, seed=0, depth=12)
-        generator = PrivHP(ipv4, config, rng=0).process(addresses).finalize()
-        samples = generator.sample(50)
+        release = PrivHP(ipv4, config, rng=0).update_batch(addresses).release()
+        samples = release.sample(50)
         assert np.all((samples >= 0) & (samples < 2**32))
 
 
@@ -169,7 +159,7 @@ class TestMemoryAccounting:
     def test_memory_words_positive_and_stable_under_streaming(self, interval, rng):
         algorithm = PrivHP(interval, small_config(), rng=0)
         before = algorithm.memory_words()
-        algorithm.process(rng.random(300))
+        algorithm.update_batch(rng.random(300))
         after = algorithm.memory_words()
         assert before > 0
         # Streaming must not grow the summary (that is the whole point).
@@ -178,9 +168,9 @@ class TestMemoryAccounting:
     def test_memory_grows_only_modestly_after_finalize(self, interval, rng):
         config = small_config()
         algorithm = PrivHP(interval, config, rng=0)
-        algorithm.process(rng.random(300))
+        algorithm.update_batch(rng.random(300))
         before = algorithm.memory_words()
-        algorithm.finalize()
+        algorithm.release()
         growth = algorithm.memory_words() - before
         # Growing adds one full expansion of the level-L* frontier plus at most
         # 2k nodes (2 words each) per remaining level.

@@ -17,14 +17,26 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import threading
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.continual.privhp import PrivHPContinual
+from repro.core.config import PrivHPConfig
+from repro.core.privhp import PrivHP
+from repro.domain.discrete import DiscreteDomain
+from repro.domain.geo import GeoDomain
+from repro.domain.hypercube import Hypercube
+from repro.domain.interval import UnitInterval
+from repro.domain.ipv4 import IPv4Domain
 from repro.ingest import (
     AppendError,
     IngestService,
@@ -43,6 +55,7 @@ from repro.memory.accounting import measure_method
 from repro.privacy.accountant import BudgetExceededError
 from repro.serve.http import create_server
 from repro.serve.store import ReleaseStore
+from repro.sketch.countmin import CountMinSketch
 
 
 def _release_bytes(release) -> str:
@@ -617,33 +630,113 @@ class TestAmortizedAccountingTolerance:
 # --------------------------------------------------------------------------- #
 # update_segments: the fused multi-batch application
 # --------------------------------------------------------------------------- #
+#: name -> (domain, draw(rng, n) -> n points, hierarchy depth)
+SEGMENT_DOMAINS = {
+    "interval": (UnitInterval(), lambda rng, n: rng.beta(2.0, 5.0, n), 14),
+    "hypercube": (Hypercube(2), lambda rng, n: rng.random((n, 2)), 12),
+    "ipv4": (IPv4Domain(), lambda rng, n: rng.integers(0, 2**32, n), 20),
+    "discrete": (DiscreteDomain(97), lambda rng, n: rng.integers(0, 97, n), 7),
+    "geo": (
+        GeoDomain(lat_min=24.0, lat_max=49.0, lon_min=-125.0, lon_max=-66.0),
+        lambda rng, n: np.column_stack(
+            [24.0 + 25.0 * rng.random(n), -125.0 + 59.0 * rng.random(n)]
+        ),
+        12,
+    ),
+}
+
+#: Runs of segment lengths: empty and one-item segments, small ones, and
+#: segments above 512 items.
+segment_lengths = st.lists(
+    st.one_of(st.sampled_from([0, 1]), st.integers(2, 64), st.integers(513, 700)),
+    min_size=1,
+    max_size=4,
+)
+
+SEGMENT_SETTINGS = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _segment_config(depth: int, seed: int) -> PrivHPConfig:
+    return PrivHPConfig(
+        epsilon=1.0,
+        pruning_k=4,
+        depth=depth,
+        level_cutoff=4,
+        sketch_width=8,
+        sketch_depth=3,
+        seed=seed,
+    )
+
 class TestUpdateSegments:
-    SEGMENTS = [16, 0, 7, 33, 1, 0, 64]
+    #: Segment-length runs; the second has segments above 512 items.
+    SEGMENTS = [[16, 0, 7, 33, 1, 0, 64], [600, 0, 1024, 13]]
 
     @pytest.mark.parametrize("continual", [False, True])
     def test_byte_identical_to_sequential_batches(self, continual):
-        segments = [
-            np.random.default_rng(31).random(n) for n in self.SEGMENTS
-        ]
-        spec = TenantSpec(
-            "seg", stream_size=256, seed=9, continual=continual
-        )
-        fused = spec.build_summarizer()
-        domain = spec.make_domain()
-        stream = domain.coerce_stream(np.concatenate(segments))
-        fused.update_segments(stream, self.SEGMENTS)
-        assert _release_bytes(fused.release()) == _control_release(spec, segments)
+        for index, sizes in enumerate(self.SEGMENTS):
+            segments = [np.random.default_rng(31 + index).random(n) for n in sizes]
+            spec = TenantSpec("seg", stream_size=2048, seed=9, continual=continual)
+            fused = spec.build_summarizer()
+            domain = spec.make_domain()
+            stream = domain.coerce_stream(np.concatenate(segments))
+            fused.update_segments(stream, sizes)
+            assert _release_bytes(fused.release()) == _control_release(spec, segments), sizes
 
-    def test_large_segments_take_the_vectorised_path(self):
-        """Segments above the small-segment pivot run the per-level numpy
-        aggregation; same oracle, different code path."""
-        sizes = [600, 0, 1024, 13]
-        segments = [np.random.default_rng(32).random(n) for n in sizes]
-        spec = TenantSpec("bigseg", stream_size=256, seed=10)
-        fused = spec.build_summarizer()
-        domain = spec.make_domain()
-        fused.update_segments(domain.coerce_stream(np.concatenate(segments)), sizes)
-        assert _release_bytes(fused.release()) == _control_release(spec, segments)
+    @SEGMENT_SETTINGS
+    @given(
+        name=st.sampled_from(sorted(SEGMENT_DOMAINS)),
+        lengths=segment_lengths,
+        seed=st.integers(0, 2**16),
+    )
+    def test_raw_state_matches_scalar_oracles(self, name, lengths, seed):
+        """Exact levels hold the prefix counts of scalar ``locate``; each
+        sketch holds what a scalar Count-Min sketch with the level's seed
+        holds after the same per-segment cell counts."""
+        domain, draw, depth = SEGMENT_DOMAINS[name]
+        points = draw(np.random.default_rng(seed), sum(lengths))
+        config = _segment_config(depth, seed)
+        summarizer = PrivHP(domain, config, add_noise=False)
+        summarizer.update_segments(points, lengths)
+        assert summarizer.items_processed == sum(lengths)
+
+        paths = [domain.locate(point, depth) for point in points]
+        for level in range(config.level_cutoff + 1):
+            expected = Counter(path[:level] for path in paths)
+            for theta in itertools.product((0, 1), repeat=level):
+                assert summarizer.tree.count(theta) == expected[theta], (level, theta)
+        for level, sketch in summarizer.sketches.items():
+            oracle = CountMinSketch(config.sketch_width, config.sketch_depth, seed=sketch.seed)
+            start = 0
+            for length in lengths:
+                cells = Counter(path[:level] for path in paths[start : start + length])
+                for theta in sorted(cells):
+                    oracle.update(theta, float(cells[theta]))
+                start += length
+            assert np.array_equal(sketch.table, oracle.table), level
+
+    @SEGMENT_SETTINGS
+    @given(
+        name=st.sampled_from(sorted(SEGMENT_DOMAINS)),
+        lengths=segment_lengths,
+        seed=st.integers(0, 2**16),
+        continual=st.booleans(),
+    )
+    def test_noisy_releases_are_consistent_and_spend_epsilon(
+        self, name, lengths, seed, continual
+    ):
+        domain, draw, depth = SEGMENT_DOMAINS[name]
+        points = draw(np.random.default_rng(seed), sum(lengths))
+        config = _segment_config(depth, seed)
+        if continual:
+            summarizer = PrivHPContinual(domain, config, horizon=max(1, sum(lengths)))
+        else:
+            summarizer = PrivHP(domain, config)
+        release = summarizer.update_segments(points, lengths).release()
+        assert release.tree.is_consistent()
+        ledger = sum(epsilon for epsilon, _label in release.metadata["privacy_ledger"])
+        assert ledger == pytest.approx(config.epsilon, abs=1e-9)
 
     @pytest.mark.parametrize("continual", [False, True])
     def test_segment_length_validation(self, continual):

@@ -29,8 +29,8 @@ class TestEndToEndInterval:
         domain = UnitInterval()
         data = rng.beta(2.0, 8.0, size=4000)
         config = PrivHPConfig.from_stream_size(len(data), epsilon=1.0, pruning_k=8, seed=3)
-        generator = PrivHP(domain, config, rng=3).process(data).finalize()
-        synthetic = generator.sample(4000)
+        release = PrivHP(domain, config, rng=3).update_batch(data).release()
+        synthetic = release.sample(4000)
         privhp_error = empirical_wasserstein(data, synthetic)
         uniform_error = empirical_wasserstein(data, rng.random(4000))
         assert privhp_error < 0.5 * uniform_error
@@ -42,8 +42,8 @@ class TestEndToEndInterval:
         algorithm = PrivHP(domain, config, rng=0)
         stats = DataStream(data).feed(algorithm)
         assert stats.items == 1000
-        generator = algorithm.finalize()
-        assert generator.sample(10).shape == (10,)
+        release = algorithm.release()
+        assert release.sample(10).shape == (10,)
 
     def test_memory_stays_sublinear_as_stream_grows(self, rng):
         domain = UnitInterval()
@@ -51,8 +51,8 @@ class TestEndToEndInterval:
         for n in (1024, 8192):
             config = PrivHPConfig.from_stream_size(n, epsilon=1.0, pruning_k=4, seed=0)
             algorithm = PrivHP(domain, config, rng=0)
-            algorithm.process(rng.random(n))
-            algorithm.finalize()
+            algorithm.update_batch(rng.random(n))
+            algorithm.release()
             words[n] = algorithm.memory_words()
         # An 8x larger stream should cost far less than 8x the memory.
         assert words[8192] < 4 * words[1024]
@@ -66,8 +66,8 @@ class TestEndToEndInterval:
             for seed in range(3):
                 config = PrivHPConfig.from_stream_size(len(data), epsilon=epsilon,
                                                        pruning_k=8, seed=seed)
-                generator = PrivHP(domain, config, rng=seed).process(data).finalize()
-                errors.append(empirical_wasserstein(data, generator.sample(2000)))
+                release = PrivHP(domain, config, rng=seed).update_batch(data).release()
+                errors.append(empirical_wasserstein(data, release.sample(2000)))
             return float(np.mean(errors))
 
         assert mean_error(100.0) < mean_error(0.2)
@@ -127,8 +127,8 @@ class TestEndToEndOtherDomains:
         labels = rng.integers(0, 3, size=2500)
         data = np.clip(centres[labels] + rng.normal(0, 0.05, (2500, 2)), 0, 1)
         config = PrivHPConfig.from_stream_size(len(data), epsilon=1.0, pruning_k=16, seed=0)
-        generator = PrivHP(domain, config, rng=0).process(data).finalize()
-        synthetic = generator.sample(2500)
+        release = PrivHP(domain, config, rng=0).update_batch(data).release()
+        synthetic = release.sample(2500)
         clustered_error = empirical_wasserstein(data, synthetic, domain=domain)
         uniform_error = empirical_wasserstein(data, rng.random((2500, 2)), domain=domain)
         assert clustered_error < uniform_error
@@ -139,8 +139,8 @@ class TestEndToEndOtherDomains:
                                    zipf_exponent=1.5, rng=rng)
         config = PrivHPConfig.from_stream_size(len(data), epsilon=1.0, pruning_k=8,
                                                seed=0, depth=16)
-        generator = PrivHP(domain, config, rng=0).process(data).finalize()
-        synthetic = generator.sample(4000)
+        release = PrivHP(domain, config, rng=0).update_batch(data).release()
+        synthetic = release.sample(4000)
 
         true_counts = domain.level_frequencies(list(data), 8)
         synthetic_counts = domain.level_frequencies(list(synthetic), 8)

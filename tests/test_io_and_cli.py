@@ -27,8 +27,7 @@ from repro.io.serialization import (
 def fitted_generator(domain, data, seed=0):
     config = PrivHPConfig.from_stream_size(len(data), epsilon=1.0, pruning_k=4, seed=seed)
     algorithm = PrivHP(domain, config, rng=seed)
-    algorithm.process(data)
-    return algorithm.finalize()
+    return algorithm.update_batch(data).release().generator
 
 
 class TestTreeSerialization:

@@ -129,8 +129,8 @@ class TestQueriesOnPrivateRelease:
     def test_private_range_answers_close_to_truth(self, interval, rng):
         data = rng.beta(2, 6, size=4000)
         config = PrivHPConfig.from_stream_size(len(data), epsilon=2.0, pruning_k=8, seed=0)
-        algorithm = PrivHP(interval, config, rng=0).process(data)
-        algorithm.finalize()
+        algorithm = PrivHP(interval, config, rng=0).update_batch(data)
+        algorithm.release()
         engine = RangeQueryEngine(algorithm.tree, interval)
         report = evaluate_range_workload(
             engine, data, interval, random_range_queries(interval, 30, rng=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.tree import cell_at
 from repro.sketch.hashing import (
     MERSENNE_PRIME,
     HashFamily,
@@ -93,3 +94,23 @@ class TestHashFamily:
             HashFamily(depth=0, width=8)
         with pytest.raises(ValueError):
             HashFamily(depth=2, width=0)
+
+    @pytest.mark.parametrize("level", [59, 60, 61, 62])
+    def test_batch_hashes_are_exact_for_cell_keys_up_to_2_63(self, level):
+        """Cell keys ``(1 << level) | code`` reach past the prime from level 61
+        on; the vectorised fold must still match the scalar hash of the cell's
+        bit tuple (which reduces mod p) for every key below 2^63."""
+        rng = np.random.default_rng(level)
+        codes = [0, 1, (1 << level) - 2, (1 << level) - 1]
+        codes += [int(code) for code in rng.integers(0, 1 << level, size=60, dtype=np.int64)]
+        keys = np.array([(1 << level) | code for code in codes], dtype=np.uint64)
+        cells = [cell_at(level, code) for code in codes]
+        for seed in range(3):
+            family = HashFamily(depth=8, width=13, seed=seed)
+            for row in range(family.depth):
+                assert family.buckets_batch(row, keys).tolist() == [
+                    family.bucket(row, cell) for cell in cells
+                ]
+                assert family.signs_batch(row, keys).tolist() == [
+                    float(family.sign(row, cell)) for cell in cells
+                ]

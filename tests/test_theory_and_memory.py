@@ -106,7 +106,7 @@ class TestMemoryAccounting:
         config = PrivHPConfig(epsilon=1.0, pruning_k=4, depth=8, level_cutoff=4,
                               sketch_width=8, sketch_depth=4, seed=0)
         algorithm = PrivHP(interval, config, rng=0)
-        algorithm.process(rng.random(100))
+        algorithm.update_batch(rng.random(100))
         report = measure_privhp(algorithm)
         assert report.total_words == algorithm.memory_words()
         assert report.components["tree"] == algorithm.tree.memory_words()
