@@ -52,24 +52,23 @@ def build_exact_pruned_tree(
         level: domain.level_frequencies(data, level) for level in range(depth + 1)
     }
 
-    tree = PartitionTree()
     # Complete portion: every cell down to the cut-off level.
-    for level in range(level_cutoff + 1):
-        for theta in domain.cells_at_level(level):
-            tree.add_node(theta, float(level_frequencies[level].get(theta, 0)))
+    counts = {
+        theta: float(level_frequencies[level].get(theta, 0))
+        for level in range(level_cutoff + 1)
+        for theta in domain.cells_at_level(level)
+    }
 
     # Pruned portion: expand only the exactly-heaviest k cells per level.
-    hot = tree.nodes_at_level(level_cutoff)
+    hot = list(domain.cells_at_level(level_cutoff))
     for level in range(level_cutoff + 1, depth + 1):
         frequencies = level_frequencies[level]
-        children = []
-        for theta in hot:
-            for child in (theta + (0,), theta + (1,)):
-                tree.add_node(child, float(frequencies.get(child, 0)))
-                children.append(child)
-        children.sort(key=lambda cell: (-tree.count(cell), cell))
+        children = [theta + (bit,) for theta in hot for bit in (0, 1)]
+        for child in children:
+            counts[child] = float(frequencies.get(child, 0))
+        children.sort(key=lambda cell: (-counts[cell], cell))
         hot = children[:pruning_k]
-    return tree
+    return PartitionTree.from_cells(counts)
 
 
 def decompose_error(

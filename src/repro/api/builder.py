@@ -186,6 +186,7 @@ class PrivHPBuilder:
             epsilon=self._epsilon if self._epsilon is not None else self.DEFAULT_EPSILON,
             pruning_k=self._pruning_k if self._pruning_k is not None else self.DEFAULT_PRUNING_K,
             seed=self._seed,
+            domain=self._domain,
             **self._overrides,
         )
 

@@ -8,7 +8,8 @@ harness and Table-1 benchmark treat them interchangeably:
   He et al. (state of the art in the static setting; memory Theta(eps*n)).
 * :class:`SRRWMethod` -- a private measure built from noisy dyadic CDF
   increments, standing in for the super-regular random walk construction of
-  Boedihardjo et al. (see DESIGN.md for the substitution argument).
+  Boedihardjo et al.: PMM with a uniform budget split (see
+  :mod:`repro.baselines.srrw` for the substitution argument).
 * :class:`SmoothMethod` -- perturbed trigonometric-moment density estimation,
   standing in for the smooth-query mechanism of Wang et al.
 * :class:`PrivTreeMethod` -- the static adaptive decomposition of Zhang et al.

@@ -83,6 +83,7 @@ class PrivHPMethod(SyntheticDataMethod):
             stream_size=stream_size,
             epsilon=self._epsilon,
             pruning_k=self.pruning_k,
+            domain=self.domain,
             **self._config_overrides,
         )
 

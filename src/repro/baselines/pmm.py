@@ -20,8 +20,9 @@ import math
 import numpy as np
 
 from repro.baselines.base import SyntheticDataMethod
+from repro.core.base import level_counts
 from repro.core.budget import optimal_budgets, uniform_budgets
-from repro.core.consistency import enforce_subtree_consistency
+from repro.core.consistency import enforce_tree_consistency
 from repro.core.sampler import SyntheticDataGenerator
 from repro.core.tree import PartitionTree
 from repro.domain.base import Domain
@@ -31,11 +32,10 @@ __all__ = ["PMMMethod", "build_exact_tree"]
 
 def build_exact_tree(data, domain: Domain, depth: int) -> PartitionTree:
     """Complete tree of the given depth holding exact path counts of ``data``."""
-    tree = PartitionTree.complete(depth, initial_count=0.0)
-    for point in data:
-        path = domain.locate(point, depth)
-        for level in range(depth + 1):
-            tree.increment(path[:level], 1.0)
+    tree = PartitionTree.complete(depth)
+    codes = Domain.pack_paths(domain.locate_batch(data, depth))
+    for level, (cells, counts) in enumerate(level_counts(codes, depth)):
+        tree.increment_many(cells, counts.astype(float), level)
     return tree
 
 
@@ -97,14 +97,13 @@ class PMMMethod(SyntheticDataMethod):
         else:
             budgets = uniform_budgets(self._epsilon, depth)
         for level in range(depth + 1):
-            scale = 1.0 / budgets[level]
-            for theta in tree.nodes_at_level(level):
-                tree.increment(theta, float(generator.laplace(0.0, scale)))
+            noise = generator.laplace(0.0, 1.0 / budgets[level], size=1 << level)
+            tree.increment_many(np.arange(1 << level), noise, level)
 
         if self.apply_consistency:
-            enforce_subtree_consistency(tree, ())
+            enforce_tree_consistency(tree)
         elif tree.root_count < 0:
-            tree.set_count((), 0.0)
+            tree.level(0)[1][0] = 0.0
 
         self._tree = tree
         return SyntheticDataGenerator(tree, self.domain, rng=generator)

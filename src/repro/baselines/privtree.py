@@ -73,8 +73,7 @@ class PrivTreeMethod(SyntheticDataMethod):
             level = len(theta)
             return sum(1 for point in data if self.domain.locate(point, level) == theta)
 
-        tree = PartitionTree()
-        tree.add_node((), 0.0)
+        internal: list[Cell] = []
         leaves: list[Cell] = []
         frontier: list[Cell] = [()]
         while frontier:
@@ -84,25 +83,22 @@ class PrivTreeMethod(SyntheticDataMethod):
             noisy = biased + generator.laplace(0.0, lam)
             should_split = noisy > self.threshold and len(theta) < self.max_depth
             if should_split:
-                for child in (theta + (0,), theta + (1,)):
-                    tree.add_node(child, 0.0)
-                    frontier.append(child)
+                internal.append(theta)
+                frontier.extend((theta + (0,), theta + (1,)))
             else:
                 leaves.append(theta)
 
         # Release noisy counts for the leaves only, then propagate upwards so
         # the tree carries a consistent measure for the sampler.
+        counts: dict[Cell, float] = {}
         for theta in leaves:
             noisy_count = exact_count(theta) + generator.laplace(0.0, 1.0 / count_epsilon)
-            tree.set_count(theta, max(noisy_count, 0.0))
-        for level in range(tree.depth() - 1, -1, -1):
-            for theta in tree.nodes_at_level(level):
-                left, right = theta + (0,), theta + (1,)
-                if left in tree and right in tree:
-                    tree.set_count(theta, tree.count(left) + tree.count(right))
+            counts[theta] = max(noisy_count, 0.0)
+        for theta in sorted(internal, key=len, reverse=True):
+            counts[theta] = counts[theta + (0,)] + counts[theta + (1,)]
 
-        self._tree = tree
-        return SyntheticDataGenerator(tree, self.domain, rng=generator)
+        self._tree = PartitionTree.from_cells(counts)
+        return SyntheticDataGenerator(self._tree, self.domain, rng=generator)
 
     def memory_words(self) -> int:
         if self._tree is None:

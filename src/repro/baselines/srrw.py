@@ -8,31 +8,21 @@ Table-1 comparison: what matters is (i) near-optimal accuracy and (ii) memory
 proportional to the dataset, both of which are achieved by perturbing the
 dyadic prefix structure of the empirical measure with independent per-level
 Laplace noise under a *uniform* budget split (the classical hierarchical
-mechanism, whose partial-sum error is also polylogarithmic).  DESIGN.md
-documents this substitution; the class below implements it, reusing the same
-tree machinery as PMM but with the uniform split and no Lagrange optimisation
-so the two baselines remain algorithmically distinct.
+mechanism, whose partial-sum error is also polylogarithmic).  That is PMM
+with the uniform split instead of the Lagrange-optimal one, so
+:class:`SRRWMethod` is exactly that.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from repro.baselines.base import SyntheticDataMethod
-from repro.baselines.pmm import build_exact_tree
-from repro.core.budget import uniform_budgets
-from repro.core.consistency import enforce_subtree_consistency
-from repro.core.sampler import SyntheticDataGenerator
-from repro.core.tree import PartitionTree
+from repro.baselines.pmm import PMMMethod
 from repro.domain.base import Domain
 
 __all__ = ["SRRWMethod"]
 
 
-class SRRWMethod(SyntheticDataMethod):
-    """Dyadic prefix-noise private measure (SRRW stand-in)."""
+class SRRWMethod(PMMMethod):
+    """Dyadic prefix-noise private measure (SRRW stand-in): PMM, uniform budgets."""
 
     name = "SRRW"
 
@@ -44,45 +34,11 @@ class SRRWMethod(SyntheticDataMethod):
         max_depth: int = 16,
         apply_consistency: bool = True,
     ) -> None:
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.domain = domain
-        self._epsilon = float(epsilon)
-        self.depth = depth
-        self.max_depth = int(max_depth)
-        self.apply_consistency = bool(apply_consistency)
-        self._tree: PartitionTree | None = None
-
-    def _resolve_depth(self, n: int) -> int:
-        """Depth ``~ log2(eps n)`` capped at ``max_depth``."""
-        if self.depth is not None:
-            return min(self.depth, self.max_depth)
-        level = math.ceil(math.log2(max(self._epsilon * n, 2.0)))
-        return int(min(max(level, 1), self.max_depth))
-
-    def fit(self, data, rng: np.random.Generator | int | None = None) -> SyntheticDataGenerator:
-        data = list(data)
-        if not data:
-            raise ValueError("data must be non-empty")
-        generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        depth = self._resolve_depth(len(data))
-
-        tree = build_exact_tree(data, self.domain, depth)
-        budgets = uniform_budgets(self._epsilon, depth)
-        for level in range(depth + 1):
-            scale = 1.0 / budgets[level]
-            for theta in tree.nodes_at_level(level):
-                tree.increment(theta, float(generator.laplace(0.0, scale)))
-
-        if self.apply_consistency:
-            enforce_subtree_consistency(tree, ())
-        elif tree.root_count < 0:
-            tree.set_count((), 0.0)
-
-        self._tree = tree
-        return SyntheticDataGenerator(tree, self.domain, rng=generator)
-
-    def memory_words(self) -> int:
-        if self._tree is None:
-            return 0
-        return self._tree.memory_words()
+        super().__init__(
+            domain,
+            epsilon,
+            depth=depth,
+            max_depth=max_depth,
+            budget_allocation="uniform",
+            apply_consistency=apply_consistency,
+        )

@@ -48,7 +48,7 @@ from repro.core.base import SummarizerBase, cell_keys, level_counts
 from repro.core.config import PrivHPConfig
 from repro.core.partition import grow_partition
 from repro.core.sampler import SyntheticDataGenerator
-from repro.core.tree import PartitionTree, cell_at
+from repro.core.tree import PartitionTree
 from repro.domain.base import Domain
 
 __all__ = ["PrivHPContinual"]
@@ -321,11 +321,9 @@ class PrivHPContinual(SummarizerBase):
         from repro.api.release import Release
 
         with self._lock:
-            tree = PartitionTree()
-            for level, bank in sorted(self._banks.items()):
-                values = bank.query_all()
-                for code in range(bank.size):
-                    tree.add_node(cell_at(level, code), float(values[code]))
+            tree = PartitionTree(self._banks[0].query_all()[0])
+            for level in range(1, self.config.level_cutoff + 1):
+                tree.append_level(np.arange(1 << level), self._banks[level].query_all())
             grow_partition(
                 tree=tree,
                 sketches=self._sketches,

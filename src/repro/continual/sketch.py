@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.continual.counter import BinaryMechanismCounterBank
-from repro.sketch.hashing import HashFamily, canonical_key
+from repro.sketch.hashing import HashFamily
 
 __all__ = ["ContinualPrivateCountMinSketch"]
 
@@ -136,14 +136,12 @@ class ContinualPrivateCountMinSketch:
         )
 
     def query_many(self, keys) -> np.ndarray:
-        """Vector of noisy point estimates for pre-canonicalisable keys."""
-        keys = np.asarray([canonical_key(key) for key in keys], dtype=np.uint64)
-        table = self.released_table()
-        estimates = np.full(keys.shape, np.inf)
-        for row in range(self.depth):
-            buckets = self._hashes.buckets_batch(row, keys)
-            estimates = np.minimum(estimates, table[row, buckets])
-        return estimates
+        """Noisy point estimates of canonical integer keys, as one array.
+
+        ``keys`` are canonical integer keys below ``2^63``, as for
+        :meth:`update_batch`; entry ``i`` equals ``query`` of key ``i``.
+        """
+        return self._hashes.min_over_rows(self.released_table(), keys)
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -1,6 +1,6 @@
 """Core PrivHP implementation: the paper's primary contribution.
 
-* :mod:`repro.core.tree` -- the bit-indexed partition tree.
+* :mod:`repro.core.tree` -- the partition tree, stored as one array pair per level.
 * :mod:`repro.core.consistency` -- Algorithm 3 (consistency enforcement).
 * :mod:`repro.core.partition` -- Algorithm 2 (growing the pruned partition).
 * :mod:`repro.core.budget` -- per-level privacy budget allocation (Lemma 5).
@@ -13,7 +13,7 @@
 
 from repro.core.budget import allocate_budgets
 from repro.core.config import PrivHPConfig
-from repro.core.consistency import enforce_consistency, enforce_subtree_consistency
+from repro.core.consistency import enforce_consistency, enforce_tree_consistency
 from repro.core.partition import grow_partition
 from repro.core.privhp import PrivHP
 from repro.core.sampler import SyntheticDataGenerator
@@ -26,6 +26,6 @@ __all__ = [
     "SyntheticDataGenerator",
     "allocate_budgets",
     "enforce_consistency",
-    "enforce_subtree_consistency",
+    "enforce_tree_consistency",
     "grow_partition",
 ]

@@ -3,7 +3,8 @@
 Corollary 1 fixes the free parameters as functions of the stream length ``n``,
 the privacy budget ``epsilon`` and the pruning parameter ``k``:
 
-* hierarchy depth ``L = ceil(log2(epsilon * n))``,
+* hierarchy depth ``L = ceil(log2(epsilon * n))``, stopped at the first
+  level whose cells have zero diameter when the domain is given,
 * sketch depth ``j = ceil(log2(n))``,
 * sketch width ``w = 2k`` buckets,
 * exact-counter cut-off ``L* = O(log M)`` with ``M = k * log2(n)^2``.
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+from repro.domain.base import Domain
 
 __all__ = ["PrivHPConfig"]
 
@@ -121,12 +124,16 @@ class PrivHPConfig:
         level_cutoff: int | None = None,
         sketch_depth: int | None = None,
         sketch_width: int | None = None,
+        domain: Domain | None = None,
     ) -> "PrivHPConfig":
         """Resolve the Corollary-1 defaults for a stream of ``stream_size`` items.
 
         Every derived parameter can be overridden explicitly, which is what
         the ablation benchmarks use to sweep one knob while keeping the rest
-        at the paper's values.
+        at the paper's values.  ``domain`` is the domain the config is for:
+        a derived depth stops at its first level whose cells have zero
+        diameter (single items of a finite universe), since the optimal
+        allocation gives the levels below that no budget.
         """
         if stream_size < 1:
             raise ValueError(f"stream_size must be positive, got {stream_size}")
@@ -138,6 +145,11 @@ class PrivHPConfig:
         log_n = max(1, math.ceil(math.log2(max(stream_size, 2))))
         if depth is None:
             depth = max(1, math.ceil(math.log2(max(epsilon * stream_size, 2.0))))
+            if domain is not None:
+                depth = next(
+                    (level for level in range(1, depth) if domain.level_max_diameter(level) == 0),
+                    depth,
+                )
         if sketch_depth is None:
             sketch_depth = log_n
         if sketch_width is None:

@@ -14,81 +14,74 @@ steps:
 Both corrections only ever *reduce* the error in the child counts (Lemma 6's
 case analysis), which is why the utility bound may assume the plain even
 split.
+
+Each sibling pair depends only on its parent's count, so the repair runs one
+level at a time over all of the level's pairs, top down: once a level is
+fixed, every pair below it sees an already-consistent parent, exactly as in a
+depth-first pass.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.tree import PartitionTree
-from repro.domain.base import Cell
 
-__all__ = ["enforce_consistency", "enforce_subtree_consistency"]
+__all__ = ["enforce_consistency", "enforce_level_consistency", "enforce_tree_consistency"]
 
 
-def enforce_consistency(tree: PartitionTree, theta: Cell) -> None:
-    """Make the two children of ``theta`` consistent with their parent.
+def enforce_consistency(
+    parent: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 3 over sibling pairs: the repaired ``(left, right)`` counts.
 
-    Mirrors Algorithm 3 exactly.  Both children must already be stored in the
-    tree; the parent's count is treated as authoritative (it was made
-    consistent with *its* parent in an earlier call).
+    Entry ``i`` of each array is one pair and its parent's count, which is
+    treated as authoritative.  The arithmetic per pair is the scalar
+    algorithm's, expression for expression.
+
+    Example:
+        >>> import numpy as np
+        >>> left, right = enforce_consistency(
+        ...     np.array([4.0, 10.0]), np.array([3.0, 0.5]), np.array([3.0, 20.0])
+        ... )
+        >>> left.tolist(), right.tolist()
+        ([2.0, 0.0], [2.0, 10.0])
     """
-    theta = tuple(theta)
-    left, right = theta + (0,), theta + (1,)
-    if left not in tree or right not in tree:
-        raise KeyError(f"both children of {theta} must be present to enforce consistency")
-
-    parent_count = tree.count(theta)
-
     # Error correction type 1: child counts must be non-negative beforehand.
-    for child in (left, right):
-        if tree.count(child) < 0:
-            tree.set_count(child, 0.0)
-
-    left_count = tree.count(left)
-    right_count = tree.count(right)
-    surplus = left_count + right_count - parent_count
-
-    if min(left_count - surplus / 2.0, right_count - surplus / 2.0) < 0:
-        # Error correction type 2: an even split would go negative, so the
-        # smaller child gets zero and the larger child inherits the parent.
-        if left_count <= right_count:
-            smaller, larger = left, right
-        else:
-            smaller, larger = right, left
-        tree.set_count(smaller, 0.0)
-        tree.set_count(larger, parent_count)
-    else:
-        tree.set_count(left, left_count - surplus / 2.0)
-        tree.set_count(right, right_count - surplus / 2.0)
+    left = np.where(left < 0, 0.0, left)
+    right = np.where(right < 0, 0.0, right)
+    half = (left + right - parent) / 2.0
+    even_left = left - half
+    even_right = right - half
+    # Error correction type 2: when ``min(even_left, even_right) < 0`` the
+    # smaller child gets zero and the larger child inherits the parent.
+    # ``min`` keeps its first argument unless the second is strictly smaller.
+    lowest = np.where(even_right < even_left, even_right, even_left)
+    collapse = lowest < 0
+    left_smaller = left <= right
+    return (
+        np.where(collapse, np.where(left_smaller, 0.0, parent), even_left),
+        np.where(collapse, np.where(left_smaller, parent, 0.0), even_right),
+    )
 
 
-def enforce_subtree_consistency(tree: PartitionTree, root: Cell = ()) -> None:
-    """Apply Algorithm 3 to every internal node below ``root`` in depth-first order.
+def enforce_level_consistency(tree: PartitionTree, level: int) -> None:
+    """Repair every sibling pair of ``level`` against its parent, in place."""
+    _, counts = tree.level(level)
+    counts[0::2], counts[1::2] = enforce_consistency(
+        tree.parent_counts(level), counts[0::2], counts[1::2]
+    )
 
-    This is the pre-growth pass of Algorithm 2 (line 2): the exact-counter
-    portion of the tree is made consistent from the root downwards so that
-    every parent count is already consistent before its children are
-    adjusted.  A non-negative root is enforced first because the root has no
-    parent to inherit a correction from.
+
+def enforce_tree_consistency(tree: PartitionTree) -> None:
+    """Make the whole tree consistent, from the root down.
+
+    The root has no parent to inherit a correction from, so a negative root
+    is clamped to zero first; then every level is repaired against the one
+    above it.
     """
-    root = tuple(root)
-    if root not in tree:
-        raise KeyError(f"root {root} is not in the tree")
-    if root == () and tree.count(root) < 0:
-        tree.set_count(root, 0.0)
-
-    stack: list[Cell] = [root]
-    while stack:
-        theta = stack.pop()
-        left, right = theta + (0,), theta + (1,)
-        left_present = left in tree
-        right_present = right in tree
-        if left_present and right_present:
-            enforce_consistency(tree, theta)
-            # Depth-first: children are processed after their own counts have
-            # been fixed relative to this node.
-            stack.append(right)
-            stack.append(left)
-        elif left_present or right_present:
-            # The tree only ever stores both children or neither (PrivHP adds
-            # them in pairs); a half-present pair indicates a construction bug.
-            raise ValueError(f"node {theta} has exactly one stored child; the tree is malformed")
+    _, root = tree.level(0)
+    if root[0] < 0:
+        root[0] = 0.0
+    for level in range(1, tree.depth() + 1):
+        enforce_level_consistency(tree, level)

@@ -4,8 +4,9 @@ After the stream has been processed, the exact-counter tree covers levels
 ``0 .. L*`` and each deeper level ``l`` is summarised by a private sketch.
 GrowPartition extends the tree one level at a time: the current hot nodes are
 branched into their two children, the children's counts are read from the
-level's sketch, consistency is enforced locally, and the ``k`` largest new
-counts become the next generation of hot nodes.
+level's sketch in one batch, consistency is enforced on the new sibling
+pairs, and the ``k`` largest new counts become the next generation of hot
+nodes.
 
 Everything here is deterministic given its (already private) inputs, so the
 output partition is private by post-processing (Lemma 2).
@@ -13,23 +14,26 @@ output partition is private by post-processing (Lemma 2).
 
 from __future__ import annotations
 
-from repro.core.consistency import enforce_consistency, enforce_subtree_consistency
+import numpy as np
+
+from repro.core.base import cell_keys
+from repro.core.consistency import enforce_level_consistency, enforce_tree_consistency
 from repro.core.tree import PartitionTree
-from repro.domain.base import Cell
 
 __all__ = ["grow_partition", "select_top_k"]
 
 
-def select_top_k(counts: dict[Cell, float], k: int) -> list[Cell]:
-    """The ``k`` cells with the largest counts, ties broken by cell index.
+def select_top_k(codes: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """The codes of the ``k`` largest counts, ties broken by the smaller code.
 
-    Deterministic tie-breaking keeps the whole pipeline reproducible, which
-    matters because the grown structure feeds directly into the sampler.
+    The selection is returned in ascending code order.  Deterministic
+    tie-breaking keeps the whole pipeline reproducible, which matters because
+    the grown structure feeds directly into the sampler.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [theta for theta, _ in ordered[:k]]
+    codes = np.asarray(codes)
+    return np.sort(codes[np.lexsort((codes, -np.asarray(counts)))[:k]])
 
 
 def grow_partition(
@@ -45,11 +49,12 @@ def grow_partition(
     Parameters
     ----------
     tree:
-        The exact-counter tree produced by the parsing phase; modified in
-        place and also returned.
+        The exact-counter tree produced by the parsing phase, holding levels
+        ``0 .. level_cutoff``; modified in place and also returned.
     sketches:
         Mapping ``level -> sketch`` for each level in
-        ``level_cutoff+1 .. depth``.  Only ``sketch.query(theta)`` is used.
+        ``level_cutoff+1 .. depth``.  Only ``sketch.query_many(keys)`` is
+        used, with the canonical keys of :func:`repro.core.base.cell_keys`.
     pruning_k:
         Number of hot branches retained per level (the paper's ``k``).
     level_cutoff:
@@ -69,37 +74,31 @@ def grow_partition(
         raise ValueError(
             f"level_cutoff must lie in [0, depth]; got {level_cutoff} with depth {depth}"
         )
+    if tree.depth() != level_cutoff:
+        raise ValueError(
+            f"the tree to grow must end at level_cutoff {level_cutoff}, not {tree.depth()}"
+        )
     for level in range(level_cutoff + 1, depth + 1):
         if level not in sketches:
             raise KeyError(f"no sketch provided for level {level}")
 
     # Line 2: make the exact-counter portion of the tree internally consistent.
     if apply_consistency:
-        enforce_subtree_consistency(tree, ())
+        enforce_tree_consistency(tree)
     elif tree.root_count < 0:
         # Even without consistency the sampler needs a non-negative total mass.
-        tree.set_count((), 0.0)
+        tree.level(0)[1][0] = 0.0
 
     # Line 3: the initial hot set is every node at the cutoff level.
-    hot: list[Cell] = tree.nodes_at_level(level_cutoff)
+    hot, _ = tree.level(level_cutoff)
 
     for level in range(level_cutoff + 1, depth + 1):
-        sketch = sketches[level]
-        for theta in hot:
-            for child in (theta + (0,), theta + (1,)):
-                estimate = float(sketch.query(child))
-                if child in tree:
-                    tree.set_count(child, estimate)
-                else:
-                    tree.add_node(child, estimate)
-            if apply_consistency:
-                enforce_consistency(tree, theta)
+        children = np.repeat(hot << 1, 2)
+        children[1::2] += 1
+        tree.append_level(children, sketches[level].query_many(cell_keys(level, children)))
+        if apply_consistency:
+            enforce_level_consistency(tree, level)
         # Line 10: the next hot set is the top-k of the counts just created.
-        level_counts = {
-            theta + (bit,): tree.count(theta + (bit,))
-            for theta in hot
-            for bit in (0, 1)
-        }
-        hot = select_top_k(level_counts, pruning_k)
+        hot = select_top_k(*tree.level(level), pruning_k)
 
     return tree

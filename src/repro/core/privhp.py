@@ -28,7 +28,6 @@ of the noisy statistics.  The randomness contract is stated in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.core.base import SummarizerBase, cell_keys, level_counts
 from repro.core.config import PrivHPConfig
 from repro.core.partition import grow_partition
 from repro.core.sampler import SyntheticDataGenerator
-from repro.core.tree import PartitionTree, cell_at
+from repro.core.tree import PartitionTree
 from repro.domain.base import Domain
 from repro.sketch.private import PrivateCountMinSketch
 
@@ -60,8 +59,8 @@ class PrivHP(SummarizerBase):
         super().__init__(domain, config, rng)
         # Algorithm 1, lines 2-8: the complete tree of depth L* and one
         # private Count-Min sketch per level L*+1 .. L, noisy unless in shard
-        # mode.  The noise pass itself fills in a noisy tree's cells.
-        self._tree = PartitionTree() if add_noise else PartitionTree.complete(config.level_cutoff)
+        # mode.
+        self._tree = PartitionTree.complete(config.level_cutoff)
         self._sketches = {
             level: PrivateCountMinSketch(
                 width=config.sketch_width,
@@ -85,15 +84,12 @@ class PrivHP(SummarizerBase):
         consume the generator in the same order, so a merged shard release
         draws what a noisy single-stream run would have drawn.
         """
-        counts = self._tree._counts
         for level in range(self.config.level_cutoff + 1):
             sigma = self.level_budgets[level]
             # One vector draw per level consumes the generator exactly like
-            # one scalar draw per cell, in the sorted cell order that
-            # itertools.product yields -- the order complete() inserts cells.
+            # one scalar draw per cell, in cell code order.
             noise = self._rng.laplace(0.0, 1.0 / sigma, size=1 << level)
-            for theta, value in zip(itertools.product((0, 1), repeat=level), noise.tolist()):
-                counts[theta] = counts.get(theta, 0.0) + value
+            self._tree.increment_many(np.arange(1 << level), noise, level)
             self.accountant.spend(sigma, label=f"tree level {level}")
         for level in range(self.config.level_cutoff + 1, self.config.depth + 1):
             self._sketches[level].apply_noise_now(self._rng)
@@ -107,12 +103,14 @@ class PrivHP(SummarizerBase):
         """Process one stream item in ``O(L * j)`` time and O(1) extra space."""
         self._check_open()
         path = self.domain.locate(point, self.config.depth)
+        code = 0
         for level in range(self.config.depth + 1):
-            theta = path[:level]
+            if level:
+                code = (code << 1) | path[level - 1]
             if level <= self.config.level_cutoff:
-                self._tree.increment(theta, 1.0)
+                self._tree.increment_many((code,), (1.0,), level)
             else:
-                self._sketches[level].update(theta, 1.0)
+                self._sketches[level].update(path[:level], 1.0)
         self._items_processed += 1
 
     def update_batch(self, points) -> "PrivHP":
@@ -161,15 +159,9 @@ class PrivHP(SummarizerBase):
         for length in lengths:
             if length:
                 levels = level_counts(codes[start : start + length], depth)
-                exact = levels[: cutoff + 1]
-                self._tree.increment_many(
-                    [
-                        cell_at(level, code)
-                        for level, (cells, _) in enumerate(exact)
-                        for code in cells.tolist()
-                    ],
-                    np.concatenate([counts for _, counts in exact]).tolist(),
-                )
+                for level in range(cutoff + 1):
+                    cells, counts = levels[level]
+                    self._tree.increment_many(cells, counts.astype(float), level)
                 for level in range(cutoff + 1, depth + 1):
                     cells, counts = levels[level]
                     self._sketches[level].update_batch(
@@ -226,9 +218,10 @@ class PrivHP(SummarizerBase):
         instance.  Use :func:`repro.io.serialization.save_checkpoint` for the
         versioned on-disk envelope.
 
-        ``arrays=True`` keeps the sketch tables as float64 ndarray copies
-        instead of nested lists -- not JSON-serialisable, but exactly what
-        the binary envelope writer stores without a list round trip.
+        ``arrays=True`` keeps the tree as a :class:`PartitionTree` and the
+        sketch tables as float64 ndarrays (copies, all of them) instead of a
+        bit-string dict and nested lists -- not JSON-serialisable, but
+        exactly what the binary envelope writer stores without a round trip.
         ``restore`` accepts either form.
         """
         from repro.io.serialization import tree_to_dict
@@ -240,7 +233,7 @@ class PrivHP(SummarizerBase):
         return {
             **self._checkpoint_base(),
             "state_version": CHECKPOINT_STATE_VERSION,
-            "tree": tree_to_dict(self._tree),
+            "tree": self._tree.copy() if arrays else tree_to_dict(self._tree),
             "sketches": [
                 {
                     "level": level,
@@ -263,7 +256,8 @@ class PrivHP(SummarizerBase):
 
         algorithm = cls._restore_base(state, CHECKPOINT_STATE_VERSION)
         algorithm._noise_applied = bool(state["noise_applied"])
-        algorithm._tree = tree_from_dict(state["tree"])
+        tree = state["tree"]
+        algorithm._tree = tree.copy() if isinstance(tree, PartitionTree) else tree_from_dict(tree)
         algorithm._sketches = {}
         for entry in state["sketches"]:
             sketch = PrivateCountMinSketch(

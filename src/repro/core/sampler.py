@@ -3,16 +3,19 @@
 Any binary decomposition of the domain, together with non-negative node
 counts, encodes a sampling distribution: pick a leaf with probability
 proportional to its count, then draw a point uniformly at random inside the
-leaf's cell.  The root-to-leaf traversal below implements that selection in
-``O(depth)`` time per sample, exactly as described in the paper: draw
-``u ~ Uniform[0, root.count]``, branch left while the left child's count is at
-least ``u``, otherwise subtract it and branch right.
+leaf's cell.  The root-to-leaf traversal below implements that selection
+with one binary search per level of the tree's level arrays, exactly as
+described in the paper: draw ``u ~ Uniform[0, root.count]``, branch left
+while the left child's count is at least ``u``, otherwise subtract it and
+branch right.
 
 The generator is pure post-processing of the (already private) tree, so the
 synthetic data inherits the epsilon-DP guarantee with no extra privacy cost.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -51,21 +54,7 @@ class SyntheticDataGenerator:
         tiny streams with large noise; the fallback keeps the generator total
         and well-defined without touching the data again.
         """
-        total = self.tree.root_count
-        if total <= 0:
-            return self.domain.sample_cell((), self._rng)
-
-        threshold = self._rng.uniform(0.0, total)
-        theta: Cell = ()
-        while self.tree.has_children(theta):
-            left, right = theta + (0,), theta + (1,)
-            left_count = max(self.tree.get(left, 0.0), 0.0)
-            if left_count >= threshold:
-                theta = left
-            else:
-                threshold -= left_count
-                theta = right
-        return self.domain.sample_cell(theta, self._rng)
+        return self._draw(self._levels())
 
     def sample(self, size: int) -> np.ndarray:
         """Draw ``size`` synthetic points as a numpy array.
@@ -76,8 +65,36 @@ class SyntheticDataGenerator:
         """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        points = [self.sample_one() for _ in range(size)]
-        return np.asarray(points)
+        levels = self._levels()
+        return np.asarray([self._draw(levels) for _ in range(size)])
+
+    def _levels(self) -> list[tuple[list[int], list[float]]]:
+        """The tree's levels below the root as plain lists, for the walks."""
+        return [
+            (codes.tolist(), counts.tolist())
+            for codes, counts in map(self.tree.level, range(1, self.tree.depth() + 1))
+        ]
+
+    def _draw(self, levels):
+        """One root-to-leaf walk over ``levels``, then a point of the leaf."""
+        total = self.tree.root_count
+        if total <= 0:
+            return self.domain.sample_cell((), self._rng)
+
+        threshold = self._rng.uniform(0.0, total)
+        theta: Cell = ()
+        code = 0
+        for codes, counts in levels:
+            left = bisect_left(codes, code << 1)
+            if left == len(codes) or codes[left] != code << 1:
+                break
+            left_count = max(counts[left], 0.0)
+            if left_count >= threshold:
+                theta, code = theta + (0,), code << 1
+            else:
+                threshold -= left_count
+                theta, code = theta + (1,), (code << 1) | 1
+        return self.domain.sample_cell(theta, self._rng)
 
     # ------------------------------------------------------------------ #
     # distribution introspection (used by the evaluation harness and tests)
@@ -90,7 +107,7 @@ class SyntheticDataGenerator:
         distribution re-normalised, matching the sampler's behaviour.
         """
         leaves = self.tree.leaves()
-        weights = np.array([max(self.tree.count(theta), 0.0) for theta in leaves])
+        weights = np.maximum(self.tree.leaf_counts(), 0.0)
         total = float(weights.sum())
         if total <= 0:
             # Degenerate tree: the sampler falls back to the root cell.

@@ -40,14 +40,14 @@ class DiscreteDomain(Domain):
     def cell_range(self, theta: Cell) -> tuple[int, int]:
         """Inclusive item range ``[low, high]`` covered by a cell.
 
-        Ranges are split as evenly as possible; empty halves can occur for
-        non-power-of-two sizes at deep levels, in which case the empty child
-        covers an empty range and reports diameter 0.
+        Ranges are split as evenly as possible until a cell holds a single
+        item; both children of a single-item cell cover that same item, so
+        no cell is ever empty.
         """
         theta = validate_cell(theta)
         low, high = 0, self.size - 1
         for bit in theta:
-            if low > high:
+            if low == high:
                 break
             mid = (low + high) // 2
             if bit == 0:
@@ -59,8 +59,6 @@ class DiscreteDomain(Domain):
     def cell_diameter(self, theta: Cell) -> float:
         """Normalised width of the cell's item range."""
         low, high = self.cell_range(theta)
-        if low > high:
-            return 0.0
         return (high - low) / max(self.size - 1, 1)
 
     def level_max_diameter(self, level: int) -> float:
@@ -132,8 +130,6 @@ class DiscreteDomain(Domain):
     def sample_cell(self, theta: Cell, rng: np.random.Generator) -> int:
         """Uniform random item within the cell's range."""
         low, high = self.cell_range(theta)
-        if low > high:
-            raise ValueError(f"cell {theta} covers an empty range")
         return int(rng.integers(low, high + 1))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience

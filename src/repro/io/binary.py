@@ -7,8 +7,8 @@ the JSON path cannot do:
 * **mmap cold starts** -- a release envelope carries the compiled
   leaf/descent tables as aligned raw array sections, so
   :func:`load_release_binary` maps them straight into ready query engines
-  without parsing or recompiling anything (the node dict itself materialises
-  lazily, only if sampling or introspection needs it);
+  without parsing or recompiling anything (the tree's level arrays are
+  decoded from their sections with numpy, no per-node Python loop);
 * **cheap frequent checkpoints** -- counter banks, sketch tables and tree
   counts round-trip as raw ``float64``/``int64`` bytes instead of JSON text,
   which is what makes high-frequency eviction/restore in
@@ -55,6 +55,7 @@ from repro.core.tree import PartitionTree
 from repro.domain.discrete import DiscreteDomain
 from repro.domain.interval import UnitInterval
 from repro.domain.ipv4 import IPv4Domain
+from repro.io.serialization import tree_to_dict
 from repro.queries.compiled import CompiledDescentTable, CompiledLeafTable
 
 __all__ = [
@@ -161,30 +162,34 @@ def _is_tree_dict(value: dict) -> bool:
     return True
 
 
-def _tree_sections(tree: dict, sections: list) -> dict:
-    """Pack a tree dict into depth / big-endian-bit-row / count sections.
+def _tree_sections(tree: PartitionTree, sections: list) -> dict:
+    """Pack a tree into depth / big-endian-bit-row / count sections.
 
-    Cells are written in sorted-key order so the sections are canonical: the
-    same tree produces the same bytes whether the document came from a live
-    ``to_dict()`` (tree order) or from parsed JSON (file order).
+    Each row holds a cell's code left-aligned in ``stride`` big-endian bytes.
+    Rows are in bit-string order (a cell before its extensions, ``0`` before
+    ``1``) so the sections are canonical: the same tree always produces the
+    same bytes, whichever document or live tree it came from.
     """
-    keys = sorted(tree)
-    depths = np.array([len(key) for key in keys], dtype=np.int64)
-    stride = max(1, (int(depths.max()) + 7) // 8) if keys else 1
-    paths = np.zeros((len(keys), stride), dtype=np.uint8)
-    for row, key in enumerate(keys):
-        if key:
-            value = int(key, 2) << (stride * 8 - len(key))
-            paths[row] = np.frombuffer(value.to_bytes(stride, "big"), dtype=np.uint8)
-    counts = np.array([tree[key] for key in keys], dtype=np.float64)
+    levels = [tree.level(level) for level in range(tree.depth() + 1)]
+    depths = np.concatenate(
+        [np.full(codes.size, level, dtype=np.int64) for level, (codes, _) in enumerate(levels)]
+    )
+    codes = np.concatenate([codes for codes, _ in levels]).astype(np.uint64)
+    # Left-align in 64 bits; two shifts keep the root's shift below 64.
+    aligned = (codes << (63 - depths).astype(np.uint64)) << np.uint64(1)
+    order = np.lexsort((depths, aligned))
+    stride = max(1, (tree.depth() + 7) // 8)
+    paths = aligned[order].astype(">u8").view(np.uint8).reshape(-1, 8)[:, :stride]
     return {
-        "depths": _add_section(sections, depths),
+        "depths": _add_section(sections, depths[order]),
         "paths": _add_section(sections, paths),
-        "counts": _add_section(sections, counts),
+        "counts": _add_section(sections, np.concatenate([counts for _, counts in levels])[order]),
     }
 
 
 def _extract_value(value, path: tuple, sections: list):
+    if isinstance(value, PartitionTree):
+        return {_TREE_KEY: _tree_sections(value, sections)}
     if isinstance(value, dict):
         if _SECTION_KEY in value or _TREE_KEY in value:
             raise ValueError(
@@ -194,7 +199,7 @@ def _extract_value(value, path: tuple, sections: list):
         if any(not isinstance(key, str) for key in value):
             raise ValueError("binary envelopes require string object keys")
         if path in _TREE_PATHS and _is_tree_dict(value):
-            return {_TREE_KEY: _tree_sections(value, sections)}
+            return {_TREE_KEY: _tree_sections(PartitionTree.from_cells(value), sections)}
         # Walk in sorted-key order so section numbering is canonical: the
         # header is dumped with sort_keys anyway, and a deterministic walk
         # makes save -> load -> save a byte-level fixed point.
@@ -221,7 +226,13 @@ def _extract_value(value, path: tuple, sections: list):
 # --------------------------------------------------------------------------- #
 # sections -> document (reinflation)
 # --------------------------------------------------------------------------- #
-def _tree_from_sections(spec, get_array) -> dict:
+def _tree_from_sections(spec, get_array) -> PartitionTree:
+    """Decode a tree marker's sections into level arrays, with numpy.
+
+    Checks that each depth fits its row, that codes ascend within a level
+    and that a root exists; :meth:`PartitionTree.append_level` checks that
+    children come in pairs under a stored parent.
+    """
     if not isinstance(spec, dict):
         raise ValueError("malformed tree marker in binary envelope")
     try:
@@ -238,19 +249,29 @@ def _tree_from_sections(spec, get_array) -> dict:
         raise ValueError("tree count section must be a one-dimensional float64 array")
     if not len(depths) == len(paths) == len(counts):
         raise ValueError("tree sections disagree on the node count")
-    stride = paths.shape[1]
-    tree: dict[str, float] = {}
-    for depth, row, count in zip(depths.tolist(), np.asarray(paths), counts.tolist()):
-        if not 0 <= depth <= stride * 8:
-            raise ValueError(f"tree cell depth {depth} does not fit its packed path row")
-        if depth == 0:
-            key = ""
-        else:
-            value = int.from_bytes(row.tobytes(), "big") >> (stride * 8 - depth)
-            key = format(value, "b").zfill(depth)
-        if key in tree:
-            raise ValueError(f"duplicate tree cell {key!r} in binary envelope")
-        tree[key] = count
+    depths = depths.astype(np.int64)
+    limit = min(paths.shape[1] * 8, 62)
+    outside = (depths < 0) | (depths > limit)
+    if outside.any():
+        raise ValueError(
+            f"tree cell depth {depths[outside][0]} does not fit its packed path row "
+            "(or exceeds 62 levels)"
+        )
+    # The first eight bytes of a row hold every bit of a depth <= 62 code.
+    rows = np.zeros((len(paths), 8), dtype=np.uint8)
+    rows[:, : min(paths.shape[1], 8)] = paths[:, :8]
+    aligned = rows.view(">u8").ravel().astype(np.uint64)
+    codes = ((aligned >> np.uint64(1)) >> (63 - depths).astype(np.uint64)).astype(np.int64)
+    order = np.argsort(depths, kind="stable")
+    depths, codes, counts = depths[order], codes[order], counts[order]
+    if not len(depths) or depths[0] != 0 or (len(depths) > 1 and depths[1] == 0):
+        raise ValueError("the encoded tree needs exactly one root cell")
+    if np.any((depths[1:] == depths[:-1]) & (codes[1:] <= codes[:-1])):
+        raise ValueError("tree cell codes must ascend within each level")
+    tree = PartitionTree(counts[0])
+    bounds = np.searchsorted(depths, np.arange(1, depths[-1] + 2))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        tree.append_level(codes[start:stop], counts[start:stop])
     return tree
 
 
@@ -264,7 +285,8 @@ def _reinflate_value(value, get_array, mode: str):
             # restore wants (mmap sections are read-only).
             return array.tolist() if mode == "json" else np.array(array)
         if keys == {_TREE_KEY}:
-            return _tree_from_sections(value[_TREE_KEY], get_array)
+            tree = _tree_from_sections(value[_TREE_KEY], get_array)
+            return tree if mode == "arrays" else tree_to_dict(tree)
         return {key: _reinflate_value(item, get_array, mode) for key, item in value.items()}
     if isinstance(value, list):
         return [_reinflate_value(item, get_array, mode) for item in value]
@@ -576,44 +598,6 @@ def convert_file(
 # --------------------------------------------------------------------------- #
 # release fast path: envelope -> ready-to-serve Release
 # --------------------------------------------------------------------------- #
-def _plain_tree(counts: dict) -> PartitionTree:
-    tree = PartitionTree()
-    tree._counts = counts
-    return tree
-
-
-class _LazyBinaryTree(PartitionTree):
-    """A partition tree whose node dict materialises from envelope sections.
-
-    Queries through a binary-loaded release never touch the tree (the
-    engines are rebuilt from the compiled sections), so the O(nodes) dict
-    build is deferred until something actually walks it -- sampling,
-    ``/releases`` introspection, or re-saving.
-    """
-
-    def __init__(self, loader) -> None:
-        self._loader = loader
-        self._materialised: dict | None = None
-
-    @property  # type: ignore[override]
-    def _counts(self) -> dict:
-        counts = self._materialised
-        if counts is None:
-            encoded = self._loader()
-            counts = {
-                tuple(int(bit) for bit in key): count for key, count in encoded.items()
-            }
-            if () not in counts:
-                raise ValueError("the encoded tree has no root cell")
-            self._materialised = counts
-        return counts
-
-    def __reduce__(self):
-        # Pickling (e.g. hand-off to a worker process) must not drag the
-        # memory map along: ship the materialised plain tree instead.
-        return (_plain_tree, (dict(self._counts),))
-
-
 def _compiled_arrays(envelope: BinaryEnvelope, prefix: str) -> dict[str, np.ndarray]:
     return {
         name[len(prefix):]: envelope.array(name)
@@ -656,10 +640,10 @@ def load_release_binary(path: str | pathlib.Path, sampling_seed: int | None = No
     """Load a release envelope with mmap-backed query engines.
 
     The compiled leaf/descent sections become ready engines without any
-    parse-then-recompile step, and the node dict is materialised lazily, so
-    opening a release is O(1) in its size until a query pages the mapped
-    arrays in.  Answers are byte-identical to the JSON path (pinned in
-    ``tests/test_binary_io.py``).
+    parse-then-recompile step, and the tree's level arrays are decoded from
+    their sections with numpy, so opening a release costs a few array
+    passes and no per-node Python work.  Answers are byte-identical to the
+    JSON path (pinned in ``tests/test_binary_io.py``).
     """
     from repro.api.release import Release
     from repro.core.sampler import SyntheticDataGenerator
@@ -687,8 +671,7 @@ def load_release_binary(path: str | pathlib.Path, sampling_seed: int | None = No
         domain = domain_from_dict(document["domain"])
         tree_value = document.get("tree")
         if isinstance(tree_value, dict) and set(tree_value) == {_TREE_KEY}:
-            spec = tree_value[_TREE_KEY]
-            tree = _LazyBinaryTree(lambda: _tree_from_sections(spec, envelope.array))
+            tree = _tree_from_sections(tree_value[_TREE_KEY], envelope.array)
         elif isinstance(tree_value, dict):
             tree = tree_from_dict(_reinflate_value(tree_value, envelope.array, "json"))
         else:

@@ -78,16 +78,9 @@ def tree_to_dict(tree: PartitionTree) -> dict[str, float]:
 
 
 def tree_from_dict(encoded: dict[str, float]) -> PartitionTree:
-    """Decode a tree produced by :func:`tree_to_dict`."""
-    tree = PartitionTree()
-    for key, count in encoded.items():
-        if any(char not in "01" for char in key):
-            raise ValueError(f"invalid cell key {key!r}: keys must be bit-strings")
-        theta = tuple(int(char) for char in key)
-        tree.add_node(theta, float(count))
-    if () not in tree:
-        raise ValueError("the encoded tree has no root cell")
-    return tree
+    """Decode a tree produced by :func:`tree_to_dict` (see
+    :meth:`PartitionTree.from_cells` for the checks)."""
+    return PartitionTree.from_cells(encoded)
 
 
 # --------------------------------------------------------------------------- #

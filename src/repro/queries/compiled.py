@@ -91,21 +91,20 @@ class CompiledLeafTable:
     def __init__(self, tree: PartitionTree, domain: Domain) -> None:
         self.domain = domain
         self.root_count = float(tree.root_count)
-        leaves = tree.leaves()
-        weights = np.array([max(tree.count(theta), 0.0) for theta in leaves])
+        weights = np.maximum(tree.leaf_counts(), 0.0)
         total = float(weights.sum())
         if total <= 0:
             # Degenerate release: the retired scalar engine fell back to a
             # single root "leaf" carrying the whole mass (the uniform law).
-            self.leaves: tuple[Cell, ...] | None = ((),)
+            leaves: list[Cell] = [()]
             self.probabilities = np.array([1.0])
         else:
-            self.leaves = tuple(leaves)
+            leaves = tree.leaves()
             self.probabilities = weights / total
         self.size = len(self.probabilities)
         self._positive = self.probabilities > 0
-        self._compile_geometry(domain)
-        self._compile_cdf(domain)
+        self._compile_geometry(domain, leaves)
+        self._compile_cdf(domain, leaves)
 
     @classmethod
     def from_arrays(cls, domain: Domain, *, kind: str, root_count: float, arrays: dict) -> "CompiledLeafTable":
@@ -123,7 +122,6 @@ class CompiledLeafTable:
         table = cls.__new__(cls)
         table.domain = domain
         table.root_count = float(root_count)
-        table.leaves = None  # leaf cells live in the tree; not needed to query
         table.kind = kind
         try:
             table.probabilities = arrays["probabilities"]
@@ -168,17 +166,17 @@ class CompiledLeafTable:
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
-    def _compile_geometry(self, domain: Domain) -> None:
+    def _compile_geometry(self, domain: Domain, leaves: list[Cell]) -> None:
         if isinstance(domain, UnitInterval):
             self.kind = "interval"
-            bounds = [domain.cell_bounds(theta) for theta in self.leaves]
+            bounds = [domain.cell_bounds(theta) for theta in leaves]
             self.low = np.array([b[0] for b in bounds])
             self.high = np.array([b[1] for b in bounds])
             self.width = self.high - self.low
         elif isinstance(domain, (Hypercube, GeoDomain)):
             self.kind = "box"
             self.dimension = 2 if isinstance(domain, GeoDomain) else domain.dimension
-            bounds = [domain.cell_bounds(theta) for theta in self.leaves]
+            bounds = [domain.cell_bounds(theta) for theta in leaves]
             self.low = np.array([b[0] for b in bounds], dtype=float).reshape(
                 self.size, self.dimension
             )
@@ -188,7 +186,7 @@ class CompiledLeafTable:
             self.width = self.high - self.low
         elif isinstance(domain, (IPv4Domain, DiscreteDomain)):
             self.kind = "intrange"
-            ranges = [domain.cell_range(theta) for theta in self.leaves]
+            ranges = [domain.cell_range(theta) for theta in leaves]
             self.low = np.array([r[0] for r in ranges], dtype=np.int64)
             self.high = np.array([r[1] for r in ranges], dtype=np.int64)
         else:
@@ -196,7 +194,7 @@ class CompiledLeafTable:
                 f"range queries are not supported on {type(domain).__name__}"
             )
 
-    def _compile_cdf(self, domain: Domain) -> None:
+    def _compile_cdf(self, domain: Domain, leaves: list[Cell]) -> None:
         """Prefix-sum/CDF array over the ordered-domain leaf order.
 
         For one-dimensional ordered domains the leaves partition the domain
@@ -206,7 +204,7 @@ class CompiledLeafTable:
         endpoint.  Vector domains have no total order and carry no CDF.
         """
         if isinstance(domain, (UnitInterval, IPv4Domain, DiscreteDomain)):
-            order = sorted(range(self.size), key=lambda j: self.leaves[j])
+            order = sorted(range(self.size), key=leaves.__getitem__)
             self.leaf_order = np.array(order, dtype=np.int64)
             self.cdf = np.cumsum(self.probabilities[self.leaf_order])
         else:
@@ -309,48 +307,41 @@ class CompiledLeafTable:
 class CompiledDescentTable:
     """The tree's branching structure flattened for batch quantile descent.
 
-    Node ``0`` is the root.  ``internal[i]`` mirrors the scalar descent's
-    ``tree.has_children(theta)`` check; internal nodes carry both child
-    indices (children are materialised even when the tree does not store
-    them, matching ``tree.get(child, 0.0)``), and every node carries
-    ``left_count`` -- ``max(count(left child), 0.0)`` -- which is the only
-    number the descent compares against.
+    Nodes are the tree's nodes in (level, index) order, so node ``0`` is the
+    root and children always follow their parent.  ``internal[i]`` says
+    whether node ``i`` has children; internal nodes carry both child
+    indices, and every node carries ``left_count`` -- ``max(count(left
+    child), 0.0)`` -- which is the only number the descent compares against.
     """
 
     def __init__(self, tree: PartitionTree, domain: Domain) -> None:
         self.domain = domain
         # The scalar descent multiplied by ``max(root_count, 0.0)``.
         self.root_count = max(float(tree.root_count), 0.0)
-        cells: list[Cell] = [()]
-        internal: list[bool] = []
-        left_index: list[int] = []
-        right_index: list[int] = []
-        left_count: list[float] = []
-        cursor = 0
-        while cursor < len(cells):
-            theta = cells[cursor]
-            if tree.has_children(theta):
-                internal.append(True)
-                left, right = theta + (0,), theta + (1,)
-                left_index.append(len(cells))
-                cells.append(left)
-                right_index.append(len(cells))
-                cells.append(right)
-                left_count.append(max(tree.get(left, 0.0), 0.0))
+        self.depth = tree.depth()
+        levels = [tree.level(level) for level in range(self.depth + 1)]
+        start = np.cumsum([0] + [codes.size for codes, _ in levels])
+        internal, left_index, left_count = [], [], []
+        for level, (codes, _) in enumerate(levels):
+            nodes = start[level] + np.arange(codes.size)
+            if level < self.depth:
+                child_codes, child_counts = levels[level + 1]
+                left = np.searchsorted(child_codes, codes << 1)
+                left = np.minimum(left, child_codes.size - 1)
+                branch = child_codes[left] == codes << 1
+                internal.append(branch)
+                left_index.append(np.where(branch, start[level + 1] + left, nodes))
+                left_count.append(np.where(branch, np.maximum(child_counts[left], 0.0), 0.0))
             else:
-                internal.append(False)
-                left_index.append(cursor)
-                right_index.append(cursor)
-                left_count.append(0.0)
-            cursor += 1
-        self.cells = tuple(cells)
-        self.internal = np.array(internal, dtype=bool)
-        self.left_index = np.array(left_index, dtype=np.int64)
-        self.right_index = np.array(right_index, dtype=np.int64)
-        self.left_count = np.array(left_count)
-        self.leaf_count = np.array([max(tree.get(theta, 0.0), 0.0) for theta in cells])
-        self.depth = max((len(theta) for theta in cells), default=0)
-        self._compile_points(domain)
+                internal.append(np.zeros(codes.size, dtype=bool))
+                left_index.append(nodes)
+                left_count.append(np.zeros(codes.size))
+        self.internal = np.concatenate(internal)
+        self.left_index = np.concatenate(left_index).astype(np.int64)
+        self.right_index = np.where(self.internal, self.left_index + 1, self.left_index)
+        self.left_count = np.concatenate(left_count)
+        self.leaf_count = np.maximum(np.concatenate([counts for _, counts in levels]), 0.0)
+        self._compile_points(domain, list(tree))
         # Plain-Python mirrors for the scalar fast path (list indexing beats
         # numpy scalar extraction for a single root-to-leaf walk).
         self._py_internal = self.internal.tolist()
@@ -363,10 +354,10 @@ class CompiledDescentTable:
     def from_arrays(cls, domain: Domain, *, root_count: float, arrays: dict) -> "CompiledDescentTable":
         """Rebuild a descent table from :meth:`export_arrays` output.
 
-        Node cells are reconstructed from the child-index arrays (children
-        are always appended after their parent, so one forward pass works),
-        and the plain-Python mirrors are re-materialised; every stored array
-        is used as-is, so read-only memory-mapped sections are fine.
+        The child-index arrays are checked, with numpy, to form a tree rooted
+        at node 0 whose children follow their parent, and the plain-Python
+        mirrors are re-materialised; every stored array is used as-is, so
+        read-only memory-mapped sections are fine.
         """
         table = cls.__new__(cls)
         table.domain = domain
@@ -393,26 +384,22 @@ class CompiledDescentTable:
         table._py_leaf_count = table.leaf_count.tolist()
         table._py_low = table.low.tolist()
         table._py_high = table.high.tolist()
-        # Rebuild the node cells exactly as compilation appended them: the
-        # root is node 0 and both children of an internal node carry indices
-        # greater than their parent's.
-        cells: list[Cell | None] = [None] * size
-        if size:
-            cells[0] = ()
-        for node in range(size):
-            if not table._py_internal[node]:
-                continue
-            theta = cells[node]
-            left = table._py_left_index[node]
-            right = table._py_right_index[node]
-            if theta is None or not node < left < size or not node < right < size:
-                raise ValueError("compiled descent-table child indices are not a valid tree")
-            cells[left] = theta + (0,)
-            cells[right] = theta + (1,)
-        if any(theta is None for theta in cells):
+        # Both children of an internal node carry indices greater than their
+        # parent's, and every node but the root is the child of exactly one
+        # node, so every node is reached from the root.
+        internal = np.asarray(table.internal, dtype=bool)
+        parents = np.flatnonzero(internal)
+        children = np.concatenate([table.left_index[parents], table.right_index[parents]])
+        if np.any(children <= np.tile(parents, 2)) or np.any(children >= size):
+            raise ValueError("compiled descent-table child indices are not a valid tree")
+        if np.any(np.bincount(children, minlength=size)[1:] != 1):
             raise ValueError("compiled descent-table child indices leave unreachable nodes")
-        table.cells = tuple(cells)
-        table.depth = max((len(theta) for theta in table.cells), default=0)
+        table.depth = 0
+        frontier = parents[:1] if size and internal[0] else parents[:0]
+        while frontier.size:
+            table.depth += 1
+            children = np.concatenate([table.left_index[frontier], table.right_index[frontier]])
+            frontier = children[internal[children]]
         return table
 
     def export_arrays(self) -> dict[str, np.ndarray]:
@@ -427,17 +414,17 @@ class CompiledDescentTable:
             "high": self.high,
         }
 
-    def _compile_points(self, domain: Domain) -> None:
+    def _compile_points(self, domain: Domain, cells: list[Cell]) -> None:
         if isinstance(domain, UnitInterval):
             self.integer = False
-            bounds = [domain.cell_bounds(theta) for theta in self.cells]
+            bounds = [domain.cell_bounds(theta) for theta in cells]
             self.low = np.array([b[0] for b in bounds])
             self.high = np.array([b[1] for b in bounds])
             self._py_low = self.low.tolist()
             self._py_high = self.high.tolist()
         else:
             self.integer = True
-            ranges = [domain.cell_range(theta) for theta in self.cells]
+            ranges = [domain.cell_range(theta) for theta in cells]
             self.low = np.array([r[0] for r in ranges], dtype=np.int64)
             self.high = np.array([r[1] for r in ranges], dtype=np.int64)
             self._py_low = self.low.tolist()

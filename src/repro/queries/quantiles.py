@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.tree import PartitionTree
-from repro.domain.base import Cell, Domain
+from repro.domain.base import Domain
 from repro.domain.discrete import DiscreteDomain
 from repro.domain.interval import UnitInterval
 from repro.domain.ipv4 import IPv4Domain
@@ -72,21 +72,13 @@ class QuantileEngine:
         """
         return cls(tree, domain, table=table)
 
-    def _cell_upper_point(self, theta: Cell):
-        """The largest point of a cell (used as the quantile representative)."""
-        if isinstance(self.domain, UnitInterval):
-            _, upper = self.domain.cell_bounds(theta)
-            return float(upper)
-        _, upper = self.domain.cell_range(theta)
-        return int(upper)
-
-    def _cell_interpolated_point(self, theta: Cell, fraction: float):
-        """A point ``fraction`` of the way through the cell (linear interpolation)."""
+    def _interpolated_point(self, node: int, fraction: float):
+        """A point ``fraction`` of the way through a node's cell (linear interpolation)."""
         fraction = min(max(fraction, 0.0), 1.0)
-        if isinstance(self.domain, UnitInterval):
-            lower, upper = self.domain.cell_bounds(theta)
+        lower = self._table._py_low[node]
+        upper = self._table._py_high[node]
+        if not self._table.integer:
             return float(lower + fraction * (upper - lower))
-        lower, upper = self.domain.cell_range(theta)
         if lower > upper:
             return int(lower)
         return int(round(lower + fraction * (upper - lower)))
@@ -96,15 +88,17 @@ class QuantileEngine:
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {probability}")
         if self._table.root_count <= 0:
-            # Degenerate release: fall back to the quantile of the uniform law.
-            return self._cell_interpolated_point((), probability)
+            # Degenerate release: fall back to the quantile of the uniform
+            # law, read off the root (node 0).
+            return self._interpolated_point(0, probability)
 
         node, remaining = self._table.descend(probability)
-        theta = self._table.cells[node]
         leaf_count = self._table._py_leaf_count[node]
         if leaf_count <= 0:
-            return self._cell_upper_point(theta)
-        return self._cell_interpolated_point(theta, remaining / leaf_count)
+            # An empty leaf answers its cell's largest point.
+            upper = self._table._py_high[node]
+            return int(upper) if self._table.integer else float(upper)
+        return self._interpolated_point(node, remaining / leaf_count)
 
     def quantiles(self, probabilities) -> np.ndarray:
         """Vectorised quantile evaluation: one level-synchronous batch descent.
@@ -122,7 +116,7 @@ class QuantileEngine:
             bad = float(values[int(np.argmax(invalid))])
             raise ValueError(f"probability must lie in [0, 1], got {bad}")
         if self._table.root_count <= 0:
-            return np.asarray([self._cell_interpolated_point((), p) for p in values])
+            return np.asarray([self._interpolated_point(0, p) for p in values])
         nodes, remaining = self._table.descend_many(values)
         return self._table.interpolate_many(nodes, remaining)
 

@@ -130,8 +130,12 @@ class CountMinSketch:
         self._updates += int(round(float(counts.sum())))
 
     def query_many(self, keys) -> np.ndarray:
-        """Vector of point estimates for an iterable of keys."""
-        return np.array([self.query(key) for key in keys], dtype=float)
+        """Point estimates of canonical integer keys, as one array.
+
+        ``keys`` are canonical integer keys below ``2^63``, as for
+        :meth:`update_batch`; entry ``i`` equals ``query`` of key ``i``.
+        """
+        return self._hashes.min_over_rows(self._table, keys)
 
     # ------------------------------------------------------------------ #
     # state / composition

@@ -181,6 +181,21 @@ class HashFamily:
         """Vectorised bucket indices for canonical integer keys in ``row``."""
         return self._row_hashes[row].buckets_batch(keys)
 
+    def min_over_rows(self, table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Count-Min point estimates of canonical integer keys from ``table``.
+
+        Each key's estimate is the minimum of its buckets across the rows of
+        the ``depth x width`` table.  Rows are scanned in order and a later
+        row wins only when strictly smaller, which is ``min()``'s tie rule
+        (``np.minimum`` would turn ``min(0.0, -0.0) = 0.0`` into ``-0.0``).
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        estimates = table[0, self.buckets_batch(0, keys)]
+        for row in range(1, self.depth):
+            values = table[row, self.buckets_batch(row, keys)]
+            estimates = np.where(values < estimates, values, estimates)
+        return estimates
+
     def sign(self, row: int, key) -> int:
         """Sign (+1/-1) of ``key`` in ``row`` (used by Count-Sketch only)."""
         return self._sign_hashes[row](key)

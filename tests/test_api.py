@@ -180,14 +180,10 @@ class TestShardMerge:
             PrivHP.merge_all([])
 
     def test_partition_tree_merge_sums_counts(self):
-        left = PartitionTree()
-        left.add_node((), 3.0)
-        left.add_node((0,), 2.0)
-        right = PartitionTree()
-        right.add_node((), 1.0)
-        right.add_node((1,), 4.0)
+        left = PartitionTree.from_cells({(): 3.0, (0,): 2.0, (1,): 1.0})
+        right = PartitionTree.from_cells({(): 1.0, (0,): 0.0, (1,): 4.0})
         merged = left.merge(right)
-        assert merged.as_dict() == {(): 4.0, (0,): 2.0, (1,): 4.0}
+        assert merged.as_dict() == {(): 4.0, (0,): 2.0, (1,): 5.0}
 
 
 class TestCheckpointRestore:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.pmm import PMMMethod, build_exact_tree
+from repro.baselines.srrw import SRRWMethod
 from repro.metrics.wasserstein import wasserstein1_1d
 
 
@@ -52,8 +53,9 @@ class TestPMMMethod:
         sampler = method.fit(data, rng=0)
         assert wasserstein1_1d(data, sampler.sample(2000)) < 0.02
 
-    def test_tree_is_consistent_after_fit(self, interval, rng):
-        method = PMMMethod(interval, epsilon=1.0, max_depth=8)
+    @pytest.mark.parametrize("method_class", [PMMMethod, SRRWMethod])
+    def test_tree_is_consistent_after_fit(self, interval, rng, method_class):
+        method = method_class(interval, epsilon=1.0, max_depth=8)
         method.fit(rng.random(200), rng=0)
         assert method._tree.is_consistent()
 

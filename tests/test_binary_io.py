@@ -471,6 +471,51 @@ class TestCorruptInputs:
         _write_envelope(envelope_path, header, data)
         self._assert_clean_failure(envelope_path, "no document")
 
+    def _doctor_section(self, path, name, change):
+        """Rewrite section ``name`` in place with ``change(array)``."""
+        header, data = _read_envelope_parts(path)
+        if name in header["document"]["tree"]["__tree__"]:
+            name = header["document"]["tree"]["__tree__"][name]
+        entry = next(e for e in header["sections"] if e["name"] == name)
+        start, stop = entry["offset"], entry["offset"] + entry["nbytes"]
+        array = np.frombuffer(data[start:stop], dtype=entry["dtype"]).reshape(entry["shape"])
+        array = change(array.copy())
+        _write_envelope(path, header, data[:start] + array.tobytes() + data[stop:])
+
+    def test_tree_codes_must_ascend_within_a_level(self, envelope_path):
+        # Row 1 is the cell "0" and the last row the cell "1...1": swap their paths.
+        def swap(paths):
+            paths[[1, -1]] = paths[[-1, 1]]
+            return paths
+
+        self._doctor_section(envelope_path, "paths", swap)
+        self._assert_clean_failure(envelope_path, "ascend|sibling|parent")
+
+    def test_tree_needs_a_root(self, envelope_path):
+        def drop_root(depths):
+            depths[0] = 1
+            return depths
+
+        self._doctor_section(envelope_path, "depths", drop_root)
+        self._assert_clean_failure(envelope_path, "root")
+
+    def test_tree_children_come_in_pairs_under_a_parent(self, envelope_path):
+        def deepen(depths):
+            depths[-1] += 1
+            return depths
+
+        self._doctor_section(envelope_path, "depths", deepen)
+        self._assert_clean_failure(envelope_path, "sibling pairs|parent")
+
+    def test_descent_table_children_must_follow_their_parent(self, envelope_path):
+        def loop_back(left_index):
+            left_index[0] = 0
+            return left_index
+
+        self._doctor_section(envelope_path, "compiled.descent.left_index", loop_back)
+        with pytest.raises(ValueError, match="not a valid tree"):
+            Release.load(envelope_path)
+
     def test_load_binary_rejects_unknown_mode(self, envelope_path):
         with pytest.raises(ValueError, match="mode"):
             load_binary(envelope_path, mode="zero-copy")

@@ -286,6 +286,8 @@ class TestContinualSketch:
         )
         for cell in set(cells):
             assert batched.query(cell) == pytest.approx(itemwise.query(cell), abs=1.0)
+        canonical = np.array([canonical_key(cell) for cell in cells], dtype=np.uint64)
+        assert batched.query_many(canonical).tolist() == [batched.query(cell) for cell in cells]
 
     def test_memory_words_positive(self, rng):
         sketch = ContinualPrivateCountMinSketch(width=8, depth=2, epsilon=1.0,

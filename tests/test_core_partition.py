@@ -1,47 +1,51 @@
 """Tests for GrowPartition (Algorithm 2)."""
 
+import numpy as np
 import pytest
 
 from repro.core.partition import grow_partition, select_top_k
 from repro.core.tree import PartitionTree
+from repro.sketch.hashing import canonical_key
 
 
 class ExactSketch:
     """A stand-in sketch that returns exact counts from a dictionary."""
 
     def __init__(self, counts):
-        self.counts = dict(counts)
+        self.counts = {canonical_key(cell): float(count) for cell, count in counts.items()}
 
-    def query(self, theta):
-        return float(self.counts.get(tuple(theta), 0.0))
+    def query_many(self, keys):
+        return np.array([self.counts.get(int(key), 0.0) for key in keys])
 
 
 class TestSelectTopK:
     def test_selects_largest(self):
-        counts = {(0,): 5.0, (1,): 9.0, (0, 0): 1.0}
-        assert select_top_k(counts, 2) == [(1,), (0,)]
+        codes, counts = np.array([0, 1, 2]), np.array([5.0, 9.0, 1.0])
+        assert select_top_k(codes, counts, 2).tolist() == [0, 1]
 
     def test_deterministic_tie_break(self):
-        counts = {(1,): 3.0, (0,): 3.0}
-        assert select_top_k(counts, 1) == [(0,)]
+        codes, counts = np.array([0, 1, 2, 3]), np.array([1.0, 3.0, 3.0, -0.0])
+        assert select_top_k(codes, counts, 1).tolist() == [1]
+        # 0.0 and -0.0 tie as well; the smaller code wins.
+        assert select_top_k(np.array([4, 5]), np.array([0.0, -0.0]), 1).tolist() == [4]
+        assert select_top_k(np.array([4, 5]), np.array([-0.0, 0.0]), 1).tolist() == [4]
+
+    def test_selection_comes_back_in_code_order(self):
+        codes, counts = np.array([2, 3, 6, 7]), np.array([1.0, 4.0, 9.0, 2.0])
+        assert select_top_k(codes, counts, 3).tolist() == [3, 6, 7]
 
     def test_k_larger_than_population(self):
-        counts = {(0,): 1.0}
-        assert select_top_k(counts, 5) == [(0,)]
+        assert select_top_k(np.array([0]), np.array([1.0]), 5).tolist() == [0]
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            select_top_k({}, -1)
+            select_top_k(np.array([], dtype=np.int64), np.array([]), -1)
 
 
 class TestGrowPartition:
     def make_initial_tree(self):
         """Exact-counter tree of depth 1 holding 100 points: 70 left, 30 right."""
-        tree = PartitionTree()
-        tree.add_node((), 100.0)
-        tree.add_node((0,), 70.0)
-        tree.add_node((1,), 30.0)
-        return tree
+        return PartitionTree.from_cells({(): 100.0, (0,): 70.0, (1,): 30.0})
 
     def make_sketches(self):
         """Exact level-2 and level-3 counts consistent with the depth-1 tree."""
@@ -118,6 +122,13 @@ class TestGrowPartition:
             grow_partition(self.make_initial_tree(), {}, pruning_k=0, level_cutoff=1, depth=2)
         with pytest.raises(ValueError):
             grow_partition(self.make_initial_tree(), {}, pruning_k=1, level_cutoff=4, depth=2)
+
+    def test_tree_must_end_at_the_cutoff(self):
+        with pytest.raises(ValueError):
+            grow_partition(
+                self.make_initial_tree(), self.make_sketches(), pruning_k=2, level_cutoff=0,
+                depth=3,
+            )
 
     def test_degenerate_no_sketch_levels(self):
         """When L* = L the function only runs the consistency pass."""

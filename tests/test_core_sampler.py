@@ -9,15 +9,17 @@ from repro.core.tree import PartitionTree
 
 def weighted_tree():
     """A depth-2 tree putting 3/4 of the mass in the left half."""
-    tree = PartitionTree()
-    tree.add_node((), 100.0)
-    tree.add_node((0,), 75.0)
-    tree.add_node((1,), 25.0)
-    tree.add_node((0, 0), 50.0)
-    tree.add_node((0, 1), 25.0)
-    tree.add_node((1, 0), 25.0)
-    tree.add_node((1, 1), 0.0)
-    return tree
+    return PartitionTree.from_cells(
+        {
+            (): 100.0,
+            (0,): 75.0,
+            (1,): 25.0,
+            (0, 0): 50.0,
+            (0, 1): 25.0,
+            (1, 0): 25.0,
+            (1, 1): 0.0,
+        }
+    )
 
 
 class TestSampling:
@@ -47,10 +49,7 @@ class TestSampling:
         assert np.mean(samples >= 0.75) == pytest.approx(0.0, abs=0.01)
 
     def test_two_dimensional_output_shape(self, square, rng):
-        tree = PartitionTree()
-        tree.add_node((), 10.0)
-        tree.add_node((0,), 10.0)
-        tree.add_node((1,), 0.0)
+        tree = PartitionTree.from_cells({(): 10.0, (0,): 10.0, (1,): 0.0})
         generator = SyntheticDataGenerator(tree, square, rng=rng)
         samples = generator.sample(50)
         assert samples.shape == (50, 2)
@@ -58,9 +57,7 @@ class TestSampling:
         assert np.all(samples[:, 0] <= 0.5)
 
     def test_empty_tree_falls_back_to_uniform(self, interval, rng):
-        tree = PartitionTree()
-        tree.add_node((), 0.0)
-        generator = SyntheticDataGenerator(tree, interval, rng=rng)
+        generator = SyntheticDataGenerator(PartitionTree(0.0), interval, rng=rng)
         samples = generator.sample(200)
         assert np.all((samples >= 0.0) & (samples <= 1.0))
         # Roughly uniform: both halves occupied.
@@ -86,7 +83,7 @@ class TestLeafProbabilities:
 
     def test_negative_counts_clamped(self, interval):
         tree = weighted_tree()
-        tree.set_count((1, 0), -10.0)
+        tree.level(2)[1][2] = -10.0
         generator = SyntheticDataGenerator(tree, interval, rng=0)
         probabilities = generator.leaf_probabilities()
         assert probabilities[(1, 0)] == 0.0
@@ -98,9 +95,7 @@ class TestLeafProbabilities:
         assert generator.leaf_probability_of_point(0.9) == pytest.approx(0.0)
 
     def test_degenerate_tree_probability(self, interval):
-        tree = PartitionTree()
-        tree.add_node((), 0.0)
-        generator = SyntheticDataGenerator(tree, interval, rng=0)
+        generator = SyntheticDataGenerator(PartitionTree(0.0), interval, rng=0)
         assert generator.leaf_probabilities() == {(): 1.0}
         assert generator.leaf_probability_of_point(0.4) == 1.0
 

@@ -1,8 +1,16 @@
-"""Tests for the partition tree container."""
+"""Tests for the partition tree container and its level arrays."""
 
+import numpy as np
 import pytest
 
 from repro.core.tree import PartitionTree
+
+
+def pruned_tree():
+    """Root 4, children 3 and 1, and only ``(0,)`` expanded into 2 + 1."""
+    return PartitionTree.from_cells(
+        {"": 4.0, "0": 3.0, "1": 1.0, "00": 2.0, "01": 1.0}
+    )
 
 
 class TestConstruction:
@@ -18,37 +26,86 @@ class TestConstruction:
         tree = PartitionTree.complete(2, initial_count=1.5)
         assert all(count == 1.5 for _, count in tree.nodes())
 
-    def test_add_and_remove_node(self):
-        tree = PartitionTree()
-        tree.add_node((), 1.0)
-        tree.add_node((0,), 0.5)
-        assert (0,) in tree
-        tree.remove_node((0,))
-        assert (0,) not in tree
+    def test_append_level_adds_sibling_pairs(self):
+        tree = PartitionTree(1.0)
+        tree.append_level(np.array([0, 1]), np.array([0.5, 0.5]))
+        assert (0,) in tree and (1,) in tree
+        assert (0, 0) not in tree
+        assert tree.depth() == 1
 
-    def test_add_node_validates_bits(self):
-        tree = PartitionTree()
+    @pytest.mark.parametrize(
+        "codes",
+        [[0], [0, 2], [1, 0], [2, 3], [0, 1, 0, 1]],
+        ids=["lone-child", "not-siblings", "unsorted", "orphan", "duplicate"],
+    )
+    def test_append_level_rejects_cells_outside_sibling_pairs(self, codes):
+        tree = PartitionTree(1.0)
         with pytest.raises(ValueError):
-            tree.add_node((0, 2), 1.0)
+            tree.append_level(np.array(codes), np.zeros(len(codes)))
+
+    def test_append_level_copies_its_inputs(self):
+        tree = PartitionTree(1.0)
+        counts = np.array([0.5, 0.5])
+        tree.append_level(np.array([0, 1]), counts)
+        counts[0] = 9.0
+        assert tree.count((0,)) == 0.5
+
+    def test_from_cells_accepts_tuples_and_bit_strings(self):
+        by_tuple = PartitionTree.from_cells(
+            {(): 4.0, (0,): 3.0, (1,): 1.0, (0, 0): 2.0, (0, 1): 1.0}
+        )
+        assert by_tuple.as_dict() == pruned_tree().as_dict()
+
+    def test_from_cells_validates_bits(self):
+        with pytest.raises(ValueError):
+            PartitionTree.from_cells({(): 1.0, (0,): 0.5, (2,): 0.5})
+        with pytest.raises(ValueError):
+            PartitionTree.from_cells({"": 1.0, "0": 0.5, "x": 0.5})
+
+    def test_from_cells_requires_a_root(self):
+        with pytest.raises(ValueError, match="no root"):
+            PartitionTree.from_cells({"0": 1.0, "1": 1.0})
+
+    def test_from_cells_rejects_duplicates(self):
+        with pytest.raises(ValueError):
+            PartitionTree.from_cells([("", 1.0), ((), 1.0)])
+        with pytest.raises(ValueError):
+            PartitionTree.from_cells([("", 1.0), ("0", 1.0), ("1", 1.0), ((0,), 1.0)])
+
+    def test_from_cells_rejects_lone_children_and_orphans(self):
+        with pytest.raises(ValueError):
+            PartitionTree.from_cells({"": 1.0, "0": 1.0})
+        with pytest.raises(ValueError):
+            PartitionTree.from_cells(
+                {"": 1.0, "0": 1.0, "1": 0.0, "10": 0.0, "11": 0.0, "000": 1.0, "001": 0.0}
+            )
 
 
 class TestCounts:
     def test_increment_and_get(self):
         tree = PartitionTree.complete(1)
-        tree.increment((0,), 2.0)
-        tree.increment((0,), 3.0)
+        tree.increment_many(np.array([0]), np.array([2.0]), level=1)
+        tree.increment_many(np.array([0]), np.array([3.0]), level=1)
         assert tree.count((0,)) == pytest.approx(5.0)
         assert tree.get((1, 1), default=-1.0) == -1.0
 
-    def test_set_count_requires_existing_node(self):
-        tree = PartitionTree()
-        with pytest.raises(KeyError):
-            tree.set_count((0,), 1.0)
+    def test_increment_many_accumulates_repeated_codes(self):
+        tree = PartitionTree.complete(2)
+        tree.increment_many(np.array([3, 1, 3]), np.array([1.0, 2.0, 4.0]), level=2)
+        assert tree.count((1, 1)) == 5.0
+        assert tree.count((0, 1)) == 2.0
+        assert tree.count((0, 0)) == 0.0
 
-    def test_increment_requires_existing_node(self):
-        tree = PartitionTree()
+    def test_increment_many_requires_stored_cells(self):
+        tree = pruned_tree()
         with pytest.raises(KeyError):
-            tree.increment((1,))
+            tree.increment_many(np.array([2]), np.array([1.0]), level=2)
+        with pytest.raises(ValueError):
+            tree.increment_many(np.array([0]), np.array([1.0]), level=3)
+
+    def test_count_requires_existing_node(self):
+        with pytest.raises(KeyError):
+            PartitionTree().count((0,))
 
     def test_root_count_default_zero(self):
         assert PartitionTree().root_count == 0.0
@@ -61,57 +118,52 @@ class TestStructure:
         assert len(leaves) == 4
         assert all(len(theta) == 2 for theta in leaves)
 
-    def test_internal_nodes(self):
-        tree = PartitionTree.complete(2)
-        internal = tree.internal_nodes()
-        assert len(internal) == 3
-
-    def test_is_leaf_and_has_children(self):
-        tree = PartitionTree.complete(1)
-        assert tree.is_leaf((0,))
-        assert not tree.is_leaf(())
-        assert tree.has_children(())
+    def test_leaves_of_a_pruned_tree(self):
+        tree = pruned_tree()
+        assert tree.leaves() == [(1,), (0, 0), (0, 1)]
+        assert tree.leaf_counts().tolist() == [1.0, 2.0, 1.0]
 
     def test_nodes_at_level_sorted(self):
         tree = PartitionTree.complete(2)
         assert tree.nodes_at_level(2) == sorted(tree.nodes_at_level(2))
+        assert tree.nodes_at_level(5) == []
 
     def test_depth(self):
         tree = PartitionTree.complete(4)
         assert tree.depth() == 4
         assert PartitionTree().depth() == 0
 
-    def test_children_present(self):
-        tree = PartitionTree()
-        tree.add_node(())
-        tree.add_node((0,))
-        assert tree.children_present(()) == (True, False)
+    def test_nodes_iterate_level_by_level(self):
+        assert list(pruned_tree()) == [(), (0,), (1,), (0, 0), (0, 1)]
 
-    def test_level_counts_restricted(self):
-        tree = PartitionTree.complete(2, initial_count=1.0)
-        level = tree.level_counts(1)
-        assert set(level) == {(0,), (1,)}
+    def test_level_arrays_are_the_storage(self):
+        tree = pruned_tree()
+        codes, counts = tree.level(2)
+        assert codes.tolist() == [0, 1]
+        counts[1] = 7.0
+        assert tree.count((0, 1)) == 7.0
+        with pytest.raises(ValueError):
+            codes[0] = 3
+        with pytest.raises(ValueError):
+            tree.level(3)
+
+    def test_parent_counts_pair_with_sibling_pairs(self):
+        tree = pruned_tree()
+        assert tree.parent_counts(1).tolist() == [4.0]
+        assert tree.parent_counts(2).tolist() == [3.0]
 
 
 class TestInvariantsAndExport:
     def test_consistent_tree_detected(self):
-        tree = PartitionTree()
-        tree.add_node((), 4.0)
-        tree.add_node((0,), 1.0)
-        tree.add_node((1,), 3.0)
+        tree = PartitionTree.from_cells({(): 4.0, (0,): 1.0, (1,): 3.0})
         assert tree.is_consistent()
 
     def test_inconsistent_sum_detected(self):
-        tree = PartitionTree()
-        tree.add_node((), 4.0)
-        tree.add_node((0,), 1.0)
-        tree.add_node((1,), 1.0)
+        tree = PartitionTree.from_cells({(): 4.0, (0,): 1.0, (1,): 1.0})
         assert not tree.is_consistent()
 
     def test_negative_count_detected(self):
-        tree = PartitionTree()
-        tree.add_node((), -1.0)
-        assert not tree.is_consistent()
+        assert not PartitionTree(-1.0).is_consistent()
 
     def test_memory_words_scales_with_nodes(self):
         tree = PartitionTree.complete(3)
@@ -120,7 +172,7 @@ class TestInvariantsAndExport:
     def test_copy_is_independent(self):
         tree = PartitionTree.complete(1, initial_count=1.0)
         clone = tree.copy()
-        clone.set_count((), 9.0)
+        clone.level(0)[1][0] = 9.0
         assert tree.count(()) == 1.0
 
     def test_as_dict_snapshot(self):
@@ -128,3 +180,13 @@ class TestInvariantsAndExport:
         snapshot = tree.as_dict()
         assert snapshot[()] == 2.0
         assert len(snapshot) == 3
+
+    def test_merge_sums_counts_of_the_same_cells(self):
+        merged = pruned_tree().merge(pruned_tree())
+        assert merged.as_dict() == {cell: 2 * count for cell, count in pruned_tree().nodes()}
+
+    def test_merge_requires_the_same_cells(self):
+        with pytest.raises(ValueError):
+            pruned_tree().merge(PartitionTree.complete(2))
+        with pytest.raises(TypeError):
+            pruned_tree().merge({})

@@ -1,8 +1,12 @@
 """Tests for the finite ordered domain."""
 
+import numpy as np
 import pytest
 
+from repro.api.builder import PrivHPBuilder
+from repro.baselines.base import PrivHPMethod
 from repro.domain.discrete import DiscreteDomain
+from repro.ingest.spec import TenantSpec
 
 
 class TestConstruction:
@@ -59,15 +63,48 @@ class TestLocateAndSample:
         for _ in range(50):
             assert low <= discrete.sample_cell(theta, rng) <= high
 
-    def test_sample_empty_cell_raises(self):
+    def test_children_of_a_single_item_cell_cover_that_item(self, rng):
         domain = DiscreteDomain(size=3)
-        deep = (1, 1, 1, 1)
-        if domain.cell_range(deep)[0] > domain.cell_range(deep)[1]:
-            with pytest.raises(ValueError):
-                domain.sample_cell(deep, __import__("numpy").random.default_rng(0))
+        assert domain.cell_range((1,)) == (2, 2)
+        for theta in ((1, 0), (1, 1), (1, 1, 1, 1)):
+            assert domain.cell_range(theta) == (2, 2)
+            assert domain.cell_diameter(theta) == 0.0
+            assert domain.sample_cell(theta, rng) == 2
 
     def test_contains(self, discrete):
         assert discrete.contains(0)
         assert discrete.contains(99)
         assert not discrete.contains(100)
         assert not discrete.contains("x")
+
+
+class TestReleases:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_mass_is_lost_on_a_non_power_of_two_universe(self, seed):
+        """Noise on the halves of single-item cells used to land on empty
+        ranges: the leaf table dropped that mass and sampling raised."""
+        items = np.random.default_rng(seed).integers(0, 1000, 1000)
+        release = (
+            PrivHPBuilder("discrete:1000").stream_size(1000).seed(seed).build()
+            .update_batch(items).release()
+        )
+        assert release.mass(0, 999) == pytest.approx(1.0, abs=1e-12)
+        samples = release.sample(2000)
+        assert samples.min() >= 0 and samples.max() <= 999
+
+    def test_more_items_than_the_universe_resolves(self):
+        """The derived depth stops at the first level of single items."""
+        items = np.arange(4096) % 1000
+        builder = PrivHPBuilder("discrete:1000").stream_size(4096).seed(0)
+        assert builder.build_config().depth == 10
+        release = builder.build().update_batch(items).release()
+        assert release.tree.depth() == 10
+        assert release.mass(0, 999) == pytest.approx(1.0, abs=1e-12)
+        spec = TenantSpec("t", domain="discrete:1000", stream_size=4096)
+        assert spec.build_summarizer().update_batch(items).release().items_processed == 4096
+        assert PrivHPMethod(DiscreteDomain(1000), 1.0, 8).build_config(4096).depth == 10
+
+    def test_explicit_depth_is_left_alone(self):
+        builder = PrivHPBuilder("discrete:1000").stream_size(4096).override(depth=12)
+        assert builder.build_config().depth == 12
+        assert PrivHPBuilder("interval").stream_size(4096).build_config().depth == 12

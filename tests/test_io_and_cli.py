@@ -32,17 +32,12 @@ def fitted_generator(domain, data, seed=0):
 
 class TestTreeSerialization:
     def test_round_trip_preserves_counts(self):
-        tree = PartitionTree()
-        tree.add_node((), 10.0)
-        tree.add_node((0,), 4.0)
-        tree.add_node((1,), 6.0)
+        tree = PartitionTree.from_cells({(): 10.0, (0,): 4.0, (1,): 6.0})
         restored = tree_from_dict(tree_to_dict(tree))
         assert restored.as_dict() == tree.as_dict()
 
     def test_root_key_is_empty_string(self):
-        tree = PartitionTree()
-        tree.add_node((), 1.0)
-        assert tree_to_dict(tree) == {"": 1.0}
+        assert tree_to_dict(PartitionTree(1.0)) == {"": 1.0}
 
     def test_invalid_keys_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.consistency import enforce_consistency, enforce_subtree_consistency
+from repro.core.consistency import enforce_consistency, enforce_tree_consistency
 from repro.core.partition import select_top_k
 from repro.core.tree import PartitionTree
 from repro.domain.hypercube import Hypercube
@@ -32,23 +32,22 @@ class TestConsistencyProperties:
     @given(parent=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
            left=finite_floats, right=finite_floats)
     def test_single_step_restores_invariants(self, parent, left, right):
-        tree = PartitionTree()
-        tree.add_node((), parent)
-        tree.add_node((0,), left)
-        tree.add_node((1,), right)
-        enforce_consistency(tree, ())
-        assert tree.count((0,)) >= -1e-9
-        assert tree.count((1,)) >= -1e-9
-        assert tree.count((0,)) + tree.count((1,)) == np.float64(parent).item() or \
-            abs(tree.count((0,)) + tree.count((1,)) - parent) < 1e-6 * max(1.0, abs(parent)) + 1e-9
+        new_left, new_right = enforce_consistency(
+            np.array([parent]), np.array([left]), np.array([right])
+        )
+        left, right = float(new_left[0]), float(new_right[0])
+        assert left >= -1e-9
+        assert right >= -1e-9
+        assert left + right == np.float64(parent).item() or \
+            abs(left + right - parent) < 1e-6 * max(1.0, abs(parent)) + 1e-9
 
     @SETTINGS
     @given(counts=st.lists(finite_floats, min_size=15, max_size=15))
     def test_subtree_consistency_on_complete_depth3_tree(self, counts):
         tree = PartitionTree.complete(3, initial_count=0.0)
-        for theta, value in zip(sorted(tree, key=lambda c: (len(c), c)), counts):
-            tree.set_count(theta, value)
-        enforce_subtree_consistency(tree, ())
+        for level in range(4):
+            tree.level(level)[1][:] = counts[(1 << level) - 1 : (2 << level) - 1]
+        enforce_tree_consistency(tree)
         assert tree.is_consistent(tolerance=1e-6)
 
     @SETTINGS
@@ -56,10 +55,10 @@ class TestConsistencyProperties:
                            min_size=15, max_size=15))
     def test_consistency_preserves_root_mass_when_root_nonnegative(self, counts):
         tree = PartitionTree.complete(3, initial_count=0.0)
-        for theta, value in zip(sorted(tree, key=lambda c: (len(c), c)), counts):
-            tree.set_count(theta, value)
+        for level in range(4):
+            tree.level(level)[1][:] = counts[(1 << level) - 1 : (2 << level) - 1]
         root_before = tree.count(())
-        enforce_subtree_consistency(tree, ())
+        enforce_tree_consistency(tree)
         assert abs(tree.count(()) - root_before) < 1e-9
 
 
@@ -162,15 +161,17 @@ class TestMetricProperties:
 class TestTopKProperties:
     @SETTINGS
     @given(values=st.dictionaries(
-        keys=st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+        keys=st.integers(0, 7),
         values=st.floats(min_value=-100, max_value=100, allow_nan=False),
         min_size=0, max_size=8),
         k=st.integers(min_value=0, max_value=10))
     def test_top_k_returns_largest_values(self, values, k):
-        selected = select_top_k(values, k)
+        codes = np.array(sorted(values), dtype=np.int64)
+        selected = select_top_k(codes, np.array([values[code] for code in codes]), k).tolist()
         assert len(selected) == min(k, len(values))
+        assert selected == sorted(selected)
         if selected:
-            worst_selected = min(values[theta] for theta in selected)
-            unselected = [count for theta, count in values.items() if theta not in selected]
+            worst_selected = min(values[code] for code in selected)
+            unselected = [count for code, count in values.items() if code not in selected]
             if unselected:
                 assert worst_selected >= max(unselected) - 1e-12

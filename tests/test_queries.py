@@ -139,9 +139,7 @@ class TestQueriesOnPrivateRelease:
         assert report["max_abs_error"] < 0.2
 
     def test_degenerate_tree_answers_with_uniform(self, interval):
-        tree = PartitionTree()
-        tree.add_node((), 0.0)
-        engine = RangeQueryEngine(tree, interval)
+        engine = RangeQueryEngine(PartitionTree(0.0), interval)
         assert engine.mass(0.0, 0.25) == pytest.approx(0.25)
 
 
@@ -190,9 +188,7 @@ class TestQuantiles:
             QuantileEngine(PartitionTree(), square)
 
     def test_empty_tree_falls_back_to_uniform_quantile(self, interval):
-        tree = PartitionTree()
-        tree.add_node((), 0.0)
-        engine = QuantileEngine(tree, interval)
+        engine = QuantileEngine(PartitionTree(0.0), interval)
         assert engine.quantile(0.25) == pytest.approx(0.25)
 
 

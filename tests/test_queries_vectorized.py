@@ -144,7 +144,7 @@ class ScalarQuantileReference:
             return self._cell_interpolated_point((), probability)
         remaining = probability * total
         theta = ()
-        while self.tree.has_children(theta):
+        while theta + (0,) in self.tree:
             left, right = theta + (0,), theta + (1,)
             left_count = max(self.tree.get(left, 0.0), 0.0)
             if left_count >= remaining:
@@ -236,9 +236,7 @@ def _random_bounds(name, rng, count=40):
 
 
 def _degenerate_tree():
-    tree = PartitionTree()
-    tree.add_node((), 0.0)
-    return tree
+    return PartitionTree(0.0)
 
 
 def _trees(name):

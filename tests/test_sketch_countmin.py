@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sketch.countmin import CountMinSketch
+from repro.sketch.hashing import canonical_key
 
 
 class TestCountMinBasics:
@@ -39,9 +40,20 @@ class TestCountMinBasics:
         sketch = CountMinSketch(width=64, depth=4, seed=0)
         keys = [(i % 10,) for i in range(100)]
         sketch.update_many(keys)
-        estimates = sketch.query_many([(i,) for i in range(10)])
+        estimates = sketch.query_many([canonical_key((i,)) for i in range(10)])
         assert estimates.shape == (10,)
         assert np.all(estimates >= 10)
+        assert estimates.tolist() == [sketch.query((i,)) for i in range(10)]
+
+    def test_query_many_keeps_the_first_row_on_ties(self):
+        """A later row wins only when strictly smaller, so ``min(0.0, -0.0)``
+        stays ``0.0`` as with Python's ``min``."""
+        sketch = CountMinSketch(width=4, depth=2, seed=0)
+        sketch.load_state(np.array([[0.0] * 4, [-0.0] * 4]), total=0.0, updates=0)
+        estimates = sketch.query_many(np.arange(4, dtype=np.uint64))
+        assert not np.signbit(estimates).any()
+        sketch.load_state(np.array([[-0.0] * 4, [0.0] * 4]), total=0.0, updates=0)
+        assert np.signbit(sketch.query_many(np.arange(4, dtype=np.uint64))).all()
 
     def test_invalid_dimensions_raise(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.tree import cell_at
 from repro.sketch.hashing import (
     MERSENNE_PRIME,
     HashFamily,
@@ -104,7 +103,9 @@ class TestHashFamily:
         codes = [0, 1, (1 << level) - 2, (1 << level) - 1]
         codes += [int(code) for code in rng.integers(0, 1 << level, size=60, dtype=np.int64)]
         keys = np.array([(1 << level) | code for code in codes], dtype=np.uint64)
-        cells = [cell_at(level, code) for code in codes]
+        cells = [
+            tuple((code >> shift) & 1 for shift in range(level - 1, -1, -1)) for code in codes
+        ]
         for seed in range(3):
             family = HashFamily(depth=8, width=13, seed=seed)
             for row in range(family.depth):
