@@ -11,8 +11,8 @@ sharing a single event-driven time axis: each :meth:`update` /
 :meth:`ContinualPrivateCountMinSketch.update_batch` call is one synchronized
 step of the whole ``depth x width`` table (cells the event does not touch
 step with weight 0).  That makes the time axis data-independent and lets one
-``bincount`` per row replace per-cell Python updates -- the batch-native hot
-path of the continual summarizer.
+``bincount`` per block of hashed rows replace per-cell Python updates -- the
+batch-native hot path of the continual summarizer.
 
 Memory is a factor ``O(log horizon)`` above the one-shot private sketch,
 matching the usual cost of continual observation.
@@ -96,23 +96,26 @@ class ContinualPrivateCountMinSketch:
     def update_batch(self, keys, counts) -> None:
         """Aggregated vectorised update: one event for a whole batch.
 
-        ``keys`` must be canonical integer keys below ``2^63`` (see
+        ``keys`` must be a 1-d integer array of canonical keys in
+        ``[0, 2^63)`` (see
         :meth:`repro.sketch.countmin.CountMinSketch.update_batch`; the batched
         ingestion path packs hierarchy cells this way) and ``counts`` their
-        aggregated weights.  One ``bincount`` per row builds the weight table
-        and the bank advances a single step, so the cost is
+        aggregated weights.  One ``bincount`` per block of hashed rows builds
+        the weight table, summing each bucket from 0.0 in key order, and the
+        bank advances a single step, so the cost is
         ``O(batch * depth + depth * width * levels)`` independent of how many
         items the aggregated weights represent.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
         counts = np.asarray(counts, dtype=float)
-        if keys.shape != counts.shape:
+        if np.shape(keys) != counts.shape:
             raise ValueError("keys and counts must have matching shapes")
         weights = np.empty((self.depth, self.width))
-        for row in range(self.depth):
-            buckets = self._hashes.buckets_batch(row, keys)
-            weights[row] = np.bincount(buckets, weights=counts, minlength=self.width)
-        self._step(weights, updates=int(keys.size))
+        for rows, cells in self._hashes.cell_blocks(keys):
+            height = len(cells)
+            weights[rows] = np.bincount(
+                cells.ravel(), weights=np.tile(counts, height), minlength=height * self.width
+            ).reshape(height, self.width)
+        self._step(weights, updates=int(counts.size))
 
     def _step(self, weights: np.ndarray, updates: int) -> None:
         self._bank.step(weights.ravel())

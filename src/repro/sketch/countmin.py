@@ -107,25 +107,26 @@ class CountMinSketch:
     def update_batch(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Aggregated vectorised update: canonical integer keys with weights.
 
-        ``keys`` must be canonical integer keys (see
-        :func:`repro.sketch.hashing.canonical_key`) below ``2^63``; for a
-        hierarchy cell at level ``l`` with in-level index ``c`` that is the
-        packed value ``(1 << l) | c``, so the batch lands in exactly the same
-        buckets as per-item tuple updates.  ``counts`` are aggregated
-        multiplicities, and the ``updates`` counter advances by their sum so
-        batched and per-item ingestion of the same stream leave identical
-        sketch state.  Conservative sketches cannot batch aggregated counts
-        (the clamp is order-dependent) and raise.
+        ``keys`` must be a 1-d integer array of canonical keys (see
+        :func:`repro.sketch.hashing.canonical_key`) in ``[0, 2^63)``, or
+        ``ValueError`` is raised; for a hierarchy cell at level ``l`` with
+        in-level index ``c`` that is the packed value ``(1 << l) | c``, so the
+        batch lands in exactly the same buckets as per-item tuple updates.
+        Each block of rows from :meth:`HashFamily.cell_blocks` is one
+        ``np.add.at`` over the flat table, so every bucket's adds arrive in
+        key order, as they do from per-item updates.  ``counts`` are
+        aggregated multiplicities, and the ``updates`` counter advances by
+        their sum so batched and per-item ingestion of the same stream leave
+        identical sketch state.  Conservative sketches cannot batch
+        aggregated counts (the clamp is order-dependent) and raise.
         """
         if self.conservative:
             raise ValueError("conservative update does not support aggregated batches")
-        keys = np.asarray(keys, dtype=np.uint64)
         counts = np.asarray(counts, dtype=float)
-        if keys.shape != counts.shape or keys.ndim != 1:
+        if np.shape(keys) != counts.shape or counts.ndim != 1:
             raise ValueError("keys and counts must be 1-d arrays of equal length")
-        for row in range(self.depth):
-            buckets = self._hashes.buckets_batch(row, keys)
-            np.add.at(self._table[row], buckets, counts)
+        for rows, cells in self._hashes.cell_blocks(keys):
+            np.add.at(self._table[rows].reshape(-1), cells.ravel(), np.tile(counts, len(cells)))
         self._total += float(counts.sum())
         self._updates += int(round(float(counts.sum())))
 

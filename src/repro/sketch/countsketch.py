@@ -66,22 +66,21 @@ class CountSketch:
     def update_batch(self, keys: np.ndarray, counts: np.ndarray) -> None:
         """Aggregated vectorised update: canonical integer keys with weights.
 
-        ``keys`` must be canonical integer keys (see
-        :func:`repro.sketch.hashing.canonical_key`) below ``2^63``; each
+        ``keys`` must be a 1-d integer array of canonical keys (see
+        :func:`repro.sketch.hashing.canonical_key`) in ``[0, 2^63)``; each
         row receives ``sign(key) * count``, landing in exactly the same
         buckets with the same signs as per-item updates.  ``counts`` are
         aggregated multiplicities, and the ``updates`` counter advances by
         their sum so batched and per-item ingestion of the same stream leave
         identical sketch state.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
         counts = np.asarray(counts, dtype=float)
-        if keys.shape != counts.shape or keys.ndim != 1:
+        if np.shape(keys) != counts.shape or counts.ndim != 1:
             raise ValueError("keys and counts must be 1-d arrays of equal length")
-        for row in range(self.depth):
-            buckets = self._hashes.buckets_batch(row, keys)
-            signs = self._hashes.signs_batch(row, keys)
-            np.add.at(self._table[row], buckets, signs * counts)
+        blocks = zip(self._hashes.cell_blocks(keys), self._hashes.sign_blocks(keys))
+        for (rows, cells), (_, signs) in blocks:
+            signs *= counts
+            np.add.at(self._table[rows].reshape(-1), cells.ravel(), signs.ravel())
         self._total += float(counts.sum())
         self._updates += int(round(float(counts.sum())))
 

@@ -7,14 +7,18 @@ substitute: it is deterministic given the seed (so sketches are reproducible
 and mergeable) and behaves like a random function on the bit-string keys used
 by the hierarchy.
 
-Keys are arbitrary hashable Python objects; bit-tuples (the ``theta`` indices
-of hierarchy cells) and integers are the common cases, and both are converted
-to a canonical byte representation before hashing so that equal keys always
-collide with themselves.
+Scalar keys are arbitrary hashable Python objects; bit-tuples (the ``theta``
+indices of hierarchy cells) and integers are the common cases.
+:func:`canonical_key` maps each of them to an integer below the prime, so
+equal keys always collide with themselves.  Batched reads and writes take
+those integers directly: :meth:`HashFamily.cell_blocks` hashes a 1-d array of
+integer keys in ``[0, 2^63)`` against every row of the family, a block of
+rows at a time, and puts each key in the bucket the scalar hash gives it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,37 +61,86 @@ def canonical_key(key) -> int:
 
 
 _MASK61 = np.uint64(MERSENNE_PRIME)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_KEY_LIMIT = np.uint64(1 << 63)
+
+#: Hashed values per block of rows.  A block's ``rows x keys`` uint64
+#: temporaries stay cache-resident, so small key sets hash every row in one
+#: pass and key sets past this size hash one row at a time.
+_BLOCK_VALUES = 1 << 14
 
 
-def _mulmod_mersenne61(multiplier: int, keys: np.ndarray) -> np.ndarray:
-    """``(multiplier * keys) mod (2^61 - 1)`` on uint64 arrays without overflow.
+def _exact_keys(keys) -> np.ndarray:
+    """``keys`` as uint64, after checking the residue kernel hashes them exactly.
 
-    The 64x64-bit products are assembled from 32-bit halves and the 128-bit
-    result is folded with ``2^61 = 1 (mod p)``, so the arithmetic matches the
-    arbitrary-precision Python-int computation bit for bit for every
-    ``multiplier < p`` and every key below ``2^63``.
+    The kernel's fold is exact for keys below ``2^63`` only, and a signed or
+    float key would be wrapped or truncated by the cast; such keys raise
+    instead of landing in a bucket the scalar hash would not pick.
     """
-    a = np.uint64(multiplier)
-    a_hi, a_lo = a >> np.uint64(32), a & np.uint64(0xFFFFFFFF)
-    k_hi, k_lo = keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)
-    # multiplier * keys = hh<<64 + (hl + lh)<<32 + ll.  With a_hi < 2^29 and
-    # k_hi < 2^31 (keys < 2^63), hh < 2^60 and mid < 2^61 + 2^63, and the
-    # folded sum below stays under 2^63 + 2^62 + 2^36: nothing wraps 2^64.
-    hh = a_hi * k_hi
-    mid = a_hi * k_lo + a_lo * k_hi
-    ll = a_lo * k_lo
-    # Fold mod p: 2^64 = 8, x<<32 = (x >> 29) + ((x << 32) & p), x = (x>>61) + (x & p).
-    result = hh * np.uint64(8)
-    result += (mid >> np.uint64(29)) + ((mid << np.uint64(32)) & _MASK61)
-    result += (ll >> np.uint64(61)) + (ll & _MASK61)
-    result = (result & _MASK61) + (result >> np.uint64(61))
-    return _reduce61(result)
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or keys.dtype.kind not in "iu":
+        raise ValueError(
+            f"batched sketch keys must be a 1-d integer array, got a {keys.ndim}-d "
+            f"{keys.dtype} array"
+        )
+    if keys.size and (keys.min() < 0 if keys.dtype.kind == "i" else keys.max() >= _KEY_LIMIT):
+        raise ValueError("batched sketch keys must be a 1-d integer array of values in [0, 2^63)")
+    return keys.astype(np.uint64, copy=False)
 
 
-def _reduce61(values: np.ndarray) -> np.ndarray:
-    """Final reduction of values ``< 2^62`` to ``[0, p)`` for ``p = 2^61 - 1``."""
-    values = (values & _MASK61) + (values >> np.uint64(61))
-    return np.where(values >= _MASK61, values - _MASK61, values)
+def _coefficient_columns(hashes) -> tuple[np.ndarray, ...]:
+    """The ``(8 a_hi, a_hi, a_lo, b)`` columns of :func:`_residue_blocks`, one
+    uint64 row per hash, with ``a = a_hi 2^32 + a_lo``."""
+    a = np.array([h.a for h in hashes], dtype=np.uint64)[:, None]
+    b = np.array([h.b for h in hashes], dtype=np.uint64)[:, None]
+    a_hi = a >> 32
+    return a_hi << 3, a_hi, a & _LOW32, b
+
+
+def _residue_blocks(columns, keys: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, residues)`` with ``residues[i, j] = (a k_j + b) mod p``
+    for the coefficients ``(a, b)`` of row ``rows.start + i``.
+
+    Rows are hashed ``max(1, _BLOCK_VALUES // len(keys))`` at a time, so the
+    block height follows the key count alone.  The product is assembled from
+    32-bit halves, ``a k = hh 2^64 + mid 2^32 + ll``, and folded with
+    ``2^61 = 1 (mod p)``: ``2^64 = 8``, ``mid 2^32 = (mid >> 29) +
+    ((mid << 32) & p)`` and ``ll = (ll >> 61) + (ll & p)``.  With ``a < 2^61``
+    and keys below ``2^63`` the unreduced sum ``8 hh + (mid >> 29) +
+    ((mid << 32) & p) + (ll >> 61) + (ll & p) + b`` stays below ``2^63 +
+    3 2^61 + 2^35 + 8 < 2^64``, so nothing wraps, and one more fold leaves at
+    most ``p + 7``: a single conditional subtract of ``p`` gives the residue
+    Python's arbitrary-precision ``(a k + b) % p`` computes.  The temporaries
+    are updated in place.
+    """
+    hi8, hi, lo, b = columns
+    k_hi, k_lo = keys >> 32, keys & _LOW32
+    depth = len(b)
+    height = min(depth, max(1, _BLOCK_VALUES // max(keys.size, 1)))
+    for start in range(0, depth, height):
+        rows = slice(start, min(start + height, depth))
+        total = hi8[rows] * k_hi
+        total += b[rows]
+        part = lo[rows] * k_lo
+        spare = part & _MASK61
+        total += spare
+        part >>= 61
+        total += part
+        np.multiply(hi[rows], k_lo, out=part)
+        np.multiply(lo[rows], k_hi, out=spare)
+        part += spare
+        np.right_shift(part, 29, out=spare)
+        total += spare
+        part <<= 32
+        part &= _MASK61
+        total += part
+        np.right_shift(total, 61, out=spare)
+        total &= _MASK61
+        total += spare
+        # total - p wraps past total exactly when total < p.
+        np.subtract(total, _MASK61, out=spare)
+        np.minimum(total, spare, out=total)
+        yield rows, total
 
 
 @dataclass(frozen=True)
@@ -110,18 +163,6 @@ class PairwiseHash:
         value = canonical_key(key)
         return int(((self.a * value + self.b) % MERSENNE_PRIME) % self.width)
 
-    def buckets_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Bucket indices for an array of integer keys below ``2^63``.
-
-        The result equals ``[self(k) for k in keys]``: keys need not be
-        reduced mod p, because the fold in :func:`_mulmod_mersenne61` is exact
-        for every key below ``2^63`` -- which covers the cell keys
-        ``(1 << l) | c`` of every level ``l <= 62``.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        hashed = _reduce61(_mulmod_mersenne61(self.a, keys) + np.uint64(self.b))
-        return (hashed % np.uint64(self.width)).astype(np.int64)
-
 
 @dataclass(frozen=True)
 class SignedHash:
@@ -134,16 +175,6 @@ class SignedHash:
         value = canonical_key(key)
         bit = ((self.a * value + self.b) % MERSENNE_PRIME) & 1
         return 1 if bit else -1
-
-    def signs_batch(self, keys: np.ndarray) -> np.ndarray:
-        """``+/-1`` signs for an array of integer keys below ``2^63``.
-
-        The result equals ``[self(k) for k in keys]``, under the same key
-        bound as :meth:`PairwiseHash.buckets_batch`.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        hashed = _reduce61(_mulmod_mersenne61(self.a, keys) + np.uint64(self.b))
-        return np.where(hashed & np.uint64(1), 1.0, -1.0)
 
 
 class HashFamily:
@@ -172,37 +203,61 @@ class HashFamily:
             )
             for _ in range(depth)
         ]
+        self._row_columns = _coefficient_columns(self._row_hashes)
+        self._sign_columns = _coefficient_columns(self._sign_hashes)
+        self._row_offsets = np.arange(depth, dtype=np.uint64)[:, None] * np.uint64(width)
 
     def bucket(self, row: int, key) -> int:
         """Bucket index of ``key`` in ``row``."""
         return self._row_hashes[row](key)
 
-    def buckets_batch(self, row: int, keys: np.ndarray) -> np.ndarray:
-        """Vectorised bucket indices for canonical integer keys in ``row``."""
-        return self._row_hashes[row].buckets_batch(keys)
+    def cell_blocks(self, keys) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(rows, cells)`` covering every row once, a block at a time.
 
-    def min_over_rows(self, table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        ``keys`` is a 1-d integer array of canonical keys in ``[0, 2^63)``
+        (anything else raises ``ValueError`` before the first block);
+        ``cells[i, j]`` is ``i * width + bucket(rows.start + i, keys[j])``,
+        the flat index of key ``j``'s bucket in ``table[rows].reshape(-1)``.
+        Small key sets come back as one block of all rows; see
+        :func:`_residue_blocks` for the block rule and the arithmetic.
+        """
+        for rows, residues in _residue_blocks(self._row_columns, _exact_keys(keys)):
+            residues %= np.uint64(self.width)
+            residues += self._row_offsets[: len(residues)]
+            yield rows, residues.view(np.int64)
+
+    def min_over_rows(self, table: np.ndarray, keys) -> np.ndarray:
         """Count-Min point estimates of canonical integer keys from ``table``.
 
         Each key's estimate is the minimum of its buckets across the rows of
-        the ``depth x width`` table.  Rows are scanned in order and a later
-        row wins only when strictly smaller, which is ``min()``'s tie rule
-        (``np.minimum`` would turn ``min(0.0, -0.0) = 0.0`` into ``-0.0``).
+        the ``depth x width`` table.  A later row wins only when strictly
+        smaller, which is ``min()``'s tie rule: ``min(0.0, -0.0)`` is
+        ``0.0``, where ``np.minimum`` may return either zero.  Inside a block
+        the minimum is exact except for that sign, so a zero minimum is
+        replaced by the block's first zero; blocks merge with a strict ``<``.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        estimates = table[0, self.buckets_batch(0, keys)]
-        for row in range(1, self.depth):
-            values = table[row, self.buckets_batch(row, keys)]
-            estimates = np.where(values < estimates, values, estimates)
+        estimates = None
+        for rows, cells in self.cell_blocks(keys):
+            values = table[rows].reshape(-1)[cells]
+            lowest = values.min(axis=0)
+            tied = np.flatnonzero(lowest == 0.0)
+            if tied.size:
+                zeros = values[:, tied] == 0.0
+                lowest[tied] = values[zeros.argmax(axis=0), tied]
+            if estimates is not None:
+                lowest = np.where(lowest < estimates, lowest, estimates)
+            estimates = lowest
         return estimates
 
     def sign(self, row: int, key) -> int:
         """Sign (+1/-1) of ``key`` in ``row`` (used by Count-Sketch only)."""
         return self._sign_hashes[row](key)
 
-    def signs_batch(self, row: int, keys: np.ndarray) -> np.ndarray:
-        """Vectorised signs for canonical integer keys in ``row``."""
-        return self._sign_hashes[row].signs_batch(keys)
+    def sign_blocks(self, keys) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(rows, signs)`` with ``signs[i, j] = sign(rows.start + i,
+        keys[j])`` as floats, in the same blocks as :meth:`cell_blocks`."""
+        for rows, residues in _residue_blocks(self._sign_columns, _exact_keys(keys)):
+            yield rows, np.where(residues & 1, 1.0, -1.0)
 
     def buckets(self, key) -> list[int]:
         """Bucket indices of ``key`` for every row."""

@@ -45,15 +45,20 @@ class TestCountMinBasics:
         assert np.all(estimates >= 10)
         assert estimates.tolist() == [sketch.query((i,)) for i in range(10)]
 
-    def test_query_many_keeps_the_first_row_on_ties(self):
+    @pytest.mark.parametrize("depth, n", [(3, 4), (20, 820), (20, 16385)])
+    def test_query_many_keeps_the_first_row_on_ties(self, depth, n):
         """A later row wins only when strictly smaller, so ``min(0.0, -0.0)``
-        stays ``0.0`` as with Python's ``min``."""
-        sketch = CountMinSketch(width=4, depth=2, seed=0)
-        sketch.load_state(np.array([[0.0] * 4, [-0.0] * 4]), total=0.0, updates=0)
-        estimates = sketch.query_many(np.arange(4, dtype=np.uint64))
-        assert not np.signbit(estimates).any()
-        sketch.load_state(np.array([[-0.0] * 4, [0.0] * 4]), total=0.0, updates=0)
-        assert np.signbit(sketch.query_many(np.arange(4, dtype=np.uint64))).all()
+        stays ``0.0`` as with Python's ``min``: the first zero row wins, with
+        or without a larger row ahead of it, inside one block of hashed rows
+        and across blocks (820 keys split 20 rows into 19 + 1, and past
+        16,384 keys every row is its own block)."""
+        sketch = CountMinSketch(width=4, depth=depth, seed=0)
+        keys = np.arange(n, dtype=np.uint64)
+        for lead in ([], [[1.0] * 4]):
+            for first, later in ((0.0, -0.0), (-0.0, 0.0)):
+                rows = lead + [[first] * 4] + [[later] * 4] * (depth - 1 - len(lead))
+                sketch.load_state(np.array(rows), total=0.0, updates=0)
+                assert (np.signbit(sketch.query_many(keys)) == np.signbit(first)).all()
 
     def test_invalid_dimensions_raise(self):
         with pytest.raises(ValueError):

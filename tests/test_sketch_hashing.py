@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.continual.sketch import ContinualPrivateCountMinSketch
+from repro.sketch.countmin import CountMinSketch
+from repro.sketch.countsketch import CountSketch
 from repro.sketch.hashing import (
     MERSENNE_PRIME,
     HashFamily,
@@ -108,10 +111,152 @@ class TestHashFamily:
         ]
         for seed in range(3):
             family = HashFamily(depth=8, width=13, seed=seed)
+            buckets = np.vstack([
+                blocked - 13 * np.arange(len(blocked))[:, None]
+                for _, blocked in family.cell_blocks(keys)
+            ])
+            signs = np.vstack([blocked for _, blocked in family.sign_blocks(keys)])
             for row in range(family.depth):
-                assert family.buckets_batch(row, keys).tolist() == [
-                    family.bucket(row, cell) for cell in cells
-                ]
-                assert family.signs_batch(row, keys).tolist() == [
-                    float(family.sign(row, cell)) for cell in cells
-                ]
+                assert buckets[row].tolist() == [family.bucket(row, cell) for cell in cells]
+                assert signs[row].tolist() == [float(family.sign(row, cell)) for cell in cells]
+
+    def test_batch_hashes_reduce_keys_whose_residue_is_zero(self):
+        """A key with ``a k + b = 0 (mod p)`` folds to exactly ``p`` before
+        the final conditional subtract, so the batched bucket matches the
+        scalar one only if that subtract happens; keys ``k + m p`` below 2^63
+        reach the same residue through different unreduced sums."""
+        family = HashFamily(depth=6, width=13, seed=5)
+        zeros = [
+            (-h.b * pow(h.a, -1, MERSENNE_PRIME)) % MERSENNE_PRIME for h in family._row_hashes
+        ]
+        keys = np.array(
+            [k + m * MERSENNE_PRIME for k in zeros for m in range(4)], dtype=np.uint64
+        )
+        buckets = np.vstack([
+            blocked - 13 * np.arange(len(blocked))[:, None]
+            for _, blocked in family.cell_blocks(keys)
+        ])
+        for row in range(family.depth):
+            assert buckets[row].tolist() == [family.bucket(row, int(k)) for k in keys]
+        assert (buckets[np.arange(6).repeat(4), np.arange(24)] == 0).all()
+
+
+def _pin_keys(n: int, seed: int) -> np.ndarray:
+    """``n`` keys below ``2^63``: the range's end points and the cell keys
+    ``(1 << level) | code`` of levels 59-62 first, then random 63-bit keys."""
+    edges = [(1 << 63) - 1, 0]
+    for level in (59, 60, 61, 62):
+        edges += [(1 << level) | 0, (1 << level) | ((1 << level) - 1)]
+    rng = np.random.default_rng(seed)
+    fill = rng.integers(0, 1 << 63, size=max(n - len(edges), 0), dtype=np.uint64)
+    return np.concatenate([np.array(edges, dtype=np.uint64), fill])[:n]
+
+
+# Key counts on both sides of each change in the batched hashes' rows per
+# block (2^14 hashed values per block at 20 rows: 20 -> 19 rows at 820 keys,
+# 10 -> 9 at 1,639 and one clamped row from 16,385 on), for every depth and
+# width.  The clamp cases run once, at 20 rows: the scalar oracle costs
+# ~2 us per key and row, and the clamp depends on neither depth nor width.
+_PIN_CASES = [
+    (depth, width, n)
+    for depth in (1, 12, 20)
+    for width in (1, 13, 16)
+    for n in (0, 1, 819, 820, 1638, 1639)
+] + [(20, 13, 16384), (20, 13, 16385)]
+
+
+@pytest.mark.parametrize("depth, width, n", _PIN_CASES)
+class TestBatchedSketchesMatchScalarSketches:
+    """Every batched sketch read and write equals its scalar counterpart bit
+    for bit: same buckets, and each bucket's adds arrive in key order."""
+
+    def _inputs(self, depth, width, n):
+        rng = np.random.default_rng([depth, width, n])
+        return _pin_keys(n, seed=n), rng.laplace(0.0, 3.0, n), rng.laplace(0.0, 1.0, (depth, width))
+
+    def test_countmin_update_batch(self, depth, width, n):
+        keys, counts, noise = self._inputs(depth, width, n)
+        batched, scalar = (CountMinSketch(width, depth, seed=3) for _ in range(2))
+        for sketch in (batched, scalar):
+            sketch.add_noise_matrix(noise)
+        batched.update_batch(keys, counts)
+        for key, count in zip(keys, counts):
+            scalar.update(int(key), float(count))
+        assert batched.table.tobytes() == scalar.table.tobytes()
+
+    def test_countmin_query_many(self, depth, width, n):
+        keys, _, noise = self._inputs(depth, width, n)
+        sketch = CountMinSketch(width, depth, seed=4)
+        sketch.add_noise_matrix(noise)
+        expected = np.array([sketch.query(int(key)) for key in keys], dtype=float)
+        assert sketch.query_many(keys).tobytes() == expected.tobytes()
+
+    def test_continual_update_batch(self, depth, width, n):
+        keys, counts, _ = self._inputs(depth, width, n)
+        batched, itemwise = (
+            ContinualPrivateCountMinSketch(
+                width, depth, epsilon=1.0, horizon=4, seed=5, rng=np.random.default_rng(6)
+            )
+            for _ in range(2)
+        )
+        batched.update_batch(keys, counts)
+        itemwise.update_many([int(key) for key in keys], [float(count) for count in counts])
+        banks = [sketch.state_dict(arrays=True)["bank"] for sketch in (batched, itemwise)]
+        for table in ("alpha", "noisy_alpha"):
+            assert banks[0][table].tobytes() == banks[1][table].tobytes()
+        assert batched.updates == itemwise.updates
+
+    def test_countsketch_update_batch(self, depth, width, n):
+        keys, counts, _ = self._inputs(depth, width, n)
+        batched, scalar = (CountSketch(width, depth, seed=7) for _ in range(2))
+        batched.update_batch(keys, counts)
+        for key, count in zip(keys, counts):
+            scalar.update(int(key), float(count))
+        assert batched.table.tobytes() == scalar.table.tobytes()
+
+
+def _sketch(kind: str):
+    if kind == "countmin":
+        return CountMinSketch(13, 4, seed=1)
+    if kind == "continual":
+        return ContinualPrivateCountMinSketch(13, 4, epsilon=1.0, horizon=4, seed=1, rng=0)
+    return CountSketch(13, 4, seed=1)
+
+
+class TestBatchedKeysAreValidated:
+    """Batched reads and writes take only keys they hash exactly: a 1-d
+    integer array with every key in [0, 2^63).  Anything else raises before
+    the sketch changes, instead of wrapping -1 to 2^64 - 1, folding keys past
+    2^63 into the wrong bucket or truncating 1.5 to 1."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([-1]),
+            np.array([5, 1 << 63], dtype=np.uint64),
+            np.array([17642056304801353255], dtype=np.uint64),
+            np.array([1.5]),
+            np.array([[1, 2]]),
+        ],
+        ids=["negative", "2^63", "above-2^63", "float", "2-d"],
+    )
+    @pytest.mark.parametrize(
+        "kind, method",
+        [
+            ("countmin", "update_batch"),
+            ("countmin", "query_many"),
+            ("continual", "update_batch"),
+            ("continual", "query_many"),
+            ("countsketch", "update_batch"),
+        ],
+    )
+    def test_keys_outside_the_exact_range_raise(self, kind, method, keys):
+        sketch = _sketch(kind)
+        args = (keys, np.ones(keys.shape)) if method == "update_batch" else (keys,)
+        with pytest.raises(ValueError, match="1-d"):
+            getattr(sketch, method)(*args)
+        assert sketch.updates == 0
+        if kind == "continual":
+            assert sketch.events == 0
+        else:
+            assert not sketch.table.any()
