@@ -64,9 +64,16 @@ _MASK61 = np.uint64(MERSENNE_PRIME)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _KEY_LIMIT = np.uint64(1 << 63)
 
-#: Hashed values per block of rows.  A block's ``rows x keys`` uint64
-#: temporaries stay cache-resident, so small key sets hash every row in one
-#: pass and key sets past this size hash one row at a time.
+#: Hashed values per block of rows for key sets of at most this many keys.
+#: numpy releases the GIL for calls on more than about 500 values
+#: (``np.add.at`` from 499), and a thread that releases it beside a busy
+#: Python thread can wait a whole switch interval to take it back; blocks
+#: this small keep every call of a small append or read holding the GIL.
+_GIL_VALUES = 498
+
+#: Hashed values per block of rows for larger key sets, whose every call
+#: releases the GIL anyway: fewer, larger calls, with the block's
+#: ``rows x keys`` uint64 temporaries still cache-resident.
 _BLOCK_VALUES = 1 << 14
 
 
@@ -101,22 +108,24 @@ def _residue_blocks(columns, keys: np.ndarray) -> Iterator[tuple[slice, np.ndarr
     """Yield ``(rows, residues)`` with ``residues[i, j] = (a k_j + b) mod p``
     for the coefficients ``(a, b)`` of row ``rows.start + i``.
 
-    Rows are hashed ``max(1, _BLOCK_VALUES // len(keys))`` at a time, so the
-    block height follows the key count alone.  The product is assembled from
-    32-bit halves, ``a k = hh 2^64 + mid 2^32 + ll``, and folded with
-    ``2^61 = 1 (mod p)``: ``2^64 = 8``, ``mid 2^32 = (mid >> 29) +
-    ((mid << 32) & p)`` and ``ll = (ll >> 61) + (ll & p)``.  With ``a < 2^61``
-    and keys below ``2^63`` the unreduced sum ``8 hh + (mid >> 29) +
-    ((mid << 32) & p) + (ll >> 61) + (ll & p) + b`` stays below ``2^63 +
-    3 2^61 + 2^35 + 8 < 2^64``, so nothing wraps, and one more fold leaves at
-    most ``p + 7``: a single conditional subtract of ``p`` gives the residue
-    Python's arbitrary-precision ``(a k + b) % p`` computes.  The temporaries
-    are updated in place.
+    Rows are hashed ``max(1, values // len(keys))`` at a time, where
+    ``values`` is ``_GIL_VALUES`` for up to that many keys and
+    ``_BLOCK_VALUES`` past it, so the block height follows the key count
+    alone.  The product is assembled from 32-bit halves, ``a k = hh 2^64 +
+    mid 2^32 + ll``, and folded with ``2^61 = 1 (mod p)``: ``2^64 = 8``,
+    ``mid 2^32 = (mid >> 29) + ((mid << 32) & p)`` and ``ll = (ll >> 61) +
+    (ll & p)``.  With ``a < 2^61`` and keys below ``2^63`` the unreduced sum
+    ``8 hh + (mid >> 29) + ((mid << 32) & p) + (ll >> 61) + (ll & p) + b``
+    stays below ``2^63 + 3 2^61 + 2^35 + 8 < 2^64``, so nothing wraps, and
+    one more fold leaves at most ``p + 7``: a single conditional subtract of
+    ``p`` gives the residue Python's arbitrary-precision ``(a k + b) % p``
+    computes.  The temporaries are updated in place.
     """
     hi8, hi, lo, b = columns
     k_hi, k_lo = keys >> 32, keys & _LOW32
     depth = len(b)
-    height = min(depth, max(1, _BLOCK_VALUES // max(keys.size, 1)))
+    values = _GIL_VALUES if keys.size <= _GIL_VALUES else _BLOCK_VALUES
+    height = min(depth, max(1, values // max(keys.size, 1)))
     for start in range(0, depth, height):
         rows = slice(start, min(start + height, depth))
         total = hi8[rows] * k_hi
@@ -204,7 +213,6 @@ class HashFamily:
             for _ in range(depth)
         ]
         self._row_columns = _coefficient_columns(self._row_hashes)
-        self._sign_columns = _coefficient_columns(self._sign_hashes)
         self._row_offsets = np.arange(depth, dtype=np.uint64)[:, None] * np.uint64(width)
 
     def bucket(self, row: int, key) -> int:
@@ -218,8 +226,7 @@ class HashFamily:
         (anything else raises ``ValueError`` before the first block);
         ``cells[i, j]`` is ``i * width + bucket(rows.start + i, keys[j])``,
         the flat index of key ``j``'s bucket in ``table[rows].reshape(-1)``.
-        Small key sets come back as one block of all rows; see
-        :func:`_residue_blocks` for the block rule and the arithmetic.
+        See :func:`_residue_blocks` for the block rule and the arithmetic.
         """
         for rows, residues in _residue_blocks(self._row_columns, _exact_keys(keys)):
             residues %= np.uint64(self.width)
@@ -235,6 +242,9 @@ class HashFamily:
         ``0.0``, where ``np.minimum`` may return either zero.  Inside a block
         the minimum is exact except for that sign, so a zero minimum is
         replaced by the block's first zero; blocks merge with a strict ``<``.
+        (An ``argmin`` gather keeps the rule in one step, but numpy's
+        arg-reductions release the GIL at every size and run 2-10x slower
+        than ``min`` on these blocks.)
         """
         estimates = None
         for rows, cells in self.cell_blocks(keys):
@@ -256,7 +266,8 @@ class HashFamily:
     def sign_blocks(self, keys) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield ``(rows, signs)`` with ``signs[i, j] = sign(rows.start + i,
         keys[j])`` as floats, in the same blocks as :meth:`cell_blocks`."""
-        for rows, residues in _residue_blocks(self._sign_columns, _exact_keys(keys)):
+        columns = _coefficient_columns(self._sign_hashes)
+        for rows, residues in _residue_blocks(columns, _exact_keys(keys)):
             yield rows, np.where(residues & 1, 1.0, -1.0)
 
     def buckets(self, key) -> list[int]:

@@ -45,13 +45,15 @@ class TestCountMinBasics:
         assert np.all(estimates >= 10)
         assert estimates.tolist() == [sketch.query((i,)) for i in range(10)]
 
-    @pytest.mark.parametrize("depth, n", [(3, 4), (20, 820), (20, 16385)])
+    @pytest.mark.parametrize(
+        "depth, n", [(3, 4), (20, 25), (20, 250), (20, 820), (20, 16385)]
+    )
     def test_query_many_keeps_the_first_row_on_ties(self, depth, n):
         """A later row wins only when strictly smaller, so ``min(0.0, -0.0)``
         stays ``0.0`` as with Python's ``min``: the first zero row wins, with
         or without a larger row ahead of it, inside one block of hashed rows
-        and across blocks (820 keys split 20 rows into 19 + 1, and past
-        16,384 keys every row is its own block)."""
+        and across blocks (25 and 820 keys split 20 rows into 19 + 1, and
+        250 keys, like every count past 16,384, hash one row per block)."""
         sketch = CountMinSketch(width=4, depth=depth, seed=0)
         keys = np.arange(n, dtype=np.uint64)
         for lead in ([], [[1.0] * 4]):

@@ -140,6 +140,18 @@ class TestHashFamily:
             assert buckets[row].tolist() == [family.bucket(row, int(k)) for k in keys]
         assert (buckets[np.arange(6).repeat(4), np.arange(24)] == 0).all()
 
+    @pytest.mark.parametrize("n", [1, 24, 25, 64, 249, 250, 498])
+    def test_small_key_sets_hash_in_blocks_that_keep_the_gil(self, n):
+        """numpy releases the GIL for calls on more than ~500 values, and
+        an ingest thread that releases it beside a busy reader thread can
+        wait a whole switch interval to take it back.  Up to 498 keys, no
+        block holds more than 498 hashed values, and the blocks still
+        cover every row once."""
+        family = HashFamily(depth=20, width=13, seed=0)
+        blocks = [rows for rows, _ in family.cell_blocks(np.arange(n, dtype=np.uint64))]
+        assert [row for rows in blocks for row in range(rows.start, rows.stop)] == list(range(20))
+        assert max(rows.stop - rows.start for rows in blocks) * n <= 498
+
 
 def _pin_keys(n: int, seed: int) -> np.ndarray:
     """``n`` keys below ``2^63``: the range's end points and the cell keys
@@ -153,15 +165,17 @@ def _pin_keys(n: int, seed: int) -> np.ndarray:
 
 
 # Key counts on both sides of each change in the batched hashes' rows per
-# block (2^14 hashed values per block at 20 rows: 20 -> 19 rows at 820 keys,
-# 10 -> 9 at 1,639 and one clamped row from 16,385 on), for every depth and
-# width.  The clamp cases run once, at 20 rows: the scalar oracle costs
-# ~2 us per key and row, and the clamp depends on neither depth nor width.
+# block, for every depth and width.  Up to 498 keys a block holds at most
+# 498 hashed values: 20 -> 19 rows at 25 keys, 12 -> 11 at 42, 2 -> 1 at
+# 250.  From 499 keys on it holds up to 2^14: back to 20 rows at 499, 20 ->
+# 19 at 820, 10 -> 9 at 1,639 and one clamped row from 16,385 on.  The clamp
+# cases run once, at 20 rows: the scalar oracle costs ~2 us per key and row,
+# and the clamp depends on neither depth nor width.
 _PIN_CASES = [
     (depth, width, n)
     for depth in (1, 12, 20)
     for width in (1, 13, 16)
-    for n in (0, 1, 819, 820, 1638, 1639)
+    for n in (0, 1, 24, 25, 41, 42, 249, 250, 498, 499, 819, 820, 1638, 1639)
 ] + [(20, 13, 16384), (20, 13, 16385)]
 
 
