@@ -79,7 +79,6 @@ from repro.api.builder import PrivHPBuilder
 from repro.api.registry import available_domains, make_domain
 from repro.api.release import Release
 from repro.api.summarizer import DEFAULT_BATCH_SIZE, ingest_batches
-from repro.core.privhp import PrivHP
 from repro.ingest.partition import DEFAULT_REPLY_TIMEOUT
 from repro.io.serialization import load_checkpoint, save_checkpoint
 from repro.metrics.wasserstein import empirical_wasserstein

@@ -61,10 +61,16 @@ class SyntheticDataGenerator:
 
         The output shape follows the domain: scalar domains give a 1-d array
         of length ``size``, vector domains an array of shape
-        ``(size, dimension)``.
+        ``(size, dimension)``.  ``size = 0`` gives that shape and dtype too,
+        and draws nothing from the sampling generator.
         """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
+        if size == 0:
+            # A point drawn with a throwaway generator carries the shape and
+            # dtype of a draw without advancing the sampling stream.
+            point = np.asarray(self.domain.sample_cell((), np.random.default_rng(0)))
+            return np.empty((0, *point.shape), dtype=point.dtype)
         levels = self._levels()
         return np.asarray([self._draw(levels) for _ in range(size)])
 

@@ -173,17 +173,18 @@ class Domain(ABC):
         return bits
 
     @staticmethod
-    def _interleave_unit_bits(unit: np.ndarray, level: int) -> np.ndarray | None:
+    def _interleave_unit_bits(unit: np.ndarray, level: int) -> np.ndarray:
         """Bit-interleave per-axis dyadic expansions of unit-cube coordinates.
 
         Coordinate ``i`` of an ``(n, d)`` array is split ``s_i`` times within
         the first ``level`` positions; its dyadic index is
         ``floor(x_i * 2^{s_i})`` (clamped to the valid range, matching the
         halving comparison loop for out-of-range values), and bit ``t`` of
-        that index lands at position ``i + t*d``.  Returns ``None`` when any
-        axis needs more than 62 splits (the caller falls back to the scalar
-        path, whose Python ints do not overflow).
+        that index lands at position ``i + t*d``.  Levels past 62, whose cell
+        codes :meth:`pack_paths` cannot pack, raise ``ValueError``.
         """
+        if level > 62:
+            raise ValueError(f"cannot locate a batch deeper than 62 levels, got {level}")
         count, dimension = unit.shape
         bits = np.empty((count, level), dtype=np.uint8)
         for axis in range(dimension):
@@ -191,8 +192,6 @@ class Domain(ABC):
             splits = len(positions)
             if splits == 0:
                 continue
-            if splits > 62:
-                return None
             codes = np.clip(
                 (unit[:, axis] * (1 << splits)).astype(np.int64), 0, (1 << splits) - 1
             )

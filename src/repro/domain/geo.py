@@ -147,10 +147,7 @@ class GeoDomain(Domain):
         # False), matching the scalar path's fail-loud range check.
         if unit.size and not ((unit >= 0.0) & (unit <= 1.0)).all():
             raise ValueError("some points lie outside the bounding box")
-        bits = self._interleave_unit_bits(unit, level)
-        if bits is None:
-            return super().locate_batch(coords, level)
-        return bits
+        return self._interleave_unit_bits(unit, level)
 
     def sample_cell(self, theta: Cell, rng: np.random.Generator) -> np.ndarray:
         """Uniform random (lat, lon) within the cell."""

@@ -124,10 +124,7 @@ class Hypercube(Domain):
             )
         if coords.size and not np.isfinite(coords).all():
             raise ValueError("point coordinates must be finite")
-        bits = self._interleave_unit_bits(coords, level)
-        if bits is None:
-            return super().locate_batch(coords, level)
-        return bits
+        return self._interleave_unit_bits(coords, level)
 
     def sample_cell(self, theta: Cell, rng: np.random.Generator) -> np.ndarray:
         """Uniform random point within the cell ``Omega_theta``."""

@@ -73,10 +73,13 @@ class UnitInterval(Domain):
 
         ``floor(v * 2^level)`` (clamped to the last cell for ``v = 1.0``) is
         exactly the cell index :meth:`locate` computes, because scaling by a
-        power of two is exact in floating point.
+        power of two is exact in floating point.  Levels past 62, whose cell
+        codes :meth:`Domain.pack_paths` cannot pack, raise ``ValueError``.
         """
         if level < 0:
             raise ValueError(f"level must be non-negative, got {level}")
+        if level > 62:
+            raise ValueError(f"cannot locate a batch deeper than 62 levels, got {level}")
         values = np.asarray(points, dtype=float)
         if values.ndim != 1:
             raise ValueError(f"expected a 1-d array of scalars, got shape {values.shape}")
@@ -84,8 +87,6 @@ class UnitInterval(Domain):
         # False), matching the scalar path's fail-loud range check.
         if values.size and not ((values >= 0.0) & (values <= 1.0)).all():
             raise ValueError("points must lie in [0, 1]")
-        if level > 62:
-            return super().locate_batch(values, level)
         codes = np.clip((values * (1 << level)).astype(np.int64), 0, (1 << level) - 1)
         shifts = np.arange(level - 1, -1, -1, dtype=np.int64)
         return ((codes[:, None] >> shifts) & 1).astype(np.uint8)

@@ -6,7 +6,7 @@ driven by the benchmarks under ``benchmarks/`` (and runnable directly, e.g.
 dictionaries so benchmarks, tests and examples can all consume them.
 """
 
-from repro.experiments.harness import format_table, run_methods, seeded_rng
+from repro.experiments.harness import format_table
 from repro.experiments.runner import (
     MatrixSpec,
     ResultStore,
@@ -42,9 +42,7 @@ __all__ = [
     "load_spec",
     "memory_tradeoff",
     "run_matrix",
-    "run_methods",
     "run_table1",
-    "seeded_rng",
     "sketch_ablation",
     "skew_experiment",
     "smoke_spec",

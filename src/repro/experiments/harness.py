@@ -1,36 +1,24 @@
 """Shared plumbing for the experiment modules.
 
-Provides deterministic RNG plumbing, batched ingestion through the unified
-``repro.api`` surface, a generic "evaluate this list of methods on this
-dataset" loop, and plain-text table formatting so every experiment prints
-results in the same shape the paper's tables use.
+Provides batched ingestion through the unified ``repro.api`` surface, the
+shared measured-row schema, and plain-text table formatting so every
+experiment prints results in the same shape the paper's tables use.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.api.builder import PrivHPBuilder
 from repro.api.release import Release
 from repro.api.summarizer import DEFAULT_BATCH_SIZE, ingest_batches
 from repro.domain.base import Domain
-from repro.metrics.evaluation import EvaluationResult, evaluate_method
 
 __all__ = [
-    "seeded_rng",
     "ingest_batches",
     "fit_release",
-    "run_methods",
     "format_table",
-    "rows_from_results",
     "domain_spec_for_dimension",
     "measured_row",
 ]
-
-
-def seeded_rng(seed: int | None) -> np.random.Generator:
-    """A fresh generator from a seed (or OS entropy when ``seed`` is None)."""
-    return np.random.default_rng(seed)
 
 
 def domain_spec_for_dimension(dimension: int) -> str:
@@ -79,38 +67,6 @@ def fit_release(
         .override(**overrides)
     )
     return ingest_batches(builder.build(), data, batch_size).release()
-
-
-def run_methods(
-    methods,
-    data,
-    domain: Domain,
-    synthetic_size: int | None = None,
-    repetitions: int = 3,
-    seed: int | None = 0,
-    parameters: dict | None = None,
-) -> list[EvaluationResult]:
-    """Evaluate every method on the same dataset with a shared seed stream."""
-    rng = seeded_rng(seed)
-    results = []
-    for method in methods:
-        results.append(
-            evaluate_method(
-                method,
-                data,
-                domain,
-                synthetic_size=synthetic_size,
-                repetitions=repetitions,
-                rng=np.random.default_rng(rng.integers(0, 2**32 - 1)),
-                parameters=parameters,
-            )
-        )
-    return results
-
-
-def rows_from_results(results: list[EvaluationResult]) -> list[dict]:
-    """Convert evaluation results into flat row dictionaries."""
-    return [result.as_row() for result in results]
 
 
 def format_table(rows: list[dict], float_format: str = "{:.5g}") -> str:

@@ -19,7 +19,6 @@ from repro.io.checkpoint_writer import CheckpointWriter
 from repro.io.serialization import (
     generator_from_dict,
     generator_to_dict,
-    load_generator,
     load_release_document,
     save_generator,
     tree_from_dict,
@@ -34,7 +33,6 @@ __all__ = [
     "generator_from_dict",
     "generator_to_dict",
     "load_binary",
-    "load_generator",
     "load_release_binary",
     "load_release_document",
     "open_envelope",

@@ -52,7 +52,6 @@ __all__ = [
     "generator_to_dict",
     "generator_from_dict",
     "save_generator",
-    "load_generator",
     "load_release_document",
     "validate_release_document",
     "summarizer_to_dict",
@@ -240,10 +239,6 @@ def write_text_atomic(path: pathlib.Path, text: str) -> None:
     write_bytes_atomic(path, text.encode("utf-8"))
 
 
-#: Backwards-compatible alias for the pre-public name.
-_write_text_atomic = write_text_atomic
-
-
 def save_generator(
     generator: SyntheticDataGenerator,
     path: str | pathlib.Path,
@@ -252,27 +247,8 @@ def save_generator(
     """Write a generator to a JSON file and return the path."""
     path = pathlib.Path(path)
     document = generator_to_dict(generator, metadata=metadata)
-    _write_text_atomic(path, json.dumps(document, indent=2, sort_keys=True))
+    write_text_atomic(path, json.dumps(document, indent=2, sort_keys=True))
     return path
-
-
-def load_generator(
-    path: str | pathlib.Path,
-    seed: int | None = None,
-    *,
-    sampling_seed: int | None = None,
-) -> SyntheticDataGenerator:
-    """Load a generator from a JSON file written by :func:`save_generator`.
-
-    The seed (``sampling_seed``, with ``seed`` kept as the historical alias)
-    reseeds *sampling only*: the persisted tree counts are decoded verbatim
-    and are never re-noised, so loading the same release under different
-    seeds yields different synthetic draws from the identical distribution.
-    """
-    if seed is not None and sampling_seed is not None and seed != sampling_seed:
-        raise ValueError("pass either seed or sampling_seed, not conflicting values of both")
-    effective = sampling_seed if sampling_seed is not None else seed
-    return generator_from_dict(load_release_document(path), seed=effective)
 
 
 # --------------------------------------------------------------------------- #
@@ -338,7 +314,7 @@ def save_checkpoint(summarizer, path: str | pathlib.Path, *, format: str = "json
         return save_binary(summarizer_to_dict(summarizer, arrays=True), path)
     if format != "json":
         raise ValueError(f"format must be 'json' or 'binary', got {format!r}")
-    _write_text_atomic(path, json.dumps(summarizer_to_dict(summarizer), sort_keys=True))
+    write_text_atomic(path, json.dumps(summarizer_to_dict(summarizer), sort_keys=True))
     return path
 
 

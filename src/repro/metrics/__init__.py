@@ -16,7 +16,6 @@ from repro.metrics.wasserstein import (
 )
 from repro.metrics.tail import (
     level_frequencies,
-    skew_profile,
     tail_norm,
     tail_norm_from_counts,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "evaluate_method",
     "hierarchical_wasserstein",
     "level_frequencies",
-    "skew_profile",
     "sliced_wasserstein",
     "tail_norm",
     "tail_norm_from_counts",

@@ -17,8 +17,6 @@ __all__ = [
     "level_frequencies",
     "tail_norm_from_counts",
     "tail_norm",
-    "head_norm",
-    "skew_profile",
 ]
 
 
@@ -44,34 +42,7 @@ def tail_norm_from_counts(counts, k: int) -> float:
     return float(np.sum(values[k:]))
 
 
-def head_norm(counts, k: int) -> float:
-    """Mass captured by the ``k`` largest coordinates (complement of the tail)."""
-    if isinstance(counts, dict):
-        values = np.array(sorted(counts.values(), reverse=True), dtype=float)
-    else:
-        values = np.array(sorted(counts, reverse=True), dtype=float)
-    if values.size == 0:
-        return 0.0
-    return float(np.sum(values[:k]))
-
-
 def tail_norm(data, domain: Domain, level: int, k: int) -> float:
     """``||tail_k^level(X)||_1`` computed from the raw dataset."""
     counts = level_frequencies(data, domain, level)
     return tail_norm_from_counts(counts, k)
-
-
-def skew_profile(data, domain: Domain, levels, k: int) -> dict[int, float]:
-    """Normalised tail fraction ``||tail_k^l||_1 / n`` for each requested level.
-
-    Values near 0 mean the level is dominated by its top-``k`` cells (high
-    skew, pruning is nearly free); values near 1 mean the level is close to
-    uniform (pruning is expensive).
-    """
-    data = list(data)
-    if not data:
-        raise ValueError("data must be non-empty")
-    profile: dict[int, float] = {}
-    for level in levels:
-        profile[int(level)] = tail_norm(data, domain, level, k) / len(data)
-    return profile

@@ -1,35 +1,16 @@
-"""Differential privacy substrate used by PrivHP and the baselines.
+"""Differential privacy budget accounting used by PrivHP.
 
-The package exposes:
-
-* :mod:`repro.privacy.definitions` -- neighbouring relations and sensitivity
-  helpers used to reason about the privacy of linear statistics.
-* :mod:`repro.privacy.mechanisms` -- the Laplace and geometric mechanisms and
-  vector-valued noise helpers.
-* :mod:`repro.privacy.accountant` -- a simple basic-composition budget
-  accountant used to track the per-level budgets ``{sigma_l}`` spent by the
-  hierarchical decomposition.
+:mod:`repro.privacy.accountant` holds a basic-composition budget accountant
+that tracks the per-level budgets ``{sigma_l}`` spent by the hierarchical
+decomposition.  The noise itself is drawn where it is injected, straight from
+the summarizer's :class:`numpy.random.Generator`: ``Laplace(1/sigma_l)`` per
+exact tree counter in :mod:`repro.core.privhp` and ``Laplace(j/sigma_l)`` per
+sketch cell in :mod:`repro.sketch.private`.
 """
 
-from repro.privacy.definitions import (
-    l1_sensitivity,
-    linf_sensitivity,
-    neighbouring,
-)
-from repro.privacy.mechanisms import (
-    GeometricMechanism,
-    LaplaceMechanism,
-    laplace_noise,
-)
 from repro.privacy.accountant import BudgetAccountant, PrivacySpend
 
 __all__ = [
     "BudgetAccountant",
-    "GeometricMechanism",
-    "LaplaceMechanism",
     "PrivacySpend",
-    "l1_sensitivity",
-    "laplace_noise",
-    "linf_sensitivity",
-    "neighbouring",
 ]

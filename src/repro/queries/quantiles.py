@@ -106,11 +106,12 @@ class QuantileEngine:
         The whole batch walks the compiled node table together -- one numpy
         pass per tree level -- so cost is O(depth) array operations for any
         batch size.  Entry ``i`` is bit-identical to
-        ``quantile(probabilities[i])``.
+        ``quantile(probabilities[i])``, and an empty batch answers an empty
+        array of the same dtype.
         """
         values = np.asarray([float(p) for p in probabilities])
         if values.size == 0:
-            return np.asarray([])
+            return np.empty(0, dtype=self._table.high.dtype)
         invalid = ~((values >= 0.0) & (values <= 1.0))
         if invalid.any():
             bad = float(values[int(np.argmax(invalid))])

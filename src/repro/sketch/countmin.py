@@ -32,19 +32,9 @@ class CountMinSketch:
     seed:
         Seed for the hash family; fixing it makes the sketch reproducible and
         allows two sketches built with the same seed to be merged.
-    conservative:
-        When True, uses conservative update (only raise the minimal buckets),
-        an optional accuracy improvement that preserves the upper-bound
-        property for non-negative streams.
     """
 
-    def __init__(
-        self,
-        width: int,
-        depth: int,
-        seed: int | None = None,
-        conservative: bool = False,
-    ) -> None:
+    def __init__(self, width: int, depth: int, seed: int | None = None) -> None:
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
         if depth <= 0:
@@ -52,7 +42,6 @@ class CountMinSketch:
         self.width = int(width)
         self.depth = int(depth)
         self.seed = seed
-        self.conservative = bool(conservative)
         self._hashes = HashFamily(depth=self.depth, width=self.width, seed=seed)
         self._table = np.zeros((self.depth, self.width), dtype=float)
         self._total = 0.0
@@ -63,19 +52,8 @@ class CountMinSketch:
     # ------------------------------------------------------------------ #
     def update(self, key, count: float = 1.0) -> None:
         """Add ``count`` to ``key``'s bucket in every row."""
-        if count < 0 and self.conservative:
-            raise ValueError("conservative update requires non-negative counts")
-        rows = range(self.depth)
-        buckets = [self._hashes.bucket(row, key) for row in rows]
-        if self.conservative:
-            current = min(self._table[row, bucket] for row, bucket in zip(rows, buckets))
-            target = current + count
-            for row, bucket in zip(rows, buckets):
-                if self._table[row, bucket] < target:
-                    self._table[row, bucket] = target
-        else:
-            for row, bucket in zip(rows, buckets):
-                self._table[row, bucket] += count
+        for row in range(self.depth):
+            self._table[row, self._hashes.bucket(row, key)] += count
         self._total += count
         self._updates += 1
 
@@ -117,11 +95,8 @@ class CountMinSketch:
         key order, as they do from per-item updates.  ``counts`` are
         aggregated multiplicities, and the ``updates`` counter advances by
         their sum so batched and per-item ingestion of the same stream leave
-        identical sketch state.  Conservative sketches cannot batch
-        aggregated counts (the clamp is order-dependent) and raise.
+        identical sketch state.
         """
-        if self.conservative:
-            raise ValueError("conservative update does not support aggregated batches")
         counts = np.asarray(counts, dtype=float)
         if np.shape(keys) != counts.shape or counts.ndim != 1:
             raise ValueError("keys and counts must be 1-d arrays of equal length")
@@ -171,7 +146,7 @@ class CountMinSketch:
             raise TypeError("can only merge with another CountMinSketch")
         if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
             raise ValueError("sketches must share width, depth and seed to merge")
-        merged = CountMinSketch(self.width, self.depth, seed=self.seed, conservative=False)
+        merged = CountMinSketch(self.width, self.depth, seed=self.seed)
         merged._table = self._table + other._table
         merged._total = self._total + other._total
         merged._updates = self._updates + other._updates

@@ -1,4 +1,4 @@
-"""Seeded hash families for sketching.
+"""Seeded hash families for the Count-Min sketch.
 
 The paper's error analysis (Lemma 4) assumes fully random hash functions, but
 its privacy guarantee does not.  In the implementation we use seeded
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MERSENNE_PRIME", "canonical_key", "PairwiseHash", "SignedHash", "HashFamily"]
+__all__ = ["MERSENNE_PRIME", "canonical_key", "PairwiseHash", "HashFamily"]
 
 # 2^61 - 1: large Mersenne prime that still fits comfortably in 64-bit ints.
 MERSENNE_PRIME = (1 << 61) - 1
@@ -173,21 +173,8 @@ class PairwiseHash:
         return int(((self.a * value + self.b) % MERSENNE_PRIME) % self.width)
 
 
-@dataclass(frozen=True)
-class SignedHash:
-    """A +/-1 valued hash used by Count-Sketch."""
-
-    a: int
-    b: int
-
-    def __call__(self, key) -> int:
-        value = canonical_key(key)
-        bit = ((self.a * value + self.b) % MERSENNE_PRIME) & 1
-        return 1 if bit else -1
-
-
 class HashFamily:
-    """A reproducible family of ``depth`` row hashes (and optional sign hashes)."""
+    """A reproducible family of ``depth`` row hashes."""
 
     def __init__(self, depth: int, width: int, seed: int | None = None) -> None:
         if depth <= 0:
@@ -202,13 +189,6 @@ class HashFamily:
                 a=int(rng.integers(1, MERSENNE_PRIME)),
                 b=int(rng.integers(0, MERSENNE_PRIME)),
                 width=width,
-            )
-            for _ in range(depth)
-        ]
-        self._sign_hashes = [
-            SignedHash(
-                a=int(rng.integers(1, MERSENNE_PRIME)),
-                b=int(rng.integers(0, MERSENNE_PRIME)),
             )
             for _ in range(depth)
         ]
@@ -258,17 +238,6 @@ class HashFamily:
                 lowest = np.where(lowest < estimates, lowest, estimates)
             estimates = lowest
         return estimates
-
-    def sign(self, row: int, key) -> int:
-        """Sign (+1/-1) of ``key`` in ``row`` (used by Count-Sketch only)."""
-        return self._sign_hashes[row](key)
-
-    def sign_blocks(self, keys) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield ``(rows, signs)`` with ``signs[i, j] = sign(rows.start + i,
-        keys[j])`` as floats, in the same blocks as :meth:`cell_blocks`."""
-        columns = _coefficient_columns(self._sign_hashes)
-        for rows, residues in _residue_blocks(columns, _exact_keys(keys)):
-            yield rows, np.where(residues & 1, 1.0, -1.0)
 
     def buckets(self, key) -> list[int]:
         """Bucket indices of ``key`` for every row."""

@@ -16,38 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.privacy.mechanisms import laplace_noise
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.countsketch import CountSketch
 
-__all__ = ["privatize_sketch_array", "PrivateCountMinSketch", "PrivateCountSketch"]
-
-
-def privatize_sketch_array(
-    table: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Return ``table + Laplace(depth/epsilon)`` noise, the oblivious release.
-
-    ``table`` must be the raw ``depth x width`` counter matrix; the number of
-    rows determines the sensitivity.
-    """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2:
-        raise ValueError(f"sketch table must be 2-dimensional, got shape {table.shape}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    depth = table.shape[0]
-    scale = depth / epsilon
-    noise = laplace_noise(scale, size=table.shape, rng=rng)
-    return table + noise
+__all__ = ["PrivateCountMinSketch"]
 
 
-class _PrivateSketchMixin:
-    """Shared wiring for private sketch wrappers.
+class PrivateCountMinSketch:
+    """Count-Min sketch with oblivious Laplace noise (the paper's choice).
 
-    With ``apply_noise=False`` the wrapper starts from a *raw* (non-private)
+    With ``apply_noise=False`` the sketch starts from a *raw* (non-private)
     table -- the shard mode of the batched ingestion API.  Raw shards can be
     :meth:`merge`-d linearly and the single oblivious noise matrix is added
     later via :meth:`apply_noise_now`, which keeps the privacy accounting at
@@ -56,14 +33,16 @@ class _PrivateSketchMixin:
 
     def __init__(
         self,
-        sketch,
+        width: int,
+        depth: int,
         epsilon: float,
-        rng: np.random.Generator | int | None,
+        seed: int | None = None,
+        rng: np.random.Generator | int | None = None,
         apply_noise: bool = True,
     ) -> None:
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self._sketch = sketch
+        self._sketch = CountMinSketch(width=width, depth=depth, seed=seed)
         self.epsilon = float(epsilon)
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self._noise_applied = False
@@ -150,22 +129,6 @@ class _PrivateSketchMixin:
         """Copy of the (noisy) counter matrix."""
         return self._sketch.table
 
-
-class PrivateCountMinSketch(_PrivateSketchMixin):
-    """Count-Min sketch with oblivious Laplace noise (the paper's choice)."""
-
-    def __init__(
-        self,
-        width: int,
-        depth: int,
-        epsilon: float,
-        seed: int | None = None,
-        rng: np.random.Generator | int | None = None,
-        apply_noise: bool = True,
-    ) -> None:
-        sketch = CountMinSketch(width=width, depth=depth, seed=seed, conservative=False)
-        super().__init__(sketch, epsilon, rng, apply_noise=apply_noise)
-
     def error_bound(self, tail_norm: float, total_norm: float) -> float:
         """Lemma 4 error plus the expected noise magnitude at the minimum."""
         sketch_error = self._sketch.error_bound(tail_norm, total_norm)
@@ -210,18 +173,3 @@ class PrivateCountMinSketch(_PrivateSketchMixin):
         """Overwrite the table state (checkpoint restore)."""
         self._sketch.load_state(table, total=total, updates=updates)
         self._noise_applied = bool(noise_applied)
-
-
-class PrivateCountSketch(_PrivateSketchMixin):
-    """Count-Sketch with oblivious Laplace noise (alternative primitive)."""
-
-    def __init__(
-        self,
-        width: int,
-        depth: int,
-        epsilon: float,
-        seed: int | None = None,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        sketch = CountSketch(width=width, depth=depth, seed=seed)
-        super().__init__(sketch, epsilon, rng)

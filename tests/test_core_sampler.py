@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.api.release import Release
+from repro.baselines.pmm import build_exact_tree
 from repro.core.sampler import SyntheticDataGenerator
 from repro.core.tree import PartitionTree
+from repro.domain.discrete import DiscreteDomain
+from repro.domain.geo import GeoDomain
+from repro.domain.hypercube import Hypercube
+from repro.domain.interval import UnitInterval
+from repro.domain.ipv4 import IPv4Domain
 
 
 def weighted_tree():
@@ -117,3 +124,43 @@ class TestUtilities:
         generator = SyntheticDataGenerator(weighted_tree(), interval, rng=0)
         assert generator.total_mass == pytest.approx(100.0)
         assert generator.memory_words() == 2 * 7
+
+
+#: A domain of each kind, with a draw of 300 points inside it.
+EMPTY_REQUEST_DOMAINS = {
+    "interval": (UnitInterval(), lambda rng: rng.beta(2.0, 5.0, 300)),
+    "hypercube:2": (Hypercube(2), lambda rng: rng.random((300, 2))),
+    "geo": (
+        GeoDomain(),
+        lambda rng: np.column_stack([rng.uniform(-90, 90, 300), rng.uniform(-180, 180, 300)]),
+    ),
+    "ipv4": (IPv4Domain(), lambda rng: rng.integers(0, 2**32, 300)),
+    "discrete:100": (DiscreteDomain(100), lambda rng: rng.integers(0, 100, 300)),
+}
+
+
+def _release(name: str) -> Release:
+    domain, draw = EMPTY_REQUEST_DOMAINS[name]
+    tree = build_exact_tree(draw(np.random.default_rng(0)), domain, depth=5)
+    return Release(SyntheticDataGenerator(tree, domain, rng=3))
+
+
+class TestEmptyRequests:
+    """An empty request answers an empty array with the shape past the first
+    axis and the dtype of a non-empty answer, and draws no randomness."""
+
+    @pytest.mark.parametrize("name", list(EMPTY_REQUEST_DOMAINS))
+    def test_sample_zero(self, name):
+        release, twin = _release(name), _release(name)
+        empty = release.sample(0)
+        drawn = twin.sample(3)
+        assert empty.shape == (0, *drawn.shape[1:])
+        assert empty.dtype == drawn.dtype
+        np.testing.assert_array_equal(release.sample(3), drawn)
+
+    @pytest.mark.parametrize("name", ["interval", "ipv4", "discrete:100"])
+    def test_empty_quantiles(self, name):
+        release = _release(name)
+        empty = release.quantiles([])
+        assert empty.shape == (0,)
+        assert empty.dtype == release.quantiles([0.5]).dtype

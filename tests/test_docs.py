@@ -23,6 +23,7 @@ if str(REPO_ROOT / "tools") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import check_links  # noqa: E402
+import repro  # noqa: E402
 
 #: The packages (or plain modules) whose public surface must be documented
 #: (repro.api, repro.queries and repro.serve from the serving PR;
@@ -35,6 +36,11 @@ DOCUMENTED_PACKAGES = (
     "repro.continual",
     "repro.ingest",
     "repro.stream.scenarios",
+)
+
+#: Every module of the package, found by walking it rather than listed.
+ALL_MODULES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
 )
 
 
@@ -77,6 +83,17 @@ class TestIntraRepoLinks:
         text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
         assert "PRIVACY BOUNDARY" in text
         assert "repro.serve" in text
+
+
+class TestEveryExportResolves:
+    """Every module imports and every name in its ``__all__`` exists, so a
+    deleted name cannot linger in an export list."""
+
+    @pytest.mark.parametrize("module_name", ALL_MODULES)
+    def test_module_imports_and_exports_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == []
 
 
 class TestPublicSurfaceIsDocumented:

@@ -7,7 +7,7 @@ so the suite stays fast.
 
 
 from repro.experiments.ablations import budget_ablation, consistency_ablation, sketch_ablation
-from repro.experiments.harness import format_table, run_methods
+from repro.experiments.harness import format_table
 from repro.experiments.performance import throughput_experiment
 from repro.experiments.skew import skew_experiment
 from repro.experiments.table1 import run_table1
@@ -16,7 +16,6 @@ from repro.experiments.tradeoffs import (
     memory_tradeoff,
     stream_length_tradeoff,
 )
-from repro.baselines.nonprivate import NonPrivateHistogramMethod
 
 
 class TestHarness:
@@ -29,12 +28,6 @@ class TestHarness:
 
     def test_format_table_empty(self):
         assert format_table([]) == "(no rows)"
-
-    def test_run_methods_returns_one_result_per_method(self, interval, rng):
-        methods = [NonPrivateHistogramMethod(interval, max_depth=6)]
-        results = run_methods(methods, rng.random(200), interval, repetitions=1, seed=0)
-        assert len(results) == 1
-        assert results[0].method == "NonPrivate"
 
 
 class TestTable1:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api.release import Release
 from repro.cli import main as cli_main
 from repro.core.config import PrivHPConfig
 from repro.core.privhp import PrivHP
@@ -17,7 +18,6 @@ from repro.io.serialization import (
     domain_to_dict,
     generator_from_dict,
     generator_to_dict,
-    load_generator,
     save_generator,
     tree_from_dict,
     tree_to_dict,
@@ -86,7 +86,7 @@ class TestGeneratorSerialization:
         document = json.loads(path.read_text())
         assert document["format"] == "privhp-generator"
         assert document["metadata"]["epsilon"] == 1.0
-        restored = load_generator(path, seed=1)
+        restored = Release.load(path, sampling_seed=1)
         samples = restored.sample(100)
         assert np.all((samples >= 0) & (samples <= 1))
 
@@ -158,18 +158,6 @@ class TestReleaseLoadValidation:
         )
         with pytest.raises(ValueError, match="requires a 'tree' object"):
             Release.load(path)
-
-    def test_load_generator_and_release_load_agree_on_errors(self, tmp_path):
-        from repro.api.release import Release
-        from repro.io.serialization import load_generator
-
-        path = tmp_path / "broken.json"
-        path.write_text("{oops")
-        with pytest.raises(ValueError) as release_error:
-            Release.load(path)
-        with pytest.raises(ValueError) as generator_error:
-            load_generator(path)
-        assert str(release_error.value) == str(generator_error.value)
 
     def test_valid_release_round_trip_still_works(self, tmp_path, interval, rng):
         from repro.api.release import Release
@@ -261,18 +249,9 @@ class TestCLI:
         assert not np.array_equal(first, second)  # different seeds, different draws
         assert np.array_equal(first, repeat)  # same seed reproduces exactly
         # And the decoded trees agree regardless of the sampling seed.
-        tree_a = load_generator(release_path, sampling_seed=1).tree.as_dict()
-        tree_b = load_generator(release_path, sampling_seed=2).tree.as_dict()
+        tree_a = Release.load(release_path, sampling_seed=1).tree.as_dict()
+        tree_b = Release.load(release_path, sampling_seed=2).tree.as_dict()
         assert tree_a == tree_b
-
-    def test_load_generator_conflicting_seeds_rejected(self, tmp_path, interval, rng):
-        generator = fitted_generator(interval, rng.random(300))
-        path = save_generator(generator, tmp_path / "release.json")
-        with pytest.raises(ValueError):
-            load_generator(path, seed=1, sampling_seed=2)
-        # Matching values (and the historical positional form) still work.
-        load_generator(path, seed=3, sampling_seed=3)
-        load_generator(path, seed=3)
 
     def test_cli_sharded_summarize_matches_unsharded(self, tmp_path, rng):
         data = rng.beta(2, 6, size=900)

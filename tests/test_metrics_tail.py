@@ -1,15 +1,8 @@
-"""Tests for tail norms and skew profiles."""
+"""Tests for tail norms."""
 
-import numpy as np
 import pytest
 
-from repro.metrics.tail import (
-    head_norm,
-    level_frequencies,
-    skew_profile,
-    tail_norm,
-    tail_norm_from_counts,
-)
+from repro.metrics.tail import level_frequencies, tail_norm, tail_norm_from_counts
 
 
 class TestTailNormFromCounts:
@@ -33,10 +26,10 @@ class TestTailNormFromCounts:
         with pytest.raises(ValueError):
             tail_norm_from_counts([1], -1)
 
-    def test_head_plus_tail_is_total(self):
-        counts = [9, 4, 3, 1, 1]
-        for k in range(6):
-            assert head_norm(counts, k) + tail_norm_from_counts(counts, k) == pytest.approx(18)
+    def test_matches_the_sorted_suffix_sum(self):
+        counts = [1, 9, 3, 4, 1]
+        for k in range(7):
+            assert tail_norm_from_counts(counts, k) == sum(sorted(counts, reverse=True)[k:])
 
 
 class TestTailNormFromData:
@@ -68,23 +61,3 @@ class TestTailNormFromData:
         data = rng.random(100)
         counts = level_frequencies(data, interval, 3)
         assert sum(counts.values()) == 100
-
-
-class TestSkewProfile:
-    def test_profile_in_unit_range(self, interval, rng):
-        data = rng.random(300)
-        profile = skew_profile(data, interval, levels=[2, 4, 6], k=2)
-        assert set(profile) == {2, 4, 6}
-        assert all(0.0 <= value <= 1.0 for value in profile.values())
-
-    def test_skewed_data_has_smaller_profile_than_uniform(self, interval, rng):
-        uniform = rng.random(1000)
-        skewed = np.clip(rng.normal(0.3, 0.01, size=1000), 0, 1)
-        level = 6
-        uniform_profile = skew_profile(uniform, interval, [level], k=4)[level]
-        skewed_profile = skew_profile(skewed, interval, [level], k=4)[level]
-        assert skewed_profile < uniform_profile
-
-    def test_empty_data_rejected(self, interval):
-        with pytest.raises(ValueError):
-            skew_profile([], interval, [1], k=1)

@@ -9,7 +9,7 @@ from repro.core.partition import select_top_k
 from repro.core.tree import PartitionTree
 from repro.domain.hypercube import Hypercube
 from repro.domain.interval import UnitInterval
-from repro.metrics.tail import head_norm, tail_norm_from_counts
+from repro.metrics.tail import tail_norm_from_counts
 from repro.metrics.wasserstein import wasserstein1_1d
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import canonical_key
@@ -145,10 +145,9 @@ class TestMetricProperties:
     @given(counts=st.lists(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
                            min_size=0, max_size=50),
            k=st.integers(min_value=0, max_value=60))
-    def test_head_plus_tail_equals_total(self, counts, k):
-        total = sum(counts)
-        assert head_norm(counts, k) + tail_norm_from_counts(counts, k) == \
-            np.float64(total) or abs(head_norm(counts, k) + tail_norm_from_counts(counts, k) - total) < 1e-6
+    def test_tail_equals_the_sorted_suffix_sum(self, counts, k):
+        expected = sum(sorted(counts, reverse=True)[k:])
+        assert abs(tail_norm_from_counts(counts, k) - expected) < 1e-6
 
     @SETTINGS
     @given(counts=st.lists(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),

@@ -108,27 +108,6 @@ class TestCountMinAccuracy:
         # the finite-sample average and the pairwise (not fully random) hashes.
         assert mean_error <= 3.0 * bound + 1.0
 
-    def test_conservative_update_is_at_least_as_accurate(self, rng):
-        keys = (rng.zipf(1.3, size=4000) % 300).astype(int)
-        plain = CountMinSketch(width=32, depth=4, seed=5)
-        conservative = CountMinSketch(width=32, depth=4, seed=5, conservative=True)
-        for key in keys:
-            plain.update(int(key))
-            conservative.update(int(key))
-        true_counts: dict = {}
-        for key in keys:
-            true_counts[int(key)] = true_counts.get(int(key), 0) + 1
-        plain_error = sum(plain.query(k) - c for k, c in true_counts.items())
-        conservative_error = sum(conservative.query(k) - c for k, c in true_counts.items())
-        assert conservative_error <= plain_error
-        # Conservative update still never underestimates.
-        assert all(conservative.query(k) >= c for k, c in true_counts.items())
-
-    def test_conservative_rejects_negative_updates(self):
-        sketch = CountMinSketch(width=8, depth=2, conservative=True)
-        with pytest.raises(ValueError):
-            sketch.update("x", -1.0)
-
 
 class TestCountMinComposition:
     def test_merge_adds_tables(self):

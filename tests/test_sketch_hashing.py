@@ -5,12 +5,10 @@ import pytest
 
 from repro.continual.sketch import ContinualPrivateCountMinSketch
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.countsketch import CountSketch
 from repro.sketch.hashing import (
     MERSENNE_PRIME,
     HashFamily,
     PairwiseHash,
-    SignedHash,
     canonical_key,
 )
 
@@ -59,18 +57,6 @@ class TestPairwiseHash:
             PairwiseHash(a=0, b=0, width=4)
 
 
-class TestSignedHash:
-    def test_values_are_plus_minus_one(self):
-        hasher = SignedHash(a=54321, b=99)
-        values = {hasher(key) for key in range(100)}
-        assert values <= {-1, 1}
-
-    def test_roughly_balanced(self):
-        hasher = SignedHash(a=54321, b=99)
-        signs = [hasher(key) for key in range(2000)]
-        assert 0.35 < np.mean(np.array(signs) == 1) < 0.65
-
-
 class TestHashFamily:
     def test_same_seed_same_hashes(self):
         family_a = HashFamily(depth=4, width=32, seed=7)
@@ -115,10 +101,8 @@ class TestHashFamily:
                 blocked - 13 * np.arange(len(blocked))[:, None]
                 for _, blocked in family.cell_blocks(keys)
             ])
-            signs = np.vstack([blocked for _, blocked in family.sign_blocks(keys)])
             for row in range(family.depth):
                 assert buckets[row].tolist() == [family.bucket(row, cell) for cell in cells]
-                assert signs[row].tolist() == [float(family.sign(row, cell)) for cell in cells]
 
     def test_batch_hashes_reduce_keys_whose_residue_is_zero(self):
         """A key with ``a k + b = 0 (mod p)`` folds to exactly ``p`` before
@@ -220,21 +204,11 @@ class TestBatchedSketchesMatchScalarSketches:
             assert banks[0][table].tobytes() == banks[1][table].tobytes()
         assert batched.updates == itemwise.updates
 
-    def test_countsketch_update_batch(self, depth, width, n):
-        keys, counts, _ = self._inputs(depth, width, n)
-        batched, scalar = (CountSketch(width, depth, seed=7) for _ in range(2))
-        batched.update_batch(keys, counts)
-        for key, count in zip(keys, counts):
-            scalar.update(int(key), float(count))
-        assert batched.table.tobytes() == scalar.table.tobytes()
-
 
 def _sketch(kind: str):
     if kind == "countmin":
         return CountMinSketch(13, 4, seed=1)
-    if kind == "continual":
-        return ContinualPrivateCountMinSketch(13, 4, epsilon=1.0, horizon=4, seed=1, rng=0)
-    return CountSketch(13, 4, seed=1)
+    return ContinualPrivateCountMinSketch(13, 4, epsilon=1.0, horizon=4, seed=1, rng=0)
 
 
 class TestBatchedKeysAreValidated:
@@ -261,7 +235,6 @@ class TestBatchedKeysAreValidated:
             ("countmin", "query_many"),
             ("continual", "update_batch"),
             ("continual", "query_many"),
-            ("countsketch", "update_batch"),
         ],
     )
     def test_keys_outside_the_exact_range_raise(self, kind, method, keys):

@@ -1,34 +1,10 @@
-"""Tests for the private (oblivious-noise) sketch wrappers."""
+"""Tests for the private (oblivious-noise) Count-Min sketch."""
 
 import numpy as np
 import pytest
 
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.private import (
-    PrivateCountMinSketch,
-    PrivateCountSketch,
-    privatize_sketch_array,
-)
-
-
-class TestPrivatizeSketchArray:
-    def test_adds_noise_with_correct_shape(self, rng):
-        table = np.zeros((3, 16))
-        noisy = privatize_sketch_array(table, epsilon=1.0, rng=rng)
-        assert noisy.shape == (3, 16)
-        assert not np.allclose(noisy, 0.0)
-
-    def test_noise_scale_matches_depth_over_epsilon(self, rng):
-        table = np.zeros((4, 2000))
-        noisy = privatize_sketch_array(table, epsilon=2.0, rng=rng)
-        # E|Laplace(depth/eps)| = depth/eps = 2.
-        assert np.mean(np.abs(noisy)) == pytest.approx(2.0, rel=0.1)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            privatize_sketch_array(np.zeros(5), epsilon=1.0)
-        with pytest.raises(ValueError):
-            privatize_sketch_array(np.zeros((2, 2)), epsilon=0.0)
+from repro.sketch.private import PrivateCountMinSketch
 
 
 class TestPrivateCountMinSketch:
@@ -89,26 +65,14 @@ class TestPrivateCountMinSketch:
         assert difference.sum() == pytest.approx(2 * 3)  # one removal + one addition per row
         assert difference.max() == pytest.approx(1.0)
 
-
-class TestPrivateCountSketch:
-    def test_initial_noise_and_queries(self):
-        sketch = PrivateCountSketch(width=64, depth=5, epsilon=50.0, seed=0, rng=0)
-        for _ in range(30):
-            sketch.update("hot")
-        assert sketch.query("hot") == pytest.approx(30, abs=5)
-
-    def test_memory_and_sensitivity(self):
-        sketch = PrivateCountSketch(width=8, depth=3, epsilon=1.0, seed=0, rng=0)
-        assert sketch.memory_words() == 24
-        assert sketch.sensitivity == 3.0
-
     def test_update_batch_matches_per_item_updates(self):
-        """The mixin's batch path works for Count-Sketch, not just Count-Min."""
+        """The batch path lands each key's aggregated count where per-item
+        updates put it, on top of the same oblivious noise."""
         keys = np.array([5, 9, 200, 513], dtype=np.uint64)
         counts = np.array([3.0, 1.0, 2.0, 4.0])
-        batched = PrivateCountSketch(width=32, depth=4, epsilon=1.0, seed=2, rng=0)
+        batched = PrivateCountMinSketch(width=32, depth=4, epsilon=1.0, seed=2, rng=0)
         batched.update_batch(keys, counts)
-        sequential = PrivateCountSketch(width=32, depth=4, epsilon=1.0, seed=2, rng=0)
+        sequential = PrivateCountMinSketch(width=32, depth=4, epsilon=1.0, seed=2, rng=0)
         for key, count in zip(keys, counts):
             for _ in range(int(count)):
                 sequential.update(int(key))
