@@ -11,6 +11,7 @@ from repro.sketch.hashing import (
     PairwiseHash,
     canonical_key,
 )
+from repro.sketch.private import PrivateCountMinSketch
 
 
 class TestCanonicalKey:
@@ -208,6 +209,8 @@ class TestBatchedSketchesMatchScalarSketches:
 def _sketch(kind: str):
     if kind == "countmin":
         return CountMinSketch(13, 4, seed=1)
+    if kind == "private":
+        return PrivateCountMinSketch(13, 4, epsilon=1.0, seed=1, apply_noise=False)
     return ContinualPrivateCountMinSketch(13, 4, epsilon=1.0, horizon=4, seed=1, rng=0)
 
 
@@ -233,6 +236,8 @@ class TestBatchedKeysAreValidated:
         [
             ("countmin", "update_batch"),
             ("countmin", "query_many"),
+            ("private", "update_batch"),
+            ("private", "query_many"),
             ("continual", "update_batch"),
             ("continual", "query_many"),
         ],
