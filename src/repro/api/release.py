@@ -297,5 +297,5 @@ class Release:
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
             f"Release(epsilon={self.epsilon}, items={self.items_processed}, "
-            f"memory_words={self.memory_words}, leaves={len(self.tree.leaves())})"
+            f"memory_words={self.memory_words}, leaves={self.tree.num_leaves()})"
         )

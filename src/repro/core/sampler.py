@@ -3,11 +3,20 @@
 Any binary decomposition of the domain, together with non-negative node
 counts, encodes a sampling distribution: pick a leaf with probability
 proportional to its count, then draw a point uniformly at random inside the
-leaf's cell.  The root-to-leaf traversal below implements that selection
-with one binary search per level of the tree's level arrays, exactly as
-described in the paper: draw ``u ~ Uniform[0, root.count]``, branch left
-while the left child's count is at least ``u``, otherwise subtract it and
-branch right.
+leaf's cell.  The paper's root-to-leaf walk implements that selection:
+draw ``u ~ Uniform[0, root.count]``, branch left while the left child's
+count is at least ``u``, otherwise subtract it and branch right.
+
+:meth:`SyntheticDataGenerator.sample` walks a whole batch at once, one level
+per numpy pass, with
+:meth:`~repro.queries.compiled.CompiledDescentTable.descend_many` over a
+descent table compiled once per generator.  It draws one block
+``rng.random((n, 1 + d))``: column 0 is each point's threshold, the other
+``d`` columns place the point uniformly in its landed cell.  Row by row
+these are the doubles a per-point walk draws (threshold, then the point),
+so float-domain samples match that walk byte for byte.  IPv4 and discrete
+points come from one ``rng.integers(low, high + 1)`` call after the
+threshold block instead.
 
 The generator is pure post-processing of the (already private) tree, so the
 synthetic data inherits the epsilon-DP guarantee with no extra privacy cost.
@@ -15,18 +24,22 @@ synthetic data inherits the epsilon-DP guarantee with no extra privacy cost.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from repro.core.tree import PartitionTree
 from repro.domain.base import Cell, Domain
+from repro.domain.geo import GeoDomain
+from repro.queries.compiled import CompiledDescentTable
 
 __all__ = ["SyntheticDataGenerator"]
 
 
 class SyntheticDataGenerator:
-    """Samples synthetic points from a partition tree over a domain."""
+    """Samples synthetic points from a partition tree over a domain.
+
+    The first draw compiles the tree into the generator's descent table, so
+    the tree's counts must not change after sampling starts.
+    """
 
     def __init__(
         self,
@@ -37,6 +50,7 @@ class SyntheticDataGenerator:
         self.tree = tree
         self.domain = domain
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._descent: CompiledDescentTable | None = None
 
     def reseed(self, rng: np.random.Generator | int | None) -> "SyntheticDataGenerator":
         """Replace the sampling generator; the tree counts are never touched."""
@@ -47,14 +61,10 @@ class SyntheticDataGenerator:
     # sampling
     # ------------------------------------------------------------------ #
     def sample_one(self):
-        """Draw a single synthetic point.
-
-        Falls back to a uniform draw over the whole domain when the tree
-        carries no probability mass (all counts zero), which can happen for
-        tiny streams with large noise; the fallback keeps the generator total
-        and well-defined without touching the data again.
-        """
-        return self._draw(self._levels())
+        """Draw a single synthetic point: ``sample(1)[0]``, as a Python
+        float or int on scalar domains and an array on vector domains."""
+        point = self.sample(1)[0]
+        return point if point.ndim else point.item()
 
     def sample(self, size: int) -> np.ndarray:
         """Draw ``size`` synthetic points as a numpy array.
@@ -63,44 +73,32 @@ class SyntheticDataGenerator:
         of length ``size``, vector domains an array of shape
         ``(size, dimension)``.  ``size = 0`` gives that shape and dtype too,
         and draws nothing from the sampling generator.
+
+        Falls back to a uniform draw over the whole domain when the tree
+        carries no probability mass (all counts zero), which can happen for
+        tiny streams with large noise; the fallback keeps the generator total
+        and well-defined without touching the data again.
         """
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
-        if size == 0:
-            # A point drawn with a throwaway generator carries the shape and
-            # dtype of a draw without advancing the sampling stream.
-            point = np.asarray(self.domain.sample_cell((), np.random.default_rng(0)))
-            return np.empty((0, *point.shape), dtype=point.dtype)
-        levels = self._levels()
-        return np.asarray([self._draw(levels) for _ in range(size)])
-
-    def _levels(self) -> list[tuple[list[int], list[float]]]:
-        """The tree's levels below the root as plain lists, for the walks."""
-        return [
-            (codes.tolist(), counts.tolist())
-            for codes, counts in map(self.tree.level, range(1, self.tree.depth() + 1))
-        ]
-
-    def _draw(self, levels):
-        """One root-to-leaf walk over ``levels``, then a point of the leaf."""
-        total = self.tree.root_count
-        if total <= 0:
-            return self.domain.sample_cell((), self._rng)
-
-        threshold = self._rng.uniform(0.0, total)
-        theta: Cell = ()
-        code = 0
-        for codes, counts in levels:
-            left = bisect_left(codes, code << 1)
-            if left == len(codes) or codes[left] != code << 1:
-                break
-            left_count = max(counts[left], 0.0)
-            if left_count >= threshold:
-                theta, code = theta + (0,), code << 1
-            else:
-                threshold -= left_count
-                theta, code = theta + (1,), (code << 1) | 1
-        return self.domain.sample_cell(theta, self._rng)
+        if self._descent is None:
+            self._descent = CompiledDescentTable(self.tree, self.domain)
+        table = self._descent
+        # Uniform columns per point: one per axis, none on integer domains.
+        axes = 0 if table.integer else table.low[0].size
+        if table.root_count <= 0:
+            nodes = np.zeros(size, dtype=np.int64)
+            draws = self._rng.random((size, axes))
+        else:
+            draws = self._rng.random((size, 1 + axes))
+            nodes, _ = table.descend_many(draws[:, 0])
+        low, high = table.low[nodes], table.high[nodes]
+        if table.integer:
+            return self._rng.integers(low, high + 1)
+        points = low + (high - low) * draws[:, -axes:].reshape(low.shape)
+        if isinstance(self.domain, GeoDomain):
+            points = self.domain._denormalise(points)
+        return points
 
     # ------------------------------------------------------------------ #
     # distribution introspection (used by the evaluation harness and tests)
@@ -154,6 +152,6 @@ class SyntheticDataGenerator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
-            f"SyntheticDataGenerator(leaves={len(self.tree.leaves())}, "
+            f"SyntheticDataGenerator(leaves={self.tree.num_leaves()}, "
             f"total_mass={self.total_mass:.2f})"
         )

@@ -174,9 +174,28 @@ class PartitionTree:
                 codes, counts = codes[leaf], counts[leaf]
             yield level, codes, counts
 
+    def leaf_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The int64 levels, int64 codes and float64 counts of :meth:`leaves`,
+        in the same order."""
+        levels, codes, counts = zip(*self._leaf_levels())
+        sizes = [level_codes.size for level_codes in codes]
+        return (
+            np.repeat(np.array(levels, dtype=np.int64), sizes),
+            np.concatenate(codes),
+            np.concatenate(counts),
+        )
+
     def leaf_counts(self) -> np.ndarray:
         """The counts of :meth:`leaves`, in the same order."""
         return np.concatenate([counts for _, _, counts in self._leaf_levels()])
+
+    def num_leaves(self) -> int:
+        """``len(self.leaves())`` from the level sizes alone.
+
+        Every internal node stores exactly two children, so a tree of ``n``
+        nodes has ``(n - 1) / 2`` internal nodes and ``(n + 1) / 2`` leaves.
+        """
+        return (len(self) + 1) // 2
 
     # ------------------------------------------------------------------ #
     # tuple view

@@ -9,7 +9,7 @@ partition-tree counters well-defined linear statistics of the stream.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -55,9 +55,10 @@ class Domain(ABC):
     """A metric space plus an a-priori binary hierarchical decomposition.
 
     Subclasses define the geometry; all tree-growing and sampling code in
-    :mod:`repro.core` is written against this interface only, which is what
-    lets PrivHP run unchanged on intervals, hypercubes, IP address spaces and
-    geographic rectangles.
+    :mod:`repro.core` is written against this interface only (the sampler
+    adds just the geographic domain's map back from its unit square), which
+    is what lets PrivHP run unchanged on intervals, hypercubes, IP address
+    spaces and geographic rectangles.
     """
 
     # ------------------------------------------------------------------ #
@@ -78,6 +79,17 @@ class Domain(ABC):
     @abstractmethod
     def locate(self, point, level: int) -> Cell:
         """The unique ``theta in {0,1}^level`` whose cell contains ``point``."""
+
+    @abstractmethod
+    def cell_bounds_batch(self, level, codes) -> tuple[np.ndarray, np.ndarray]:
+        """The geometry of many cells at once, as ``(low, high)`` arrays.
+
+        ``codes`` is a 1-d array of cell codes (the :meth:`pack_paths` code
+        of each bit tuple) and ``level`` their level, one for all or one per
+        code.  Row ``i`` equals the domain's scalar ``cell_bounds`` or
+        ``cell_range`` of cell ``i`` bit for bit: float endpoints, per-axis
+        float corners or inclusive int64 ranges.
+        """
 
     @abstractmethod
     def sample_cell(self, theta: Cell, rng: np.random.Generator):
@@ -198,6 +210,53 @@ class Domain(ABC):
             for order, position in enumerate(positions):
                 bits[:, position] = (codes >> (splits - 1 - order)) & 1
         return bits
+
+    @staticmethod
+    def _cell_codes(level, codes, max_level: int = 62) -> tuple[np.ndarray, np.ndarray]:
+        """Validated int64 ``(levels, codes)`` arrays of equal shape for
+        :meth:`cell_bounds_batch`; raises ``ValueError`` on a level outside
+        ``[0, max_level]`` or a code outside ``[0, 2^level)``."""
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.ndim != 1:
+            raise ValueError(f"expected a 1-d array of cell codes, got shape {codes.shape}")
+        levels = np.broadcast_to(np.asarray(level, dtype=np.int64), codes.shape)
+        if levels.size and (levels.min() < 0 or levels.max() > max_level):
+            raise ValueError(f"cell levels must lie in [0, {max_level}]")
+        if codes.size and (codes.min() < 0 or np.any(codes >> levels)):
+            raise ValueError("cell codes must lie in [0, 2^level)")
+        return levels, codes
+
+    @staticmethod
+    def _cell_bits(
+        levels: np.ndarray, codes: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(position, left, right)`` for each bit position of many cells.
+
+        The masks say which cells take the lower (bit 0) or the upper (bit 1)
+        half at ``position``; a cell shallower than ``position`` takes
+        neither.  This is the scalar ``for bit in theta`` loop, run on whole
+        arrays one position at a time.
+        """
+        aligned = codes << (62 - levels)
+        for position in range(int(levels.max(initial=0))):
+            active = levels > position
+            upper = ((aligned >> (61 - position)) & 1).astype(bool)
+            yield position, active & ~upper, active & upper
+
+    def _halving_bounds(self, level, codes, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, dimension)`` corners of cells of the unit cube whose bit
+        ``p`` halves axis ``p mod dimension``, with the scalar loop's
+        ``mid = 0.5 * (lower + upper)`` at every position, so the rounding
+        from the 54th halving on is the loop's too."""
+        levels, codes = self._cell_codes(level, codes)
+        low = np.zeros((codes.size, dimension))
+        high = np.ones((codes.size, dimension))
+        for position, left, right in self._cell_bits(levels, codes):
+            axis = position % dimension
+            mid = 0.5 * (low[:, axis] + high[:, axis])
+            np.copyto(high[:, axis], mid, where=left)
+            np.copyto(low[:, axis], mid, where=right)
+        return low, high
 
     @staticmethod
     def pack_paths(bits: np.ndarray) -> np.ndarray:

@@ -56,6 +56,22 @@ class DiscreteDomain(Domain):
                 low = mid + 1
         return low, high
 
+    def cell_bounds_batch(self, level, codes) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`cell_range`: ``(n,)`` int64 inclusive ranges.
+
+        The uneven splits run one bit position at a time on whole arrays;
+        a single-item cell keeps its range at every deeper position.
+        """
+        levels, codes = self._cell_codes(level, codes)
+        low = np.zeros(codes.size, dtype=np.int64)
+        high = np.full(codes.size, self.size - 1, dtype=np.int64)
+        for _, left, right in self._cell_bits(levels, codes):
+            live = low < high
+            mid = (low + high) // 2
+            np.copyto(high, mid, where=left & live)
+            np.copyto(low, mid + 1, where=right & live)
+        return low, high
+
     def cell_diameter(self, theta: Cell) -> float:
         """Normalised width of the cell's item range."""
         low, high = self.cell_range(theta)

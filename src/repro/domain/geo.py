@@ -54,12 +54,13 @@ class GeoDomain(Domain):
         )
 
     def _denormalise(self, unit: np.ndarray) -> np.ndarray:
-        """Map a unit-square point back to (lat, lon)."""
-        return np.array(
+        """Map unit-square points (the last axis) back to (lat, lon)."""
+        return np.stack(
             [
-                self.lat_min + unit[0] * (self.lat_max - self.lat_min),
-                self.lon_min + unit[1] * (self.lon_max - self.lon_min),
-            ]
+                self.lat_min + unit[..., 0] * (self.lat_max - self.lat_min),
+                self.lon_min + unit[..., 1] * (self.lon_max - self.lon_min),
+            ],
+            axis=-1,
         )
 
     # ------------------------------------------------------------------ #
@@ -88,6 +89,10 @@ class GeoDomain(Domain):
             else:
                 lower[axis] = mid
         return lower, upper
+
+    def cell_bounds_batch(self, level, codes) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`cell_bounds`: ``(n, 2)`` normalised corners."""
+        return self._halving_bounds(level, codes, 2)
 
     def cell_diameter(self, theta: Cell) -> float:
         """Largest normalised side of the cell."""

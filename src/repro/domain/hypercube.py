@@ -55,6 +55,10 @@ class Hypercube(Domain):
                 lower[axis] = mid
         return lower, upper
 
+    def cell_bounds_batch(self, level, codes) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`cell_bounds`: ``(n, d)`` lower and upper corners."""
+        return self._halving_bounds(level, codes, self.dimension)
+
     def cell_diameter(self, theta: Cell) -> float:
         """Largest side length of the cell (l-infinity diameter)."""
         lower, upper = self.cell_bounds(theta)

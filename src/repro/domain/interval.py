@@ -40,6 +40,11 @@ class UnitInterval(Domain):
                 lower = mid
         return lower, upper
 
+    def cell_bounds_batch(self, level, codes) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`cell_bounds`: ``(n,)`` lower and upper endpoints."""
+        low, high = self._halving_bounds(level, codes, 1)
+        return low[:, 0], high[:, 0]
+
     def cell_diameter(self, theta: Cell) -> float:
         """Length ``2^{-level}`` of the dyadic cell."""
         return 2.0 ** (-len(validate_cell(theta)))

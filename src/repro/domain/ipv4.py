@@ -134,6 +134,13 @@ class IPv4Domain(Domain):
         high = low + (1 << remaining) - 1
         return low, high
 
+    def cell_bounds_batch(self, level, codes) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`cell_range`: ``(n,)`` int64 inclusive ranges, by shifts."""
+        levels, codes = self._cell_codes(level, codes, ADDRESS_BITS)
+        remaining = ADDRESS_BITS - levels
+        low = codes << remaining
+        return low, low + (np.int64(1) << remaining) - 1
+
     def sample_cell(self, theta: Cell, rng: np.random.Generator) -> int:
         """Uniform random address within a prefix cell."""
         low, high = self.cell_range(theta)

@@ -16,7 +16,12 @@ that is pure array arithmetic:
   index arrays (left/right child, left-child count, leaf payloads), so a
   batch of quantile probabilities descends level-synchronously: one numpy
   pass per tree level for the *entire* batch instead of one Python descent
-  per probability.
+  per probability.  The synthetic-data sampler walks the same table.
+
+Both tables compile from the tree's level arrays with no per-cell Python:
+leaf and node ``(level, code)`` arrays go through one
+:meth:`~repro.domain.base.Domain.cell_bounds_batch` call, and the CDF's leaf
+order is an ``argsort`` of the codes left-aligned to level 62.
 
 Byte-identical contract
 -----------------------
@@ -26,8 +31,10 @@ accumulated sequentially (``np.cumsum``, which sums left to right, not
 order, integer overlaps divide with the same int64 -> float64 true division,
 and the quantile descent performs the same compare/subtract sequence per
 probability.  ``tests/test_queries_vectorized.py`` pins the equality against
-reference implementations of the old loops on randomised trees over all five
-domains.
+reference implementations of the old loops, which take each leaf's geometry
+from the scalar ``cell_bounds`` / ``cell_range``, on randomised trees over
+all five domains; ``tests/test_domain_cell_bounds_batch.py`` pins the batch
+geometry against the scalar one at every level.
 
 Example:
     >>> from repro.queries.compiled import CompiledLeafTable
@@ -47,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.tree import PartitionTree
-from repro.domain.base import Cell, Domain
+from repro.domain.base import Domain
 from repro.domain.discrete import DiscreteDomain
 from repro.domain.geo import GeoDomain
 from repro.domain.hypercube import Hypercube
@@ -91,20 +98,20 @@ class CompiledLeafTable:
     def __init__(self, tree: PartitionTree, domain: Domain) -> None:
         self.domain = domain
         self.root_count = float(tree.root_count)
-        weights = np.maximum(tree.leaf_counts(), 0.0)
+        levels, codes, counts = tree.leaf_arrays()
+        weights = np.maximum(counts, 0.0)
         total = float(weights.sum())
         if total <= 0:
             # Degenerate release: the retired scalar engine fell back to a
             # single root "leaf" carrying the whole mass (the uniform law).
-            leaves: list[Cell] = [()]
+            levels = codes = np.zeros(1, dtype=np.int64)
             self.probabilities = np.array([1.0])
         else:
-            leaves = tree.leaves()
             self.probabilities = weights / total
         self.size = len(self.probabilities)
         self._positive = self.probabilities > 0
-        self._compile_geometry(domain, leaves)
-        self._compile_cdf(domain, leaves)
+        self._compile_geometry(domain, levels, codes)
+        self._compile_cdf(domain, levels, codes)
 
     @classmethod
     def from_arrays(cls, domain: Domain, *, kind: str, root_count: float, arrays: dict) -> "CompiledLeafTable":
@@ -166,46 +173,37 @@ class CompiledLeafTable:
     # ------------------------------------------------------------------ #
     # compilation
     # ------------------------------------------------------------------ #
-    def _compile_geometry(self, domain: Domain, leaves: list[Cell]) -> None:
+    def _compile_geometry(self, domain: Domain, levels: np.ndarray, codes: np.ndarray) -> None:
         if isinstance(domain, UnitInterval):
             self.kind = "interval"
-            bounds = [domain.cell_bounds(theta) for theta in leaves]
-            self.low = np.array([b[0] for b in bounds])
-            self.high = np.array([b[1] for b in bounds])
-            self.width = self.high - self.low
         elif isinstance(domain, (Hypercube, GeoDomain)):
             self.kind = "box"
-            self.dimension = 2 if isinstance(domain, GeoDomain) else domain.dimension
-            bounds = [domain.cell_bounds(theta) for theta in leaves]
-            self.low = np.array([b[0] for b in bounds], dtype=float).reshape(
-                self.size, self.dimension
-            )
-            self.high = np.array([b[1] for b in bounds], dtype=float).reshape(
-                self.size, self.dimension
-            )
-            self.width = self.high - self.low
         elif isinstance(domain, (IPv4Domain, DiscreteDomain)):
             self.kind = "intrange"
-            ranges = [domain.cell_range(theta) for theta in leaves]
-            self.low = np.array([r[0] for r in ranges], dtype=np.int64)
-            self.high = np.array([r[1] for r in ranges], dtype=np.int64)
         else:
             raise TypeError(
                 f"range queries are not supported on {type(domain).__name__}"
             )
+        self.low, self.high = domain.cell_bounds_batch(levels, codes)
+        if self.kind == "box":
+            self.dimension = self.low.shape[1]
+        if self.kind != "intrange":
+            self.width = self.high - self.low
 
-    def _compile_cdf(self, domain: Domain, leaves: list[Cell]) -> None:
+    def _compile_cdf(self, domain: Domain, levels: np.ndarray, codes: np.ndarray) -> None:
         """Prefix-sum/CDF array over the ordered-domain leaf order.
 
         For one-dimensional ordered domains the leaves partition the domain
-        left to right; sorting the prefix-free cell indices
-        lexicographically *is* the domain order, so ``cdf[j]`` is the
-        released probability mass at or below the ``j``-th leaf's upper
-        endpoint.  Vector domains have no total order and carry no CDF.
+        left to right.  No leaf is a prefix of another, so sorting the
+        codes left-aligned to level 62, ``code << (62 - level)``, is the
+        lexicographic order of their bit tuples, which *is* the domain
+        order; ``cdf[j]`` is the released probability mass at or below the
+        ``j``-th leaf's upper endpoint.  Vector domains have no total order
+        and carry no CDF.
         """
         if isinstance(domain, (UnitInterval, IPv4Domain, DiscreteDomain)):
-            order = sorted(range(self.size), key=leaves.__getitem__)
-            self.leaf_order = np.array(order, dtype=np.int64)
+            order = np.argsort(codes << (62 - levels), kind="stable")
+            self.leaf_order = order.astype(np.int64, copy=False)
             self.cdf = np.cumsum(self.probabilities[self.leaf_order])
         else:
             self.leaf_order = None
@@ -305,13 +303,17 @@ class CompiledLeafTable:
 
 
 class CompiledDescentTable:
-    """The tree's branching structure flattened for batch quantile descent.
+    """The tree's branching structure flattened for batch descent.
 
     Nodes are the tree's nodes in (level, index) order, so node ``0`` is the
     root and children always follow their parent.  ``internal[i]`` says
     whether node ``i`` has children; internal nodes carry both child
     indices, and every node carries ``left_count`` -- ``max(count(left
     child), 0.0)`` -- which is the only number the descent compares against.
+    Every node also carries its cell's ``low``/``high`` from
+    :meth:`~repro.domain.base.Domain.cell_bounds_batch`, on all five domains:
+    quantile answers interpolate in them, and the sampler draws points in
+    them.
     """
 
     def __init__(self, tree: PartitionTree, domain: Domain) -> None:
@@ -341,7 +343,12 @@ class CompiledDescentTable:
         self.right_index = np.where(self.internal, self.left_index + 1, self.left_index)
         self.left_count = np.concatenate(left_count)
         self.leaf_count = np.maximum(np.concatenate([counts for _, counts in levels]), 0.0)
-        self._compile_points(domain, list(tree))
+        sizes = [codes.size for codes, _ in levels]
+        self.low, self.high = domain.cell_bounds_batch(
+            np.repeat(np.arange(self.depth + 1), sizes),
+            np.concatenate([codes for codes, _ in levels]),
+        )
+        self.integer = self.low.dtype.kind in "iu"
         # Plain-Python mirrors for the scalar fast path (list indexing beats
         # numpy scalar extraction for a single root-to-leaf walk).
         self._py_internal = self.internal.tolist()
@@ -349,6 +356,8 @@ class CompiledDescentTable:
         self._py_right_index = self.right_index.tolist()
         self._py_left_count = self.left_count.tolist()
         self._py_leaf_count = self.leaf_count.tolist()
+        self._py_low = self.low.tolist()
+        self._py_high = self.high.tolist()
 
     @classmethod
     def from_arrays(cls, domain: Domain, *, root_count: float, arrays: dict) -> "CompiledDescentTable":
@@ -413,22 +422,6 @@ class CompiledDescentTable:
             "low": self.low,
             "high": self.high,
         }
-
-    def _compile_points(self, domain: Domain, cells: list[Cell]) -> None:
-        if isinstance(domain, UnitInterval):
-            self.integer = False
-            bounds = [domain.cell_bounds(theta) for theta in cells]
-            self.low = np.array([b[0] for b in bounds])
-            self.high = np.array([b[1] for b in bounds])
-            self._py_low = self.low.tolist()
-            self._py_high = self.high.tolist()
-        else:
-            self.integer = True
-            ranges = [domain.cell_range(theta) for theta in cells]
-            self.low = np.array([r[0] for r in ranges], dtype=np.int64)
-            self.high = np.array([r[1] for r in ranges], dtype=np.int64)
-            self._py_low = self.low.tolist()
-            self._py_high = self.high.tolist()
 
     # ------------------------------------------------------------------ #
     # scalar walk (single probability)

@@ -93,8 +93,10 @@ class RangeQueryEngine:
         if kind == "interval":
             low = np.array([float(value) for value in lowers])
             high = np.array([float(value) for value in uppers])
-            if np.any(low > high):
-                raise ValueError("lower bound must not exceed upper bound")
+            # The negated all() form also rejects NaN bounds, whose
+            # comparisons are all False.
+            if not np.all(low <= high):
+                raise ValueError("lower bound must not exceed upper bound, and neither may be NaN")
             return low, high
         if kind == "intrange":
             low = np.array([self._as_int(value) for value in lowers], dtype=np.int64)
@@ -115,8 +117,10 @@ class RangeQueryEngine:
                 upper = domain._normalise(upper)
             lower = np.asarray(lower, dtype=float).ravel()
             upper = np.asarray(upper, dtype=float).ravel()
-            if np.any(lower > upper):
-                raise ValueError("lower bounds must not exceed upper bounds on any axis")
+            if not np.all(lower <= upper):
+                raise ValueError(
+                    "lower bounds must not exceed upper bounds on any axis, and none may be NaN"
+                )
             if lower.shape != (dimension,) or upper.shape != (dimension,):
                 raise ValueError("query bounds must match the domain dimension")
             low_rows.append(lower)

@@ -306,7 +306,7 @@ class ReleaseStore:
             "epsilon": release.epsilon,
             "items_processed": release.items_processed,
             "memory_words": release.memory_words,
-            "leaves": len(release.tree.leaves()),
+            "leaves": release.tree.num_leaves(),
             "queries": list(release.supported_queries()),
             "live": self.is_live(name),
         }

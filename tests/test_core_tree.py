@@ -123,6 +123,18 @@ class TestStructure:
         assert tree.leaves() == [(1,), (0, 0), (0, 1)]
         assert tree.leaf_counts().tolist() == [1.0, 2.0, 1.0]
 
+    def test_leaf_arrays_and_num_leaves_describe_leaves(self):
+        grown = PartitionTree.complete(3)
+        grown.append_level([2, 3, 10, 11], [1.0, 2.0, 3.0, 4.0])
+        for tree in (PartitionTree(), PartitionTree.complete(3), pruned_tree(), grown):
+            levels, codes, counts = tree.leaf_arrays()
+            leaves = tree.leaves()
+            assert levels.dtype == codes.dtype == np.int64
+            assert levels.tolist() == [len(theta) for theta in leaves]
+            assert [tree.count(theta) for theta in leaves] == counts.tolist()
+            assert codes.tolist() == [int("".join(map(str, theta)) or "0", 2) for theta in leaves]
+            assert tree.num_leaves() == len(leaves)
+
     def test_nodes_at_level_sorted(self):
         tree = PartitionTree.complete(2)
         assert tree.nodes_at_level(2) == sorted(tree.nodes_at_level(2))

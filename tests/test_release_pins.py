@@ -183,83 +183,83 @@ PINNED = {
     ),
     ("ipv4", True, "release"): (
         "85e2d97de4e5c6e7314019d3f9817d2a354255816daed8fbb0a89907d21df148",
-        "ed7b9ae7ee01e55d4b1b69d5315026b6e6879a5f1871d13fbe5459a4d7b61ac1",
+        "6c0dcdc96f6416737de78e5641d5bc5c9f41bb1c6f1b815e393f689e9cec013b",
     ),
     ("ipv4", True, "merged"): (
         "85e2d97de4e5c6e7314019d3f9817d2a354255816daed8fbb0a89907d21df148",
-        "ed7b9ae7ee01e55d4b1b69d5315026b6e6879a5f1871d13fbe5459a4d7b61ac1",
+        "6c0dcdc96f6416737de78e5641d5bc5c9f41bb1c6f1b815e393f689e9cec013b",
     ),
     ("ipv4", True, "restored"): (
         "cb63a027accefef53dfd40b348eda689bb8d99d9073bcdb79a6c42abb16ac6c4",
-        "ed7b9ae7ee01e55d4b1b69d5315026b6e6879a5f1871d13fbe5459a4d7b61ac1",
+        "6c0dcdc96f6416737de78e5641d5bc5c9f41bb1c6f1b815e393f689e9cec013b",
     ),
     ("ipv4", True, "snapshot"): (
         "82fefc3b23a7c08cd872425415555799bf6e65046e4b99a4bb8d321e1a02c784",
-        "a50cd502a988c7bf8d10c9a7998ea759089d3bf105712dba9f732dad4d95dea7",
+        "5e018f2c874313d4d8fb014470a60fa7f5ebc4b2374b9a54d7faf9c64d26dd3a",
     ),
     ("ipv4", True, "binary"): (
         "85e2d97de4e5c6e7314019d3f9817d2a354255816daed8fbb0a89907d21df148",
-        "ed7b9ae7ee01e55d4b1b69d5315026b6e6879a5f1871d13fbe5459a4d7b61ac1",
+        "6c0dcdc96f6416737de78e5641d5bc5c9f41bb1c6f1b815e393f689e9cec013b",
     ),
     ("ipv4", False, "release"): (
         "75f76575ea01fec305b69af7feedc4718d22ae18d5653520cfa8851313e47566",
-        "267e29d4f7fb0e3205986228497fe53d29ad5840d41e77a8ee74d333c0069ce1",
+        "5eafd017ef70d66074803ee73702e8068c53cab2ddc469c99e0cc9d238e31ad0",
     ),
     ("ipv4", False, "merged"): (
         "75f76575ea01fec305b69af7feedc4718d22ae18d5653520cfa8851313e47566",
-        "267e29d4f7fb0e3205986228497fe53d29ad5840d41e77a8ee74d333c0069ce1",
+        "5eafd017ef70d66074803ee73702e8068c53cab2ddc469c99e0cc9d238e31ad0",
     ),
     ("ipv4", False, "restored"): (
         "0301e9d7365bd0926ed5913242211f9887e5144c79a2e3f970a78d047a388b48",
-        "267e29d4f7fb0e3205986228497fe53d29ad5840d41e77a8ee74d333c0069ce1",
+        "5eafd017ef70d66074803ee73702e8068c53cab2ddc469c99e0cc9d238e31ad0",
     ),
     ("ipv4", False, "snapshot"): (
         "4b26f415d8c253341c0e891e2cb10abc3ae0d1a20adbb527b32b852801e0b91f",
-        "02e530130698c54095f7d20e9b4bbe062eeb713855b444b865fb04de63a54b7e",
+        "c2bc53d228205f508851ab19ec19096de46e2d62d4e62ef691226e35051ee171",
     ),
     ("ipv4", False, "binary"): (
         "75f76575ea01fec305b69af7feedc4718d22ae18d5653520cfa8851313e47566",
-        "267e29d4f7fb0e3205986228497fe53d29ad5840d41e77a8ee74d333c0069ce1",
+        "5eafd017ef70d66074803ee73702e8068c53cab2ddc469c99e0cc9d238e31ad0",
     ),
     ("discrete:4096", True, "release"): (
         "b11b3a907e5d90fc8401713c1aca69bcea109a8deef5f47328ce97c0048d35e3",
-        "bb76331048aeccc83a8c090d84cd3f02ed0e20842c02804306b0c8a047373760",
+        "c1db8a4f13f3e121d9ccd4ffbf1aded0d60e93dc8179784af01de31b8fce1ded",
     ),
     ("discrete:4096", True, "merged"): (
         "b11b3a907e5d90fc8401713c1aca69bcea109a8deef5f47328ce97c0048d35e3",
-        "bb76331048aeccc83a8c090d84cd3f02ed0e20842c02804306b0c8a047373760",
+        "c1db8a4f13f3e121d9ccd4ffbf1aded0d60e93dc8179784af01de31b8fce1ded",
     ),
     ("discrete:4096", True, "restored"): (
         "cda9b3eae2a1337b763754bbfef6f4f2e456a108550d2d7d327e3d60b8b7c64c",
-        "bb76331048aeccc83a8c090d84cd3f02ed0e20842c02804306b0c8a047373760",
+        "c1db8a4f13f3e121d9ccd4ffbf1aded0d60e93dc8179784af01de31b8fce1ded",
     ),
     ("discrete:4096", True, "snapshot"): (
         "acdffe6798469077c3984597cdb33c99bb6f8a46a2bcee65f63b3e31fe1966d6",
-        "4c9d2a0f63c7a1ab96ed834263939d4e56b9b7c95e537e42df9d45662007804e",
+        "cb0c1798b45323acf22cb5bfc012134866518e5161504bc50c15ecf938a420b5",
     ),
     ("discrete:4096", True, "binary"): (
         "b11b3a907e5d90fc8401713c1aca69bcea109a8deef5f47328ce97c0048d35e3",
-        "bb76331048aeccc83a8c090d84cd3f02ed0e20842c02804306b0c8a047373760",
+        "c1db8a4f13f3e121d9ccd4ffbf1aded0d60e93dc8179784af01de31b8fce1ded",
     ),
     ("discrete:4096", False, "release"): (
         "c3790bdaa93c0117bc8d69b526901dbf687ee28713b8a0fba284c3b4a2ffa477",
-        "252750ebb2d3e7daacad7e0e3c7d6c6f73a1cbeb387c02be4fe7c39fcd2229db",
+        "015e96d73900439b402c7f255092280a29ff687c8cd56471409f8ae15c442ba2",
     ),
     ("discrete:4096", False, "merged"): (
         "c3790bdaa93c0117bc8d69b526901dbf687ee28713b8a0fba284c3b4a2ffa477",
-        "252750ebb2d3e7daacad7e0e3c7d6c6f73a1cbeb387c02be4fe7c39fcd2229db",
+        "015e96d73900439b402c7f255092280a29ff687c8cd56471409f8ae15c442ba2",
     ),
     ("discrete:4096", False, "restored"): (
         "31ec6c775294ef7b533c082da74531e6c6c5b2e4729a731870e13786a1d073e9",
-        "252750ebb2d3e7daacad7e0e3c7d6c6f73a1cbeb387c02be4fe7c39fcd2229db",
+        "015e96d73900439b402c7f255092280a29ff687c8cd56471409f8ae15c442ba2",
     ),
     ("discrete:4096", False, "snapshot"): (
         "46816e98e3e1047014fa8e1417d8558fc86109aa07eed7ce49e821fdcb6b3ee7",
-        "6e3dd0581b0a5a7a639ddc315dc2c5d3cf6adf68067842581987c8b6e38f51f9",
+        "98442a9359152bc02701a2fb515d69431b73bf5209d3002ee132a4f66f3d103e",
     ),
     ("discrete:4096", False, "binary"): (
         "c3790bdaa93c0117bc8d69b526901dbf687ee28713b8a0fba284c3b4a2ffa477",
-        "252750ebb2d3e7daacad7e0e3c7d6c6f73a1cbeb387c02be4fe7c39fcd2229db",
+        "015e96d73900439b402c7f255092280a29ff687c8cd56471409f8ae15c442ba2",
     ),
     ("geo", True, "release"): (
         "9851e69ca1fe549e51c89d67578cdf29d18cee458e965395f1fc0b8caeebb424",

@@ -446,11 +446,13 @@ class TestHTTPEndpoints:
         payload = json.loads(urllib.request.urlopen(served + "/healthz").read())
         assert payload == {"status": "ok", "releases": 2}
 
-    def test_releases_listing(self, served):
+    def test_releases_listing(self, served, releases):
         payload = json.loads(urllib.request.urlopen(served + "/releases").read())
         rows = {row["name"]: row for row in payload["releases"]}
         assert rows["scalar"]["domain"] == "UnitInterval"
         assert rows["plane"]["queries"] == ["mass", "range_count", "marginal"]
+        assert rows["scalar"]["leaves"] == len(releases["interval"].tree.leaves())
+        assert rows["plane"]["leaves"] == len(releases["hypercube"].tree.leaves())
 
     def test_stats_reports_cache(self, served):
         _post(served + "/query", {"release": "scalar", "query": {"type": "cdf", "point": 0.5}})
@@ -486,6 +488,75 @@ class TestHTTPEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+
+class TestNaNBounds:
+    """A NaN range bound is rejected like an inverted one: ``ValueError`` in
+    process and through ``answer_many``, 400 over HTTP, never a cached
+    ``NaN`` answer.  Infinite bounds still answer."""
+
+    NAN = float("nan")
+
+    def test_in_process_interval(self, releases):
+        release = releases["interval"]
+        for call in (
+            lambda: release.mass(self.NAN, 0.5),
+            lambda: release.mass(0.1, self.NAN),
+            lambda: release.range_count(self.NAN, self.NAN),
+            lambda: release.cdf(self.NAN),
+            lambda: release.mass_many([0.0, self.NAN], [0.5, 0.5]),
+        ):
+            with pytest.raises(ValueError, match="NaN"):
+                call()
+        assert release.mass(0.2, float("inf")) == release.mass(0.2, 1.0)
+        assert release.mass(float("-inf"), 0.3) == release.cdf(0.3)
+
+    @pytest.mark.parametrize("name", ["hypercube", "geo"])
+    def test_in_process_boxes(self, releases, name):
+        release = releases[name]
+        lower, upper = DOMAIN_QUERIES[name][0]["lower"], DOMAIN_QUERIES[name][0]["upper"]
+        with pytest.raises(ValueError, match="NaN"):
+            release.mass([self.NAN, lower[1]], upper)
+        with pytest.raises(ValueError, match="NaN"):
+            release.mass(lower, [upper[0], self.NAN])
+        assert release.mass(lower, [float("inf")] * 2) == release.mass(
+            lower, [1.0, 1.0] if name == "hypercube" else [49.0, -66.0]
+        )
+
+    def test_answer_many_fails_the_batch(self, releases):
+        store = ReleaseStore()
+        store.add("interval", releases["interval"])
+        service = QueryService(store)
+        batch = [
+            {"type": "mass", "lower": 0.0, "upper": 0.5},
+            {"type": "mass", "lower": "NaN", "upper": 0.5},
+        ]
+        with pytest.raises(ValueError, match="NaN"):
+            service.answer_many(batch)
+        with pytest.raises(ValueError, match="NaN"):
+            service.answer({"type": "cdf", "point": self.NAN})
+        assert service.cache.stats()["size"] == 0
+
+    def test_http_answers_400_and_caches_nothing(self, tmp_path, releases):
+        releases["interval"].save(tmp_path / "scalar.json")
+        query = {"type": "mass", "lower": "NaN", "upper": 0.5}
+        with _running_server(ReleaseStore(tmp_path)) as base:
+            for payload in (
+                {"release": "scalar", "query": query},
+                {"release": "scalar", "query": query},
+                {"release": "scalar", "queries": [{"type": "cdf", "point": 0.5}, query]},
+            ):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post(base + "/query", payload)
+                assert excinfo.value.code == 400
+                assert "NaN" in json.loads(excinfo.value.read())["error"]
+            infinite = _post(
+                base + "/query",
+                {"release": "scalar", "query": {"type": "mass", "lower": 0.2, "upper": "inf"}},
+            )
+            assert infinite["answer"] == releases["interval"].mass(0.2, 1.0)
+            stats = json.loads(urllib.request.urlopen(base + "/stats").read())
+            assert stats["cache"]["size"] == 1
 
 
 # --------------------------------------------------------------------------- #
