@@ -31,11 +31,17 @@ __all__ = ["PMMMethod", "build_exact_tree"]
 
 
 def build_exact_tree(data, domain: Domain, depth: int) -> PartitionTree:
-    """Complete tree of the given depth holding exact path counts of ``data``."""
+    """Complete tree of the given depth holding exact path counts of ``data``.
+
+    Every level is exact, so every level is one of :func:`level_counts`'s
+    dense histograms.
+    """
     tree = PartitionTree.complete(depth)
     codes = Domain.pack_paths(domain.locate_batch(data, depth))
-    for level, (cells, counts) in enumerate(level_counts(codes, depth)):
-        tree.increment_many(cells, counts.astype(float), level)
+    exact, _ = level_counts(codes, depth, depth)
+    for level, histogram in enumerate(exact):
+        _, counts = tree.level(level)
+        counts += histogram
     return tree
 
 

@@ -17,7 +17,8 @@ all advancing a shared event-driven time axis (one event per
 :meth:`PrivHPContinual.update`).  A batch costs one vectorised
 ``locate_batch`` pass, the :func:`repro.core.base.level_counts` roll-up that
 :class:`repro.core.privhp.PrivHP` ingests with too, one bank step per exact
-level and one aggregated sketch step per deep level.
+level whose weight vector is the level's dense histogram, and one aggregated
+sketch step per deep level.
 
 It satisfies the full :class:`repro.api.summarizer.StreamSummarizer`
 protocol: batched ingestion, shard :meth:`PrivHPContinual.merge`, versioned
@@ -125,8 +126,9 @@ class PrivHPContinual(SummarizerBase):
 
         One :meth:`~repro.domain.base.Domain.locate_batch` pass locates every
         point; :func:`repro.core.base.level_counts` aggregates the batch, each
-        exact level advances its counter bank one step, and each deep level
-        takes one aggregated sketch step over the batch's distinct cells.
+        exact level advances its counter bank one step by the level's dense
+        histogram, and each deep level takes one aggregated sketch step over
+        the batch's distinct cells.
         The exact counts after the batch are identical to item-wise
         processing (up to float summation order); the noise layout follows
         the event time axis, so private snapshots remain available after
@@ -173,15 +175,11 @@ class PrivHPContinual(SummarizerBase):
                     f"stream horizon of {self.horizon} items exhausted; "
                     "construct PrivHPContinual with a larger horizon"
                 )
-            levels = level_counts(codes, self.config.depth)
             cutoff = self.config.level_cutoff
-            for level in range(cutoff + 1):
-                cells, counts = levels[level]
-                weights = np.zeros(1 << level)
-                weights[cells] = counts
-                self._banks[level].step(weights)
-            for level in range(cutoff + 1, self.config.depth + 1):
-                cells, counts = levels[level]
+            exact, deep = level_counts(codes, self.config.depth, cutoff)
+            for level, histogram in enumerate(exact):
+                self._banks[level].step(histogram)
+            for level, (cells, counts) in enumerate(deep, cutoff + 1):
                 self._sketches[level].update_batch(
                     cell_keys(level, cells), counts.astype(float)
                 )

@@ -1,9 +1,11 @@
 """What the one-shot and the continual PrivHP summarizers share.
 
 :func:`level_counts` is the one ingest kernel: it turns a segment of located
-items into every level's occupied cells with exact integer counts, which
-:class:`repro.core.privhp.PrivHP` adds to its counters and sketches and
-:class:`repro.continual.privhp.PrivHPContinual` steps into its banks.
+items into exact counts for every level, one dense histogram per exact level
+``0 .. L*`` and the occupied cells of each sketch level below.
+:class:`repro.core.privhp.PrivHP` adds the histograms to its counters and the
+cells to its sketches; :class:`repro.continual.privhp.PrivHPContinual` steps
+the histograms into its banks and the cells into its continual sketches.
 
 :class:`SummarizerBase` holds the state both keep around those counters: the
 domain and config, the randomness contract, the per-level budgets and privacy
@@ -33,30 +35,48 @@ from repro.privacy.accountant import BudgetAccountant
 __all__ = ["SummarizerBase", "cell_keys", "level_counts"]
 
 
-def level_counts(codes: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every level's occupied cells and item counts for one segment.
+def level_counts(
+    codes: np.ndarray, depth: int, cutoff: int
+) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+    """Every level's item counts for one segment: ``(exact, deep)``.
 
     ``codes`` are the segment's full-depth cell codes (see
-    :meth:`repro.domain.base.Domain.pack_paths`).  Entry ``l`` of the result
-    is ``(cells, counts)``: the distinct level-``l`` codes in ascending order
-    and the number of items in each, as exact int64 counts.  The codes are
-    sorted once; a parent's code is its child's shifted right by one, so each
-    level's codes stay sorted and ``np.add.reduceat`` over their runs sums the
-    children's counts.
+    :meth:`repro.domain.base.Domain.pack_paths`) and ``cutoff`` is the last
+    exact level ``L*``.  ``exact[l]`` for ``l = 0 .. cutoff`` is level
+    ``l``'s dense histogram: a float64 array of length ``2^l`` whose entry
+    ``c`` is the exact number of items in cell ``c``.  ``deep[l - cutoff -
+    1]`` for ``l = cutoff + 1 .. depth`` is ``(cells, counts)``: the distinct
+    level-``l`` codes in ascending order and the number of items in each, as
+    exact int64 counts.
+
+    The deep levels sort the codes once; a parent's code is its child's
+    shifted right by one, so each level's codes stay sorted and
+    ``np.add.reduceat`` over their runs sums the children's counts.  One
+    ``np.bincount`` then builds level ``cutoff`` from level ``cutoff + 1``'s
+    parents and counts (from the unsorted codes when ``cutoff == depth``),
+    and each level above it sums its children's sibling pairs.
     """
-    cells = np.sort(codes)
-    counts = np.ones(cells.size, dtype=np.int64)
-    levels = [None] * (depth + 1)
-    for level in range(depth, -1, -1):
-        run_start = np.empty(cells.size, dtype=bool)
-        run_start[:1] = True
-        np.not_equal(cells[1:], cells[:-1], out=run_start[1:])
-        starts = run_start.nonzero()[0]
-        cells = cells[starts]
-        counts = np.add.reduceat(counts, starts)
-        levels[level] = (cells, counts)
-        cells = cells >> 1
-    return levels
+    cells, counts, deep = codes, None, []
+    if cutoff < depth:
+        cells = np.sort(codes)
+        counts = np.ones(cells.size, dtype=np.int64)
+        for _ in range(depth - cutoff):
+            run_start = np.empty(cells.size, dtype=bool)
+            run_start[:1] = True
+            np.not_equal(cells[1:], cells[:-1], out=run_start[1:])
+            starts = run_start.nonzero()[0]
+            cells = cells[starts]
+            counts = np.add.reduceat(counts, starts)
+            deep.append((cells, counts))
+            cells = cells >> 1
+    # bincount returns int64 without weights or input, float64 otherwise.
+    histogram = np.bincount(cells, weights=counts, minlength=1 << cutoff)
+    histogram = histogram.astype(np.float64, copy=False)
+    exact = [histogram]
+    for _ in range(cutoff):
+        histogram = histogram[0::2] + histogram[1::2]
+        exact.append(histogram)
+    return exact[::-1], deep[::-1]
 
 
 def cell_keys(level: int, cells: np.ndarray) -> np.ndarray:

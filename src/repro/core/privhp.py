@@ -10,7 +10,8 @@ This module implements Algorithm 1 of the paper end to end:
    ``<= L*`` and update the level sketch below.  :meth:`PrivHP.update_segments`
    is the batch path (:meth:`PrivHP.update_batch` is its one-segment case):
    one vectorised location pass, then per segment the
-   :func:`repro.core.base.level_counts` roll-up and one add per (level, cell),
+   :func:`repro.core.base.level_counts` roll-up, one in-place add of each
+   exact level's dense histogram and one aggregated update per sketch level,
    producing the same state as item-by-item :meth:`PrivHP.update`.
 3. **Growing** -- :meth:`PrivHP.release` runs
    :func:`repro.core.partition.grow_partition` (Algorithm 2) and wraps the
@@ -147,23 +148,25 @@ class PrivHP(SummarizerBase):
         return self._ingest(self._locate_codes(points), lengths)
 
     def _ingest(self, codes: np.ndarray, lengths: list[int]) -> "PrivHP":
-        """Add each segment's :func:`level_counts`: one add per (level, cell).
+        """Add each segment's :func:`level_counts` to the counters and sketches.
 
-        Exact levels go through :meth:`PartitionTree.increment_many`, deep
-        levels through one aggregated sketch update with keys in ascending
-        order, so hash-colliding buckets accumulate in a fixed sequence.
+        Each exact level's dense histogram is added to the level's stored
+        counts in place, one add per cell.  An untouched cell gets ``+0.0``,
+        which leaves its count unchanged: neither a Laplace draw nor a sum of
+        integer counts is ``-0.0``.  Deep levels go through one aggregated
+        sketch update with keys in ascending order, so hash-colliding buckets
+        accumulate in a fixed sequence.
         """
         depth = self.config.depth
         cutoff = self.config.level_cutoff
         start = 0
         for length in lengths:
             if length:
-                levels = level_counts(codes[start : start + length], depth)
-                for level in range(cutoff + 1):
-                    cells, counts = levels[level]
-                    self._tree.increment_many(cells, counts.astype(float), level)
-                for level in range(cutoff + 1, depth + 1):
-                    cells, counts = levels[level]
+                exact, deep = level_counts(codes[start : start + length], depth, cutoff)
+                for level, histogram in enumerate(exact):
+                    _, counts = self._tree.level(level)
+                    counts += histogram
+                for level, (cells, counts) in enumerate(deep, cutoff + 1):
                     self._sketches[level].update_batch(
                         cell_keys(level, cells), counts.astype(float)
                     )

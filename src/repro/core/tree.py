@@ -155,10 +155,12 @@ class PartitionTree:
     def increment_many(self, codes, amounts, level: int) -> None:
         """Add ``amounts`` to the stored cells ``codes`` of ``level``.
 
-        The one way to add to stored counts: ingest adds every exact level's
-        :func:`repro.core.base.level_counts` totals, the noise pass one
-        Laplace draw per cell.  Repeated codes accumulate in order; a code
-        that is not stored raises ``KeyError``.
+        The sparse way to add to stored counts: the noise pass adds one
+        Laplace draw per cell and item-at-a-time ingest one count per level.
+        Batched ingest adds each exact level's dense
+        :func:`repro.core.base.level_counts` histogram to the whole
+        ``counts`` array of :meth:`level` instead.  Repeated codes accumulate
+        in order; a code that is not stored raises ``KeyError``.
         """
         stored, counts = self.level(level)
         position = _positions(stored, np.asarray(codes, dtype=np.int64))

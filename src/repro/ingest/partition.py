@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import queue
 import threading
+from itertools import accumulate
 
 import numpy as np
 
@@ -379,27 +380,28 @@ class IngestWorker(threading.Thread):
         """
         state = self._resident(tenant_id)
         segments = [np.asarray(values) for values in arrays]
+        lengths = [len(segment) for segment in segments]
         applied_before = int(state.summarizer.items_processed)
         try:
             # coerce_stream is elementwise, so coercing the concatenation
             # equals concatenating the coerced segments.
             stream = state.domain.coerce_stream(np.concatenate(segments))
-            state.summarizer.update_segments(stream, [len(segment) for segment in segments])
+            state.summarizer.update_segments(stream, lengths)
             self.items_ingested += len(stream)
             self.appends += len(segments)
         except BaseException:
+            # Either nothing landed (coercion, concatenation or location
+            # failed up front) or a prefix of the run did (continual
+            # segments land one event at a time, so a horizon overrun stops
+            # the run mid-way).  Replay the segments after the landed prefix
+            # one by one, so the good batches go through exactly as they
+            # would have uncoalesced and only the bad ones surface at
+            # flush().
             landed = int(state.summarizer.items_processed) - applied_before
-            if landed:
-                # Part of the run is already in (only possible between
-                # continual segments); replaying would double-apply, so
-                # surface the whole run as one failure.
-                self.items_ingested += landed
-                raise
-            # Nothing landed (coercion/concatenation/location failed up
-            # front): replay segment by segment so the good batches go
-            # through exactly as they would have uncoalesced and only the
-            # bad ones surface at flush().
-            for segment in segments:
+            done = list(accumulate(lengths, initial=0)).index(landed)
+            self.items_ingested += landed
+            self.appends += done
+            for segment in segments[done:]:
                 try:
                     stream = state.domain.coerce_stream(segment)
                     state.summarizer.update_batch(stream)

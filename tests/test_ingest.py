@@ -468,16 +468,20 @@ class TestThousandTenantFleet:
 # --------------------------------------------------------------------------- #
 # append coalescing: staging buffers, drains, and the determinism contract
 # --------------------------------------------------------------------------- #
+#: ``(workers, staging_items, flush_interval)`` of each coalescing shape.
+COALESCING_SHAPES = pytest.mark.parametrize(
+    ("workers", "staging_items", "flush_interval"),
+    [
+        (1, 1, None),  # every append ships alone, no timer
+        (2, 2048, None),  # everything stages until a sync point
+        (4, 4, 0.001),  # aggressive timer races the appenders
+        (3, 2048, 0.05),  # the defaults
+    ],
+)
+
+
 class TestCoalescedAppends:
-    @pytest.mark.parametrize(
-        ("workers", "staging_items", "flush_interval"),
-        [
-            (1, 1, None),  # every append ships alone, no timer
-            (2, 2048, None),  # everything stages until a sync point
-            (4, 4, 0.001),  # aggressive timer races the appenders
-            (3, 2048, 0.05),  # the defaults
-        ],
-    )
+    @COALESCING_SHAPES
     def test_releases_byte_identical_across_coalescing_shapes(
         self, workers, staging_items, flush_interval
     ):
@@ -512,6 +516,34 @@ class TestCoalescedAppends:
             assert releases[spec.tenant_id] == _control_release(
                 spec, streams[spec.tenant_id]
             )
+
+    @COALESCING_SHAPES
+    def test_horizon_overrun_inside_a_run_drops_only_the_failing_append(
+        self, workers, staging_items, flush_interval
+    ):
+        """A continual tenant with ``horizon=64`` gets 50, 20 and 5 items.
+        Only the 20-item append overruns the horizon, so every coalescing
+        shape ends at 55 items with one failure, whether the three appends
+        land one by one or as one run whose second segment fails."""
+        spec = TenantSpec("h", stream_size=64, seed=4, continual=True, horizon=64)
+        rng = np.random.default_rng(24)
+        batches = [rng.random(n) for n in (50, 20, 5)]
+        with IngestService(
+            [spec],
+            workers=workers,
+            staging_items=staging_items,
+            flush_interval=flush_interval,
+        ) as service:
+            for batch in batches:
+                service.append("h", batch)
+            stats = service.flush(raise_on_failure=False)
+            assert [tenant for tenant, _ in stats["failures"]] == ["h"]
+            assert "horizon" in stats["failures"][0][1]
+            assert stats["items_ingested"] == 55
+            assert service.items_processed("h") == 55
+            assert service.snapshot("h").items_processed == 55
+            release = _release_bytes(service.release("h"))
+        assert release == _control_release(spec, [batches[0], batches[2]])
 
     def test_flush_observes_staged_but_unshipped_buffers(self):
         """With huge staging bounds and no flush timer, appends sit in the
@@ -658,16 +690,32 @@ SEGMENT_SETTINGS = settings(
 )
 
 
-def _segment_config(depth: int, seed: int) -> PrivHPConfig:
+def _segment_config(depth: int, seed: int, cutoff: int = 4) -> PrivHPConfig:
     return PrivHPConfig(
         epsilon=1.0,
         pruning_k=4,
         depth=depth,
-        level_cutoff=4,
+        level_cutoff=cutoff,
         sketch_width=8,
         sketch_depth=3,
         seed=seed,
     )
+
+
+def _segment_cutoffs(name: str):
+    """Cut-offs of the oracle tests: 0 and 4 everywhere, and the depth itself
+    on the discrete domain, the one shallow enough to enumerate every cell."""
+    depth = SEGMENT_DOMAINS[name][2]
+    return st.sampled_from([0, 4, depth] if name == "discrete" else [0, 4])
+
+
+def _prefix_counts(paths, level: int) -> np.ndarray:
+    """The dense level-``level`` histogram of scalar ``locate`` paths."""
+    expected = Counter(path[:level] for path in paths)
+    return np.array(
+        [expected[theta] for theta in itertools.product((0, 1), repeat=level)], dtype=float
+    )
+
 
 class TestUpdateSegments:
     #: Segment-length runs; the second has segments above 512 items.
@@ -689,23 +737,24 @@ class TestUpdateSegments:
         name=st.sampled_from(sorted(SEGMENT_DOMAINS)),
         lengths=segment_lengths,
         seed=st.integers(0, 2**16),
+        data=st.data(),
     )
-    def test_raw_state_matches_scalar_oracles(self, name, lengths, seed):
+    def test_raw_state_matches_scalar_oracles(self, name, lengths, seed, data):
         """Exact levels hold the prefix counts of scalar ``locate``; each
         sketch holds what a scalar Count-Min sketch with the level's seed
-        holds after the same per-segment cell counts."""
+        holds after the same per-segment cell counts.  The cut-off is 0, 4
+        or, on the discrete domain, its depth, where no sketch level exists."""
         domain, draw, depth = SEGMENT_DOMAINS[name]
         points = draw(np.random.default_rng(seed), sum(lengths))
-        config = _segment_config(depth, seed)
+        config = _segment_config(depth, seed, data.draw(_segment_cutoffs(name), label="cutoff"))
         summarizer = PrivHP(domain, config, add_noise=False)
         summarizer.update_segments(points, lengths)
         assert summarizer.items_processed == sum(lengths)
 
         paths = [domain.locate(point, depth) for point in points]
         for level in range(config.level_cutoff + 1):
-            expected = Counter(path[:level] for path in paths)
-            for theta in itertools.product((0, 1), repeat=level):
-                assert summarizer.tree.count(theta) == expected[theta], (level, theta)
+            _, counts = summarizer.tree.level(level)
+            assert np.array_equal(counts, _prefix_counts(paths, level)), level
         for level, sketch in summarizer.sketches.items():
             oracle = CountMinSketch(config.sketch_width, config.sketch_depth, seed=sketch.seed)
             start = 0
@@ -715,6 +764,29 @@ class TestUpdateSegments:
                     oracle.update(theta, float(cells[theta]))
                 start += length
             assert np.array_equal(sketch.table, oracle.table), level
+
+    @SEGMENT_SETTINGS
+    @given(
+        name=st.sampled_from(sorted(SEGMENT_DOMAINS)),
+        lengths=segment_lengths,
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_continual_banks_match_scalar_oracles(self, name, lengths, seed, data):
+        """Each exact level's counter bank holds, as its exact running
+        counts, the prefix counts of scalar ``locate``; each non-empty
+        segment is one event."""
+        domain, draw, depth = SEGMENT_DOMAINS[name]
+        points = draw(np.random.default_rng(seed), sum(lengths))
+        config = _segment_config(depth, seed, data.draw(_segment_cutoffs(name), label="cutoff"))
+        summarizer = PrivHPContinual(domain, config, horizon=max(1, sum(lengths)))
+        summarizer.update_segments(points, lengths)
+        assert summarizer.items_processed == sum(lengths)
+        assert summarizer.events == sum(1 for length in lengths if length)
+
+        paths = [domain.locate(point, depth) for point in points]
+        for level, bank in summarizer.banks.items():
+            assert np.array_equal(bank.true_counts(), _prefix_counts(paths, level)), level
 
     @SEGMENT_SETTINGS
     @given(

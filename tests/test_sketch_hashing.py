@@ -105,25 +105,33 @@ class TestHashFamily:
             for row in range(family.depth):
                 assert buckets[row].tolist() == [family.bucket(row, cell) for cell in cells]
 
-    def test_batch_hashes_reduce_keys_whose_residue_is_zero(self):
+    @pytest.mark.parametrize("width", [6, 13, 16])
+    @pytest.mark.parametrize(
+        "residue", [0, 1, MERSENNE_PRIME - 2, MERSENNE_PRIME - 1], ids=["0", "1", "p-2", "p-1"]
+    )
+    def test_batch_hashes_reduce_keys_whose_residue_is_zero(self, residue, width):
         """A key with ``a k + b = 0 (mod p)`` folds to exactly ``p`` before
         the final conditional subtract, so the batched bucket matches the
         scalar one only if that subtract happens; keys ``k + m p`` below 2^63
-        reach the same residue through different unreduced sums."""
-        family = HashFamily(depth=6, width=13, seed=5)
-        zeros = [
-            (-h.b * pow(h.a, -1, MERSENNE_PRIME)) % MERSENNE_PRIME for h in family._row_hashes
+        reach the same residue through different unreduced sums.  Residues
+        1, ``p - 2`` and ``p - 1`` sit at the other edges of the fold, and
+        the bucket reduction by division must give ``residue mod width`` at
+        each of them."""
+        family = HashFamily(depth=6, width=width, seed=5)
+        targets = [
+            ((residue - h.b) * pow(h.a, -1, MERSENNE_PRIME)) % MERSENNE_PRIME
+            for h in family._row_hashes
         ]
         keys = np.array(
-            [k + m * MERSENNE_PRIME for k in zeros for m in range(4)], dtype=np.uint64
+            [k + m * MERSENNE_PRIME for k in targets for m in range(4)], dtype=np.uint64
         )
         buckets = np.vstack([
-            blocked - 13 * np.arange(len(blocked))[:, None]
+            blocked - width * np.arange(len(blocked))[:, None]
             for _, blocked in family.cell_blocks(keys)
         ])
         for row in range(family.depth):
             assert buckets[row].tolist() == [family.bucket(row, int(k)) for k in keys]
-        assert (buckets[np.arange(6).repeat(4), np.arange(24)] == 0).all()
+        assert (buckets[np.arange(6).repeat(4), np.arange(24)] == residue % width).all()
 
     @pytest.mark.parametrize("n", [1, 24, 25, 64, 249, 250, 498])
     def test_small_key_sets_hash_in_blocks_that_keep_the_gil(self, n):
