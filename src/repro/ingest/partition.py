@@ -468,7 +468,7 @@ class IngestWorker(threading.Thread):
                 "evicting a tenant requires a checkpoint directory; construct "
                 "the service with checkpoint_dir=..."
             )
-        state = self._residents.pop(tenant_id)
+        state = self._residents[tenant_id]
         if self._writer is not None:
             # Hand the summarizer to the background writer and return; the
             # worker drops its reference, so the writer is the sole owner
@@ -478,6 +478,8 @@ class IngestWorker(threading.Thread):
             )
         else:
             save_checkpoint(state.summarizer, path, format=self.checkpoint_format)
+        # Only now: a save that raised leaves the tenant resident.
+        del self._residents[tenant_id]
         self._ledger.drop(tenant_id)
         self.evictions += 1
         if self._specs[tenant_id].continual:

@@ -23,7 +23,10 @@ byte-identity contract:
 
 Write failures never raise on the worker path; they are recorded and
 surfaced through :meth:`pop_errors` (the ingest service folds them into
-``flush()`` failures).
+``flush()`` failures).  The summarizer of a failed write stays with the
+writer, so :meth:`take_back` still returns it on the tenant's next touch
+instead of the tenant resuming from an older file or from nothing; a later
+:meth:`submit` for the stem replaces it.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ class CheckpointWriter:
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
         self._pending: dict[str, _Pending] = {}
+        #: Summarizers whose write failed, kept for take_back.
+        self._unwritten: dict[str, object] = {}
         self._sequences: dict[str, int] = {}
         self._errors: list[tuple[str, str]] = []
         self._closed = False
@@ -104,6 +109,7 @@ class CheckpointWriter:
                 raise RuntimeError("CheckpointWriter is closed")
             sequence = self._sequences.get(stem, 0) + 1
             self._sequences[stem] = sequence
+            self._unwritten.pop(stem, None)
             previous = self._pending.get(stem)
             if previous is not None and not previous.writing:
                 # Supersede in place: the queued ticket for the old sequence
@@ -123,10 +129,11 @@ class CheckpointWriter:
     def take_back(self, stem: str, timeout: float | None = None):
         """Reclaim the pending summarizer for ``stem``, cancelling its write.
 
-        Returns the summarizer when one is still queued (the caller resumes
-        with exactly the evicted object), or ``None`` when nothing is pending
-        -- including after waiting out an in-progress write, in which case
-        the freshly written file holds the newest state.
+        Returns the summarizer when one is still queued or its write failed
+        (the caller resumes with exactly the evicted object), or ``None``
+        when nothing is pending -- including after waiting out an
+        in-progress write that landed, in which case the freshly written
+        file holds the newest state.
         """
         with self._settled:
             entry = self._pending.get(stem)
@@ -138,12 +145,16 @@ class CheckpointWriter:
                 ):
                     return None
                 entry = self._pending.get(stem)
-            if entry is None:
-                return None
-            del self._pending[stem]
+            if entry is not None:
+                del self._pending[stem]
+                summarizer = entry.summarizer
+            else:
+                summarizer = self._unwritten.pop(stem, None)
+                if summarizer is None:
+                    return None
             self.take_backs += 1
             self._settled.notify_all()
-            return entry.summarizer
+            return summarizer
 
     def wait_for(self, stem: str, timeout: float | None = None) -> bool:
         """Block until no write is pending for ``stem`` (durability barrier)."""
@@ -205,6 +216,8 @@ class CheckpointWriter:
             with self._settled:
                 if self._pending.get(stem) is entry:
                     del self._pending[stem]
+                    if error is not None:
+                        self._unwritten[stem] = summarizer
                 if error is not None:
                     self._errors.append((stem, error))
                 else:

@@ -26,7 +26,9 @@ Routes:
 Clients that disconnect mid-response are routine at high concurrency
 (timeouts, impatient load balancers): response writes that hit a dead
 socket are swallowed and counted (``write_failures`` in ``/stats``) instead
-of unwinding the handler thread with ``BrokenPipeError``.
+of unwinding the handler thread with ``BrokenPipeError``.  A connection
+that idles in a read or a write for :data:`IDLE_TIMEOUT_S` is closed, so
+idle keep-alive clients cannot pin handler threads.
 
 For multi-core serving, :func:`start_worker_pool` runs N processes that all
 bind the same fixed port behind ``SO_REUSEPORT`` (the kernel load-balances
@@ -66,12 +68,22 @@ __all__ = ["QueryHTTPServer", "create_server", "start_worker_pool"]
 #: client error rather than a reason to buffer unbounded input.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a connection may sit idle in a read or a write before its handler
+#: closes it.  Without a limit every idle keep-alive connection pins a
+#: handler thread for ever; the limit sits far above any pause of a live
+#: client (a monitoring connection polling ``/stats`` once a minute stays
+#: open).
+IDLE_TIMEOUT_S = 300.0
+
 
 class _QueryRequestHandler(BaseHTTPRequestHandler):
     """Translates HTTP requests into ``QueryService`` calls."""
 
     server: "QueryHTTPServer"
     protocol_version = "HTTP/1.1"
+    #: The socket timeout ``StreamRequestHandler.setup`` applies; a timed-out
+    #: read or write ends the connection in ``handle_one_request``.
+    timeout = IDLE_TIMEOUT_S
 
     # ------------------------------------------------------------------ #
     # plumbing

@@ -32,6 +32,17 @@ class CountMinSketch:
     seed:
         Seed for the hash family; fixing it makes the sketch reproducible and
         allows two sketches built with the same seed to be merged.
+
+    Examples
+    --------
+    Scalar updates take a cell's bit tuple; batched ones take its canonical
+    key ``(1 << l) | code`` and land in the same buckets:
+
+    >>> sketch = CountMinSketch(width=64, depth=4, seed=0)
+    >>> sketch.update((0, 1), 3.0)
+    >>> sketch.update_batch(np.array([(1 << 2) | 0b01], dtype=np.uint64), np.array([2.0]))
+    >>> sketch.query((0, 1))
+    5.0
     """
 
     def __init__(self, width: int, depth: int, seed: int | None = None) -> None:

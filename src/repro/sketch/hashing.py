@@ -14,6 +14,18 @@ equal keys always collide with themselves.  Batched reads and writes take
 those integers directly: :meth:`HashFamily.cell_blocks` hashes a 1-d array of
 integer keys in ``[0, 2^63)`` against every row of the family, a block of
 rows at a time, and puts each key in the bucket the scalar hash gives it.
+
+The residue ``(a k + b) mod p`` of a batch is computed one of two ways, and
+the largest key picks which.  Keys below ``2^50`` (the cell keys of levels
+0-49) take the quotient path: the wrapping uint64 ``a k + b`` minus a float64
+estimate of its quotient times ``p``, then one conditional subtract, 9 array
+passes per block of rows (:func:`_quotient_residues`, which holds the error
+bound that makes it exact).  Larger keys take the integer path, which
+assembles the product from 32-bit halves and folds it with ``2^61 = 1 (mod
+p)`` in 20 passes (:func:`_split_residues`).  The float estimate is too
+coarse past ``2^50``, so the integer path is the only exact one for the cell
+keys of levels 50-62; both give the residue Python's ``(a * k + b) % p``
+gives.
 """
 
 from __future__ import annotations
@@ -62,7 +74,11 @@ def canonical_key(key) -> int:
 
 _MASK61 = np.uint64(MERSENNE_PRIME)
 _LOW32 = np.uint64(0xFFFFFFFF)
-_KEY_LIMIT = np.uint64(1 << 63)
+_KEY_LIMIT = 1 << 63
+
+#: Key sets whose largest key is below this bound hash through
+#: :func:`_quotient_residues`; the rest through :func:`_split_residues`.
+_QUOTIENT_KEY_LIMIT = 1 << 50
 
 #: Hashed values per block of rows for key sets of at most this many keys.
 #: numpy releases the GIL for calls on more than about 500 values
@@ -77,11 +93,12 @@ _GIL_VALUES = 498
 _BLOCK_VALUES = 1 << 14
 
 
-def _exact_keys(keys) -> np.ndarray:
-    """``keys`` as uint64, after checking the residue kernel hashes them exactly.
+def _exact_keys(keys) -> tuple[np.ndarray, int]:
+    """``keys`` as uint64 and their maximum (0 for none), after checking the
+    residue kernel hashes them exactly.
 
-    The kernel's fold is exact for keys below ``2^63`` only, and a signed or
-    float key would be wrapped or truncated by the cast; such keys raise
+    Both residue paths are exact for keys below ``2^63`` only, and a signed
+    or float key would be wrapped or truncated by the cast; such keys raise
     instead of landing in a bucket the scalar hash would not pick.
     """
     keys = np.asarray(keys)
@@ -90,66 +107,128 @@ def _exact_keys(keys) -> np.ndarray:
             f"batched sketch keys must be a 1-d integer array, got a {keys.ndim}-d "
             f"{keys.dtype} array"
         )
-    if keys.size and (keys.min() < 0 if keys.dtype.kind == "i" else keys.max() >= _KEY_LIMIT):
+    top = int(keys.max()) if keys.size else 0
+    if keys.size and (keys.min() < 0 if keys.dtype.kind == "i" else top >= _KEY_LIMIT):
         raise ValueError("batched sketch keys must be a 1-d integer array of values in [0, 2^63)")
-    return keys.astype(np.uint64, copy=False)
+    return keys.astype(np.uint64, copy=False), top
 
 
 def _coefficient_columns(hashes) -> tuple[np.ndarray, ...]:
-    """The ``(8 a_hi, a_hi, a_lo, b)`` columns of :func:`_residue_blocks`, one
-    uint64 row per hash, with ``a = a_hi 2^32 + a_lo``."""
-    a = np.array([h.a for h in hashes], dtype=np.uint64)[:, None]
-    b = np.array([h.b for h in hashes], dtype=np.uint64)[:, None]
-    a_hi = a >> 32
-    return a_hi << 3, a_hi, a & _LOW32, b
+    """The ``(a, b, fl(a / p), fl(b / p - 1/2))`` columns of
+    :func:`_residue_blocks`, one row per hash.
+
+    ``a`` and ``b`` are uint64.  The float64 columns come from Python's int
+    true division, which is correctly rounded: ``a / p`` and ``(2 b - p) /
+    (2 p)``.
+    """
+    return (
+        np.array([[h.a] for h in hashes], dtype=np.uint64),
+        np.array([[h.b] for h in hashes], dtype=np.uint64),
+        np.array([[h.a / MERSENNE_PRIME] for h in hashes]),
+        np.array([[(2 * h.b - MERSENNE_PRIME) / (2 * MERSENNE_PRIME)] for h in hashes]),
+    )
 
 
-def _residue_blocks(columns, keys: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+def _residue_blocks(columns, keys: np.ndarray, top: int) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, residues)`` with ``residues[i, j] = (a k_j + b) mod p``
     for the coefficients ``(a, b)`` of row ``rows.start + i``.
 
     Rows are hashed ``max(1, values // len(keys))`` at a time, where
     ``values`` is ``_GIL_VALUES`` for up to that many keys and
     ``_BLOCK_VALUES`` past it, so the block height follows the key count
-    alone.  The product is assembled from 32-bit halves, ``a k = hh 2^64 +
-    mid 2^32 + ll``, and folded with ``2^61 = 1 (mod p)``: ``2^64 = 8``,
-    ``mid 2^32 = (mid >> 29) + ((mid << 32) & p)`` and ``ll = (ll >> 61) +
-    (ll & p)``.  With ``a < 2^61`` and keys below ``2^63`` the unreduced sum
-    ``8 hh + (mid >> 29) + ((mid << 32) & p) + (ll >> 61) + (ll & p) + b``
-    stays below ``2^63 + 3 2^61 + 2^35 + 8 < 2^64``, so nothing wraps, and
-    one more fold leaves at most ``p + 7``: a single conditional subtract of
-    ``p`` gives the residue Python's arbitrary-precision ``(a k + b) % p``
-    computes.  The temporaries are updated in place.
+    alone.  ``top``, the largest key, picks the arithmetic: below ``2^50``
+    :func:`_quotient_residues`, else :func:`_split_residues`, which takes
+    ``a = a_hi 2^32 + a_lo`` as ``(8 a_hi, a_hi, a_lo)``.
     """
-    hi8, hi, lo, b = columns
-    k_hi, k_lo = keys >> 32, keys & _LOW32
+    a, b, a_over_p, b_offset = columns
     depth = len(b)
     values = _GIL_VALUES if keys.size <= _GIL_VALUES else _BLOCK_VALUES
     height = min(depth, max(1, values // max(keys.size, 1)))
-    for start in range(0, depth, height):
-        rows = slice(start, min(start + height, depth))
-        total = hi8[rows] * k_hi
-        total += b[rows]
-        part = lo[rows] * k_lo
-        spare = part & _MASK61
-        total += spare
-        part >>= 61
-        total += part
-        np.multiply(hi[rows], k_lo, out=part)
-        np.multiply(lo[rows], k_hi, out=spare)
-        part += spare
-        np.right_shift(part, 29, out=spare)
-        total += spare
-        part <<= 32
-        part &= _MASK61
-        total += part
-        np.right_shift(total, 61, out=spare)
-        total &= _MASK61
-        total += spare
-        # total - p wraps past total exactly when total < p.
-        np.subtract(total, _MASK61, out=spare)
-        np.minimum(total, spare, out=total)
-        yield rows, total
+    blocks = [slice(start, min(start + height, depth)) for start in range(0, depth, height)]
+    if top < _QUOTIENT_KEY_LIMIT:
+        floats = keys.astype(np.float64)
+        for rows in blocks:
+            yield rows, _quotient_residues(
+                a[rows], b[rows], a_over_p[rows], b_offset[rows], keys, floats
+            )
+    else:
+        a_hi = a >> 32
+        hi8, lo = a_hi << 3, a & _LOW32
+        k_hi, k_lo = keys >> 32, keys & _LOW32
+        for rows in blocks:
+            yield rows, _split_residues(hi8[rows], a_hi[rows], lo[rows], b[rows], k_hi, k_lo)
+
+
+def _quotient_residues(a, b, a_over_p, b_offset, keys, floats) -> np.ndarray:
+    """``(a k + b) mod p`` for a block of row coefficients against keys below
+    ``2^50`` (``floats`` is ``keys`` as float64), in 9 array passes.
+
+    ``x = a k + b`` is computed in wrapping uint64 arithmetic, the quotient
+    is estimated as ``q = trunc(fl(a / p) k + fl(b / p - 1/2))`` in float64,
+    and ``r = min(x - q p, x - q p - p)``, wrapping again, is the residue.
+
+    Why it is exact, assuming IEEE-754 binary64 with round to nearest
+    (relative error ``u = 2^-53`` per operation): a key below ``2^50``
+    converts to float64 exactly.  ``a / p < 1`` and ``|b / p - 1/2| <=
+    1/2``, so the two stored columns are off by at most ``u k`` and ``u /
+    2`` (the first after multiplying by ``k``), the product by at most ``u
+    k`` and the sum by at most ``u (k + 1/2)``: the estimate lies within
+    ``3 u k + u < 0.38`` of ``t - 1/2``, with ``t = (a k + b) / p``.  Being
+    in ``(t - 0.88, t - 0.12)``, it truncates to ``floor(t)`` or one less;
+    where it is negative (above ``-0.88``), ``t < 0.88`` and the truncation
+    toward zero gives ``0 = floor(t)``.  So ``x - q p`` is ``r`` or ``r +
+    p``, both below ``2^64`` and hence exact despite the wrapping.  ``r + p
+    - p`` is ``r``, and ``r - p`` wraps past ``r``, so the ``min`` picks
+    ``r`` either way.  The estimate stays in ``[-0.88, 2^50 + 1)``, where
+    ``astype(np.int64)`` is defined.
+    """
+    total = a * keys
+    total += b
+    estimate = a_over_p * floats
+    estimate += b_offset
+    quotients = estimate.astype(np.int64).view(np.uint64)
+    quotients *= _MASK61
+    total -= quotients
+    np.subtract(total, _MASK61, out=quotients)
+    np.minimum(total, quotients, out=total)
+    return total
+
+
+def _split_residues(hi8, hi, lo, b, k_hi, k_lo) -> np.ndarray:
+    """``(a k + b) mod p`` for a block of row coefficients against keys below
+    ``2^63`` (split as ``k = k_hi 2^32 + k_lo``), in 20 array passes.
+
+    The product is assembled from 32-bit halves, ``a k = hh 2^64 + mid 2^32
+    + ll``, and folded with ``2^61 = 1 (mod p)``: ``2^64 = 8``, ``mid 2^32 =
+    (mid >> 29) + ((mid << 32) & p)`` and ``ll = (ll >> 61) + (ll & p)``.
+    With ``a < 2^61`` and keys below ``2^63`` the unreduced sum ``8 hh +
+    (mid >> 29) + ((mid << 32) & p) + (ll >> 61) + (ll & p) + b`` stays
+    below ``2^63 + 3 2^61 + 2^35 + 8 < 2^64``, so nothing wraps, and one
+    more fold leaves at most ``p + 7``: a single conditional subtract of
+    ``p`` gives the residue.  The temporaries are updated in place.
+    """
+    total = hi8 * k_hi
+    total += b
+    part = lo * k_lo
+    spare = part & _MASK61
+    total += spare
+    part >>= 61
+    total += part
+    np.multiply(hi, k_lo, out=part)
+    np.multiply(lo, k_hi, out=spare)
+    part += spare
+    np.right_shift(part, 29, out=spare)
+    total += spare
+    part <<= 32
+    part &= _MASK61
+    total += part
+    np.right_shift(total, 61, out=spare)
+    total &= _MASK61
+    total += spare
+    # total - p wraps past total exactly when total < p.
+    np.subtract(total, _MASK61, out=spare)
+    np.minimum(total, spare, out=total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -206,15 +285,26 @@ class HashFamily:
         (anything else raises ``ValueError`` before the first block);
         ``cells[i, j]`` is ``i * width + bucket(rows.start + i, keys[j])``,
         the flat index of key ``j``'s bucket in ``table[rows].reshape(-1)``.
-        See :func:`_residue_blocks` for the block rule and the arithmetic.
+        See :func:`_residue_blocks` for the block rule and the two residue
+        paths.
 
         Each residue ``r`` is reduced to its bucket as ``r - (r // width) *
         width``, in place: numpy divides a uint64 array by a scalar through
         libdivide's multiply-and-shift, about twice as fast on a 16,384-value
         block as its uint64 remainder, and the two give the same integers.
+
+        A key below ``2^50`` (quotient path) and one above (integer path)
+        land in the buckets the scalar hash gives them:
+
+        >>> family = HashFamily(depth=3, width=10, seed=0)
+        >>> for key in (5 << 40, 5 << 55):
+        ...     [(rows, cells)] = family.cell_blocks(np.array([key], dtype=np.uint64))
+        ...     print((cells[:, 0] % 10).tolist(), family.buckets(key))
+        [2, 7, 5] [2, 7, 5]
+        [5, 0, 7] [5, 0, 7]
         """
         width = np.uint64(self.width)
-        for rows, residues in _residue_blocks(self._row_columns, _exact_keys(keys)):
+        for rows, residues in _residue_blocks(self._row_columns, *_exact_keys(keys)):
             quotients = residues // width
             quotients *= width
             residues -= quotients

@@ -15,7 +15,15 @@ __all__ = ["MisraGries"]
 
 
 class MisraGries:
-    """Classic Misra-Gries summary with a fixed number of counters."""
+    """Classic Misra-Gries summary with a fixed number of counters.
+
+    >>> summary = MisraGries(capacity=2)
+    >>> summary.update_many("aabacad")
+    >>> summary.counters   # "a" occurred 4 times; estimates never overshoot
+    {'a': 3.0, 'd': 1.0}
+    >>> summary.error_bound()   # total / (capacity + 1)
+    2.3333333333333335
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:

@@ -29,6 +29,15 @@ class PrivateCountMinSketch:
     :meth:`merge`-d linearly and the single oblivious noise matrix is added
     later via :meth:`apply_noise_now`, which keeps the privacy accounting at
     exactly one noise injection per released table.
+
+    >>> shard = PrivateCountMinSketch(width=64, depth=4, epsilon=1.0, seed=0,
+    ...                               apply_noise=False)
+    >>> shard.update_batch(np.array([5], dtype=np.uint64), np.array([10.0]))
+    >>> shard.query(5)   # a raw shard holds exact sums
+    10.0
+    >>> shard.apply_noise_now(np.random.default_rng(1))
+    >>> shard.noise_applied, shard.noise_scale   # Laplace(depth / epsilon)
+    (True, 4.0)
     """
 
     def __init__(

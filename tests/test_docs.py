@@ -26,15 +26,14 @@ import check_links  # noqa: E402
 import repro  # noqa: E402
 
 #: The packages (or plain modules) whose public surface must be documented
-#: (repro.api, repro.queries and repro.serve from the serving PR;
-#: repro.continual from the continual-observation PR; repro.stream.scenarios
-#: from the scenario-engine PR).
+#: and carry runnable examples.
 DOCUMENTED_PACKAGES = (
     "repro.api",
     "repro.queries",
     "repro.serve",
     "repro.continual",
     "repro.ingest",
+    "repro.sketch",
     "repro.stream.scenarios",
 )
 

@@ -17,8 +17,10 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -423,6 +425,93 @@ class TestEvictionRoundTrip:
         service.append("durable", np.linspace(0.0, 1.0, 16))
         service.close()
         assert (tmp_path / "durable.state.bin").exists()
+
+
+class TestCheckpointFaults:
+    """A checkpoint that cannot be written or read never costs a tenant its
+    items silently: the fault surfaces at ``flush()``, and the tenant is
+    never rebuilt empty behind it."""
+
+    def test_failed_eviction_write_keeps_the_tenant(self, tmp_path, monkeypatch):
+        import repro.io.checkpoint_writer as writer_module
+
+        save = writer_module.save_checkpoint
+        calls = []
+
+        def full_disk_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return save(*args, **kwargs)
+
+        monkeypatch.setattr(writer_module, "save_checkpoint", full_disk_once)
+        rng = np.random.default_rng(19)
+        batches = [rng.random(100), rng.random(10)]
+        spec = TenantSpec("full", stream_size=256, seed=23)
+        with IngestService(workers=1, checkpoint_dir=tmp_path) as service:
+            service.register(spec)
+            service.append("full", batches[0])
+            assert service.evict("full") is True
+            with pytest.raises(AppendError) as excinfo:
+                service.flush()
+            [(tenant, message)] = excinfo.value.failures
+            assert tenant == "full"
+            assert message.startswith("checkpoint write failed: OSError")
+            assert f"[Errno {errno.ENOSPC}]" in message
+            assert not (tmp_path / "full.state.bin").exists()
+            service.append("full", batches[1])
+            service.flush()
+            release = service.release("full")
+        assert len(calls) == 1
+        assert _release_bytes(release) == _control_release(spec, batches)
+
+    def test_failed_synchronous_eviction_keeps_the_tenant(self, tmp_path, monkeypatch):
+        """A worker without a background writer saves on its own thread; a
+        save that raises must leave the tenant resident, not dropped."""
+        import repro.ingest.partition as partition_module
+        from repro.ingest.partition import IngestWorker
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(partition_module, "save_checkpoint", full_disk)
+        rng = np.random.default_rng(31)
+        batches = [rng.random(100), rng.random(10)]
+        spec = TenantSpec("sync", stream_size=256, seed=37)
+        worker = IngestWorker(index=0, checkpoint_dir=tmp_path)
+        worker.start()
+        try:
+            worker.request("register", spec)
+            worker.send("append", "sync", batches[0])
+            with pytest.raises(OSError, match="No space"):
+                worker.request("evict", "sync")
+            worker.send("append", "sync", batches[1])
+            release = worker.request("release", "sync")
+        finally:
+            worker.stop()
+        assert not worker.is_alive()
+        assert _release_bytes(release) == _control_release(spec, batches)
+
+    def test_truncated_checkpoint_fails_appends_and_is_never_rebuilt_empty(self, tmp_path):
+        spec = TenantSpec("torn", stream_size=256, seed=29)
+        path = tmp_path / "torn.state.bin"
+        with IngestService(workers=1, checkpoint_dir=tmp_path) as service:
+            service.register(spec)
+            service.append("torn", np.linspace(0.1, 0.9, 32))
+            service.evict("torn")
+            service.flush()
+            torn = path.read_bytes()[: path.stat().st_size // 2]
+            path.write_bytes(torn)
+            for _ in range(2):
+                service.append("torn", [0.5])
+                with pytest.raises(AppendError) as excinfo:
+                    service.flush()
+                [(tenant, message)] = excinfo.value.failures
+                assert tenant == "torn" and message.startswith("ValueError")
+            assert service.stats()["items_ingested"] == 32
+            with pytest.raises(ValueError):
+                service.release("torn")
+        assert path.read_bytes() == torn
 
 
 class TestThousandTenantFleet:

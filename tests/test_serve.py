@@ -9,6 +9,7 @@ five domains -- every transport funnels through one evaluation path.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import socket
 import struct
@@ -26,6 +27,7 @@ from repro.cli import main as cli_main
 from repro.queries.quantiles import QuantileEngine
 from repro.queries.range_queries import RangeQueryEngine
 from repro.queries.support import QUERY_TYPES, supported_queries
+from repro.serve import http as serve_http
 from repro.serve.batch import load_workload, run_workload, run_workload_file
 from repro.serve.cache import QueryCache
 from repro.serve.http import create_server, start_worker_pool
@@ -1010,6 +1012,36 @@ class TestClientDisconnect:
                 {"release": "stream", "query": {"type": "mass", "lower": 0.1, "upper": 0.9}},
             )
             assert 0.0 <= result["answer"] <= 1.0
+
+
+class TestIdleConnectionsAreClosed:
+    """An open connection pins a handler thread, so one that idles past the
+    handler's timeout is closed, whether it never sent a request or went
+    quiet after a keep-alive answer; new connections are still served."""
+
+    def test_idle_connections_are_closed(self, monkeypatch, releases):
+        assert serve_http._QueryRequestHandler.timeout == serve_http.IDLE_TIMEOUT_S
+        monkeypatch.setattr(serve_http._QueryRequestHandler, "timeout", 0.2)
+        store = ReleaseStore()
+        store.add("only", releases["interval"])
+        with _running_server(store) as base:
+            port = int(base.rsplit(":", 1)[1])
+            body = {"release": "only", "query": {"type": "mass", "lower": 0.1, "upper": 0.9}}
+            raw = socket.create_connection(("127.0.0.1", port), timeout=5)
+            kept = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+            try:
+                kept.request("POST", "/query", body=json.dumps(body))
+                response = kept.getresponse()
+                assert response.status == 200 and not response.will_close
+                answer = json.loads(response.read())["answer"]
+                # The server closes both: each reads end of stream instead of
+                # timing out on the client's own 5 s limit.
+                assert raw.recv(1) == b""
+                assert kept.sock.recv(1) == b""
+            finally:
+                raw.close()
+                kept.close()
+            assert _post(base + "/query", body)["answer"] == answer
 
 
 @pytest.mark.skipif(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.continual.sketch import ContinualPrivateCountMinSketch
 from repro.sketch.countmin import CountMinSketch
@@ -9,6 +11,7 @@ from repro.sketch.hashing import (
     MERSENNE_PRIME,
     HashFamily,
     PairwiseHash,
+    _coefficient_columns,
     canonical_key,
 )
 from repro.sketch.private import PrivateCountMinSketch
@@ -58,6 +61,26 @@ class TestPairwiseHash:
             PairwiseHash(a=0, b=0, width=4)
 
 
+def _keys_of_bit_length(bits: int):
+    """A strategy for the keys of bit length ``bits``."""
+    return st.integers((1 << bits) >> 1, (1 << bits) - 1)
+
+
+#: Single keys at the edges of the quotient path's range: 1, 2^49 and
+#: 2^50 - 1 take it, the rest the integer path.
+_EDGE_KEYS = [1, 1 << 49, (1 << 50) - 1, 1 << 50, (1 << 52) + 1, (1 << 53) - 1,
+              (1 << 54) - 1, (1 << 63) - 1]
+_EDGE_KEY_IDS = ["1", "2^49", "2^50-1", "2^50", "2^52+1", "2^53-1", "2^54-1", "2^63-1"]
+
+
+def _family_of(hashes: list[PairwiseHash]) -> HashFamily:
+    """A family whose rows are exactly ``hashes`` (all of one width)."""
+    family = HashFamily(depth=len(hashes), width=hashes[0].width, seed=0)
+    family._row_hashes = list(hashes)
+    family._row_columns = _coefficient_columns(family._row_hashes)
+    return family
+
+
 class TestHashFamily:
     def test_same_seed_same_hashes(self):
         family_a = HashFamily(depth=4, width=32, seed=7)
@@ -84,11 +107,13 @@ class TestHashFamily:
         with pytest.raises(ValueError):
             HashFamily(depth=2, width=0)
 
-    @pytest.mark.parametrize("level", [59, 60, 61, 62])
+    @pytest.mark.parametrize("level", [1, 20, 48, 49, 50, 59, 60, 61, 62])
     def test_batch_hashes_are_exact_for_cell_keys_up_to_2_63(self, level):
-        """Cell keys ``(1 << level) | code`` reach past the prime from level 61
-        on; the vectorised fold must still match the scalar hash of the cell's
-        bit tuple (which reduces mod p) for every key below 2^63."""
+        """Cell keys ``(1 << level) | code`` of levels up to 49 are below
+        2^50 and take the quotient path; from level 50 on they take the
+        integer path, and from level 61 on they reach past the prime.  Both
+        must match the scalar hash of the cell's bit tuple (which reduces
+        mod p) for every key below 2^63."""
         rng = np.random.default_rng(level)
         codes = [0, 1, (1 << level) - 2, (1 << level) - 1]
         codes += [int(code) for code in rng.integers(0, 1 << level, size=60, dtype=np.int64)]
@@ -133,6 +158,48 @@ class TestHashFamily:
             assert buckets[row].tolist() == [family.bucket(row, int(k)) for k in keys]
         assert (buckets[np.arange(6).repeat(4), np.arange(24)] == residue % width).all()
 
+    @pytest.mark.parametrize("width", [6, 13, 16])
+    @pytest.mark.parametrize(
+        "a", [1, MERSENNE_PRIME - 1, 1815673109382999697], ids=["1", "p-1", "random"]
+    )
+    @pytest.mark.parametrize("key", _EDGE_KEYS, ids=_EDGE_KEY_IDS)
+    def test_batch_hashes_are_exact_at_the_edges_of_the_quotient_estimate(self, key, a, width):
+        """The quotient path truncates ``t - 1/2 +- 0.38``, ``t = (a k + b) /
+        p``.  Residues 0 and 1 put ``t`` just above an integer, so the
+        estimate truncates one below the quotient and the final ``min`` must
+        take off the extra ``p``; residues ``p - 2`` and ``p - 1`` put ``t``
+        just below the next integer, which an estimate without the ``- 1/2``
+        would reach; residues around ``p / 2`` put the estimate itself next
+        to an integer.  Each row's ``b`` makes one of them for the key.  Keys
+        from 2^50 on take the integer path: there the estimate's error may
+        pass 1/2, and from 2^53 on a key need not convert to float64 exactly,
+        so these residues would put it off by more than the ``min`` repairs."""
+        residues = [0, 1, MERSENNE_PRIME // 2, MERSENNE_PRIME // 2 + 1,
+                    MERSENNE_PRIME - 2, MERSENNE_PRIME - 1]
+        hashes = [PairwiseHash(a, (r - a * key) % MERSENNE_PRIME, width) for r in residues]
+        [(_, cells)] = _family_of(hashes).cell_blocks(np.array([key], dtype=np.uint64))
+        buckets = (cells[:, 0] - width * np.arange(len(hashes))).tolist()
+        assert buckets == [(h.a * key + h.b) % MERSENNE_PRIME % width for h in hashes]
+        assert buckets == [r % width for r in residues]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.integers(1, MERSENNE_PRIME - 1),
+        b=st.integers(0, MERSENNE_PRIME - 1),
+        width=st.integers(1, 1 << 20),
+        keys=st.lists(st.integers(0, 63).flatmap(_keys_of_bit_length), min_size=1, max_size=24),
+    )
+    def test_batch_hashes_match_python_ints(self, a, b, width, keys):
+        """Buckets equal Python's ``(a k + b) % p % width`` for keys of every
+        bit length up to 63: hashed one at a time (each key picks its own
+        path), together with ``2^50 - 1`` below 2^50 (the quotient path at
+        its limit) and together with ``2^50`` (the integer path)."""
+        family = _family_of([PairwiseHash(a, b, width)])
+        low = [key for key in keys if key < 1 << 50] + [(1 << 50) - 1]
+        for batch in [[key] for key in keys] + [low, keys + [1 << 50]]:
+            [(_, cells)] = family.cell_blocks(np.array(batch, dtype=np.uint64))
+            assert cells[0].tolist() == [(a * key + b) % MERSENNE_PRIME % width for key in batch]
+
     @pytest.mark.parametrize("n", [1, 24, 25, 64, 249, 250, 498])
     def test_small_key_sets_hash_in_blocks_that_keep_the_gil(self, n):
         """numpy releases the GIL for calls on more than ~500 values, and
@@ -146,14 +213,25 @@ class TestHashFamily:
         assert max(rows.stop - rows.start for rows in blocks) * n <= 498
 
 
-def _pin_keys(n: int, seed: int) -> np.ndarray:
-    """``n`` keys below ``2^63``: the range's end points and the cell keys
-    ``(1 << level) | code`` of levels 59-62 first, then random 63-bit keys."""
-    edges = [(1 << 63) - 1, 0]
-    for level in (59, 60, 61, 62):
+#: The pins' key sources, one per residue path: ``(bits, edges, levels)``.
+#: A source's keys are its edges, the first and last cell keys ``(1 <<
+#: level) | code`` of its levels, then random keys below ``2^bits``.  Every
+#: nonempty 63-bit key set holds ``2^63 - 1`` and takes the integer path;
+#: every 50-bit one takes the quotient path.
+_KEY_SOURCES = {
+    "63-bit": (63, [(1 << 63) - 1, 0], (59, 60, 61, 62)),
+    "50-bit": (50, [0, (1 << 50) - 1], (1, 20, 48, 49)),
+}
+
+
+def _pin_keys(n: int, seed: int, source: str) -> np.ndarray:
+    """The first ``n`` keys of ``_KEY_SOURCES[source]``."""
+    bits, edges, levels = _KEY_SOURCES[source]
+    edges = list(edges)
+    for level in levels:
         edges += [(1 << level) | 0, (1 << level) | ((1 << level) - 1)]
     rng = np.random.default_rng(seed)
-    fill = rng.integers(0, 1 << 63, size=max(n - len(edges), 0), dtype=np.uint64)
+    fill = rng.integers(0, 1 << bits, size=max(n - len(edges), 0), dtype=np.uint64)
     return np.concatenate([np.array(edges, dtype=np.uint64), fill])[:n]
 
 
@@ -173,16 +251,19 @@ _PIN_CASES = [
 
 
 @pytest.mark.parametrize("depth, width, n", _PIN_CASES)
+@pytest.mark.parametrize("source", sorted(_KEY_SOURCES))
 class TestBatchedSketchesMatchScalarSketches:
     """Every batched sketch read and write equals its scalar counterpart bit
-    for bit: same buckets, and each bucket's adds arrive in key order."""
+    for bit, on either residue path: same buckets, and each bucket's adds
+    arrive in key order."""
 
-    def _inputs(self, depth, width, n):
+    def _inputs(self, depth, width, n, source):
         rng = np.random.default_rng([depth, width, n])
-        return _pin_keys(n, seed=n), rng.laplace(0.0, 3.0, n), rng.laplace(0.0, 1.0, (depth, width))
+        keys = _pin_keys(n, seed=n, source=source)
+        return keys, rng.laplace(0.0, 3.0, n), rng.laplace(0.0, 1.0, (depth, width))
 
-    def test_countmin_update_batch(self, depth, width, n):
-        keys, counts, noise = self._inputs(depth, width, n)
+    def test_countmin_update_batch(self, depth, width, n, source):
+        keys, counts, noise = self._inputs(depth, width, n, source)
         batched, scalar = (CountMinSketch(width, depth, seed=3) for _ in range(2))
         for sketch in (batched, scalar):
             sketch.add_noise_matrix(noise)
@@ -191,15 +272,15 @@ class TestBatchedSketchesMatchScalarSketches:
             scalar.update(int(key), float(count))
         assert batched.table.tobytes() == scalar.table.tobytes()
 
-    def test_countmin_query_many(self, depth, width, n):
-        keys, _, noise = self._inputs(depth, width, n)
+    def test_countmin_query_many(self, depth, width, n, source):
+        keys, _, noise = self._inputs(depth, width, n, source)
         sketch = CountMinSketch(width, depth, seed=4)
         sketch.add_noise_matrix(noise)
         expected = np.array([sketch.query(int(key)) for key in keys], dtype=float)
         assert sketch.query_many(keys).tobytes() == expected.tobytes()
 
-    def test_continual_update_batch(self, depth, width, n):
-        keys, counts, _ = self._inputs(depth, width, n)
+    def test_continual_update_batch(self, depth, width, n, source):
+        keys, counts, _ = self._inputs(depth, width, n, source)
         batched, itemwise = (
             ContinualPrivateCountMinSketch(
                 width, depth, epsilon=1.0, horizon=4, seed=5, rng=np.random.default_rng(6)
