@@ -35,7 +35,8 @@ What the service adds on top of the workers:
   every *continual* tenant is registered for live snapshot serving the
   moment it has data, unregistered on eviction or release (a dead
   summarizer can never be snapshotted through HTTP), and its final release
-  is added to the store as a static entry.
+  is added to the store as a static entry.  A live answer covers every
+  append the service accepted before the query, flushed or not.
 
 Example:
     >>> import numpy as np
@@ -68,13 +69,25 @@ from repro.io.checkpoint_writer import CheckpointWriter
 __all__ = ["IngestService", "LiveTenantHandle"]
 
 
-class _ItemCounter:
-    """A monotonic per-tenant item count shared worker -> service."""
+def _unknown_tenant(tenant_id: str) -> KeyError:
+    return KeyError(f"unknown tenant {tenant_id!r}; register a TenantSpec for it first")
 
-    __slots__ = ("value",)
+
+class _ItemCounter:
+    """A tenant's monotonic item counts.
+
+    ``value`` counts the items the owning worker has processed (written by
+    the worker); ``accepted`` counts the items :meth:`IngestService.append`
+    has staged (written under the tenant's stage lock, which serialises
+    every append of the tenant).  ``accepted - value`` counts the items
+    still staged or queued, plus those of appends that failed.
+    """
+
+    __slots__ = ("value", "accepted")
 
     def __init__(self) -> None:
         self.value = 0
+        self.accepted = 0
 
 
 class _StagingBuffer:
@@ -101,19 +114,25 @@ class LiveTenantHandle:
     contract (``snapshot()`` + ``items_processed``) by routing through the
     service, so serving threads never touch a summarizer directly -- the
     owning worker takes the snapshot between appends, under the tenant's
-    strict per-partition ordering.
+    strict per-partition ordering.  ``items_accepted`` is what the store
+    versions the tenant's snapshots by: an append is counted the moment
+    :meth:`IngestService.append` returns, and the next snapshot covers it,
+    flushed or not.
 
-    Example:
+    Example: the worker has not applied the second append, yet the
+    snapshot covers it.
         >>> import numpy as np
         >>> from repro.ingest.spec import TenantSpec
-        >>> with IngestService(workers=1) as service:
+        >>> with IngestService(workers=1, flush_interval=None) as service:
         ...     service.register(TenantSpec("live", stream_size=64, seed=2,
         ...                                 continual=True))
         ...     service.append("live", np.linspace(0.0, 1.0, 32))
         ...     _ = service.flush()
         ...     handle = LiveTenantHandle(service, "live")
-        ...     handle.items_processed, handle.snapshot().items_processed
-        (32, 32)
+        ...     service.append("live", np.linspace(0.0, 1.0, 16))
+        ...     counts = handle.items_accepted, handle.items_processed
+        ...     counts, handle.snapshot().items_processed
+        ((48, 32), 48)
     """
 
     def __init__(self, service: "IngestService", tenant_id: str) -> None:
@@ -125,8 +144,14 @@ class LiveTenantHandle:
         """Items the owning worker has fully processed for this tenant."""
         return self._service.items_processed(self._tenant_id)
 
+    @property
+    def items_accepted(self) -> int:
+        """Items :meth:`IngestService.append` has accepted for this tenant."""
+        return self._service.items_accepted(self._tenant_id)
+
     def snapshot(self, sampling_seed: int | None = None):
-        """A Release of the tenant's current state (worker-serialised)."""
+        """A Release of the tenant's state after every append accepted so
+        far (worker-serialised)."""
         return self._service.snapshot(self._tenant_id, sampling_seed=sampling_seed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
@@ -294,10 +319,14 @@ class IngestService:
     def _require_tenant(self, tenant_id: str) -> TenantSpec:
         spec = self._specs.get(tenant_id)
         if spec is None:
-            raise KeyError(
-                f"unknown tenant {tenant_id!r}; register a TenantSpec for it first"
-            )
+            raise _unknown_tenant(tenant_id)
         return spec
+
+    def _counter_of(self, tenant_id: str) -> _ItemCounter:
+        counter = self._counters.get(tenant_id)
+        if counter is None:
+            raise _unknown_tenant(tenant_id)
+        return counter
 
     def _check_open(self) -> None:
         if self._closed:
@@ -332,8 +361,16 @@ class IngestService:
 
     def items_processed(self, tenant_id: str) -> int:
         """Items the owning worker has fully processed for the tenant."""
-        self._require_tenant(tenant_id)
-        return int(self._counters[tenant_id].value)
+        return self._counter_of(tenant_id).value
+
+    def items_accepted(self, tenant_id: str) -> int:
+        """Items :meth:`append` has accepted for the tenant, applied or not.
+
+        Counts the items of appends that later fail at the worker too (a
+        horizon overrun, bad values), so it can run ahead of
+        :meth:`items_processed` for good.
+        """
+        return self._counter_of(tenant_id).accepted
 
     # ------------------------------------------------------------------ #
     # data path
@@ -349,15 +386,23 @@ class IngestService:
         by the ``flush_interval`` timer or the next synchronising call.
         Per-tenant ordering is the caller's append order; failures (horizon
         exhausted, bad values) surface on the next :meth:`flush`.
+
+        The batch counts towards :meth:`items_accepted` before the call
+        returns, so a live query that starts after it covers the batch:
+        the store sees the accepted count move and re-snapshots, and the
+        snapshot ships the staged batch and waits for the worker to apply
+        it.
         """
         self._check_open()
-        self._require_tenant(tenant_id)
+        counter = self._counter_of(tenant_id)
         batch = np.asarray(values)
         index = partition_of(tenant_id, len(self._workers))
         stage = self._stages[index]
         with stage.lock:
             stage.batches.setdefault(tenant_id, []).append(batch)
-            stage.items += int(batch.shape[0]) if batch.ndim else 1
+            items = int(batch.shape[0]) if batch.ndim else 1
+            stage.items += items
+            counter.accepted += items
             stage.nbytes += int(batch.nbytes)
             if stage.items >= self.staging_items or stage.nbytes >= self.staging_bytes:
                 self._ship_locked(index, stage)

@@ -64,8 +64,10 @@ from repro.domain.ipv4 import IPv4Domain
 __all__ = ["CompiledLeafTable", "CompiledDescentTable"]
 
 #: Bound on the elements of one temporary (queries x leaves) block so that
-#: arbitrarily large batches evaluate in bounded memory (~32 MB per block).
-_BLOCK_ELEMENTS = 1 << 22
+#: arbitrarily large batches evaluate in bounded memory: ~2 MB of float64
+#: per block, a size that stays in cache (63 queries at ~4.1k leaves).
+#: Rows are independent, so the block size never changes an answer.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def _sequential_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:

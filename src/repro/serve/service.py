@@ -256,6 +256,24 @@ class QueryService:
         self.store = store
         self.cache = QueryCache(maxsize=cache_size)
 
+    def _resolve(self, release: str | None, domain: str | None) -> tuple[str, Release, int | None]:
+        """The addressed name, its release and the cache version of its answers.
+
+        When neither ``release`` nor ``domain`` is given and the store holds
+        exactly one release, that release answers.  A live snapshot is
+        versioned by its own ``items_processed``, so a stream advancing
+        between queries can never serve a stale memoized answer (superseded
+        entries age out of the LRU); a static release has version ``None``.
+        Liveness comes from the same store call that returned the release,
+        so a snapshot is never cached as the answer of the static release
+        that replaced it.
+        """
+        if release is None and domain is None and len(self.store) == 1:
+            release = self.store.names()[0]
+        name = self.store.route(name=release, domain=domain)
+        resolved, live = self.store.lookup(name)
+        return name, resolved, (resolved.items_processed if live else None)
+
     def answer(self, query: dict, release: str | None = None, domain: str | None = None) -> dict:
         """Answer one query, routing to a release by name or domain.
 
@@ -264,14 +282,8 @@ class QueryService:
         the resolved release name, the canonical query, the answer and
         whether it was served from the cache.
         """
-        if release is None and domain is None and len(self.store) == 1:
-            release = self.store.names()[0]
-        name, resolved = self.store.resolve(name=release, domain=domain)
+        name, resolved, version = self._resolve(release, domain)
         canonical = normalize_query(resolved, query)
-        # Live releases are versioned by the snapshot actually answering (its
-        # items_processed), so a stream advancing between queries can never
-        # serve a stale memoized answer; superseded entries age out of the LRU.
-        version = resolved.items_processed if self.store.is_live(name) else None
         key = query_key(name, canonical, version=version)
         cached = True
 
@@ -302,10 +314,7 @@ class QueryService:
         queries = list(queries)
         if not queries:
             return []
-        if release is None and domain is None and len(self.store) == 1:
-            release = self.store.names()[0]
-        name, resolved = self.store.resolve(name=release, domain=domain)
-        version = resolved.items_processed if self.store.is_live(name) else None
+        name, resolved, version = self._resolve(release, domain)
         canonicals = [normalize_query(resolved, query) for query in queries]
         keys = [query_key(name, canonical, version=version) for canonical in canonicals]
 

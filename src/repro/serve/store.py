@@ -12,8 +12,9 @@ releases without touching disk.
 
 Beyond finished releases, a store can front *live* continual summarizers
 (:meth:`ReleaseStore.register_live`): queries against a live name are
-answered from a snapshot of the summarizer's current state, re-taken
-whenever ingestion has advanced, so a stream is queryable mid-ingestion.
+answered from a snapshot that covers every item the source had accepted
+when the query arrived, re-taken only when that count has moved, so a
+stream is queryable mid-ingestion and a writer reads its own appends.
 
 Only released (post-noise) artefacts ever leave a store: static entries are
 post-release by construction, and live entries answer through
@@ -45,16 +46,66 @@ from repro.api.release import Release
 __all__ = ["ReleaseStore"]
 
 
+class _LiveEntry:
+    """One live name: its snapshot source, the lock and the cached snapshot.
+
+    ``snapshot`` is ``(version, release)``: the last snapshot and the source
+    version read *before* it was requested, so the release covers at least
+    that version.  ``lock`` makes refreshes single-flight.
+    """
+
+    __slots__ = ("source", "version_attr", "lock", "snapshot")
+
+    def __init__(self, source) -> None:
+        self.source = source
+        #: An ingest-service tenant counts the items ``append()`` accepted,
+        #: ahead of those its worker has applied; an in-process summarizer
+        #: applies each batch before ``update_batch`` returns, so its
+        #: ``items_processed`` is that count.
+        self.version_attr = (
+            "items_accepted" if hasattr(source, "items_accepted") else "items_processed"
+        )
+        self.lock = threading.Lock()
+        self.snapshot: tuple[int, Release] | None = None
+
+    def version(self) -> int:
+        return int(getattr(self.source, self.version_attr))
+
+    def current(self) -> Release:
+        """The cached snapshot, re-taken when the source's version moved.
+
+        The fast path returns the cached snapshot without any blocking call;
+        the slow path serialises on the entry's lock, so exactly one reader
+        snapshots a given version while the rest wait and reuse it.  A
+        snapshot taken for an entry that was unregistered meanwhile lands in
+        the dead entry, which later lookups no longer reach.
+        """
+        version = self.version()
+        cached = self.snapshot
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        with self.lock:
+            # Re-check: the reader that held the lock before us may have
+            # snapshotted this (or a newer) version already.
+            version = self.version()
+            cached = self.snapshot
+            if cached is not None and cached[0] == version:
+                return cached[1]
+            snapshot = self.source.snapshot()
+            self.snapshot = (version, snapshot)
+            return snapshot
+
+
 class ReleaseStore:
     """Lazily loaded releases addressable by name, with domain-based routing.
 
     Thread safety: every registry mutation happens under one store-wide lock,
-    and refreshing a live snapshot is single-flight per name (a per-name
-    snapshot lock), so concurrent readers racing an ingesting stream observe
-    exactly one ``snapshot()`` per advanced version.  The store lock is
-    *never* held across ``summarizer.snapshot()`` / ``items_processed`` --
-    those can block on an ingest worker that itself needs
-    :meth:`register_live`/:meth:`unregister_live` to make progress.
+    and refreshing a live snapshot is single-flight per live name (the
+    entry's own lock), so concurrent readers share one ``snapshot()`` per
+    version.  The store lock is *never* held across a source's
+    ``snapshot()`` or its counts -- those can block on an ingest worker that
+    itself needs :meth:`register_live`/:meth:`unregister_live` to make
+    progress.
     """
 
     def __init__(self, directory: str | pathlib.Path | None = None) -> None:
@@ -65,12 +116,8 @@ class ReleaseStore:
         #: dropped by a rescan) vs. the lazy cache of disk loads.
         self._local: dict[str, Release] = {}
         self._loaded: dict[str, Release] = {}
-        #: Live continual summarizers from :meth:`register_live`, plus the
-        #: most recent snapshot of each, keyed by its ``items_processed``,
-        #: and the per-name lock that makes snapshot refreshes single-flight.
-        self._live: dict[str, object] = {}
-        self._live_snapshots: dict[str, Release] = {}
-        self._snapshot_locks: dict[str, threading.Lock] = {}
+        #: Live snapshot sources from :meth:`register_live`.
+        self._live: dict[str, _LiveEntry] = {}
         if self.directory is not None:
             self.refresh()
 
@@ -119,18 +166,48 @@ class ReleaseStore:
         """Serve live snapshots of a continual summarizer under ``name``.
 
         ``summarizer`` must expose ``snapshot() -> Release`` and
-        ``items_processed`` (i.e. a
-        :class:`repro.continual.privhp.PrivHPContinual`).  Queries against the
-        name are answered from a snapshot of the summarizer's *current* state:
-        the snapshot is re-taken whenever ``items_processed`` has advanced and
-        reused otherwise, so a stream can be queried mid-ingestion at the cost
-        of one snapshot per observed version.  Snapshots are pure
-        post-processing of continually-private state -- serving them consumes
-        no extra privacy budget, no matter how often the stream is queried.
+        ``items_processed``: a :class:`repro.continual.privhp.PrivHPContinual`
+        fed in process, or the
+        :class:`~repro.ingest.service.LiveTenantHandle` an ingest service
+        registers for each continual tenant.  A query against the name is
+        answered from a snapshot that covers every item the source had
+        accepted when the query arrived:
 
-        Live names shadow same-named files, survive :meth:`refresh`, and are
-        versioned by ``items_processed`` (see :meth:`version_of`), which is
-        what :class:`repro.serve.service.QueryService` keys its cache on.
+        * the version of a source is its ``items_accepted`` when it has one
+          (an ingest-service tenant, whose worker applies appends after
+          ``append()`` returns) and its ``items_processed`` otherwise (an
+          in-process summarizer, which applies a batch before
+          ``update_batch`` returns);
+        * the version is read *before* a snapshot is requested and cached
+          with it, so the snapshot covers at least that version;
+        * the snapshot is reused while the version is unchanged; once it
+          moves, one reader re-snapshots and concurrent readers wait for it.
+
+        An append the worker fails (a horizon overrun, bad values) still
+        moved the accepted count: the next query re-snapshots once, and
+        later queries reuse that snapshot.  Snapshots are pure
+        post-processing of continually-private state -- serving them
+        consumes no extra privacy budget, no matter how often the stream is
+        queried.
+
+        Live names shadow same-named files and survive :meth:`refresh`;
+        :class:`repro.serve.service.QueryService` keys its cache on the
+        answering snapshot's ``items_processed``.
+
+        Example: an append no flush has applied is covered by the next read.
+            >>> import numpy as np
+            >>> from repro.ingest import IngestService, TenantSpec
+            >>> store = ReleaseStore()
+            >>> with IngestService(workers=1, store=store, flush_interval=None) as service:
+            ...     service.register(TenantSpec("live", stream_size=64, seed=2,
+            ...                                 continual=True))
+            ...     service.append("live", np.linspace(0.0, 1.0, 32))
+            ...     _ = service.flush()
+            ...     before = store.get("live").items_processed
+            ...     service.append("live", np.linspace(0.0, 1.0, 16))
+            ...     after = store.get("live").items_processed
+            >>> before, after
+            (32, 48)
         """
         if not name:
             raise ValueError("release name must be non-empty")
@@ -140,9 +217,7 @@ class ReleaseStore:
                 "and items_processed; finished releases go through add()"
             )
         with self._lock:
-            self._live[str(name)] = summarizer
-            self._live_snapshots.pop(str(name), None)
-            self._snapshot_locks[str(name)] = threading.Lock()
+            self._live[str(name)] = _LiveEntry(summarizer)
 
     def unregister_live(self, name: str) -> bool:
         """Stop serving live snapshots under ``name``; returns whether it was live.
@@ -155,11 +230,8 @@ class ReleaseStore:
         raise ``KeyError`` (HTTP 404 with the known-release listing).
         Idempotent: unregistering a name that is not live returns ``False``.
         """
-        name = str(name)
         with self._lock:
-            self._live_snapshots.pop(name, None)
-            self._snapshot_locks.pop(name, None)
-            return self._live.pop(name, None) is not None
+            return self._live.pop(str(name), None) is not None
 
     def is_live(self, name: str) -> bool:
         """Whether ``name`` serves live snapshots of an ingesting summarizer."""
@@ -167,14 +239,12 @@ class ReleaseStore:
             return name in self._live
 
     def version_of(self, name: str) -> int | None:
-        """The current snapshot version of a live release (``items_processed``
-        of the summarizer right now), or ``None`` for static releases."""
+        """The version a live name's snapshots are cached under right now
+        (see :meth:`register_live`), or ``None`` for static releases."""
         with self._lock:
-            summarizer = self._live.get(name)
-        if summarizer is None:
-            return None
-        # items_processed may block on an ingest worker: read it unlocked.
-        return int(summarizer.items_processed)
+            entry = self._live.get(name)
+        # The count may block on an ingest worker: read it unlocked.
+        return None if entry is None else entry.version()
 
     def names(self) -> list[str]:
         """Sorted names of every addressable release (disk, memory or live)."""
@@ -194,24 +264,29 @@ class ReleaseStore:
     def get(self, name: str) -> Release:
         """The release registered under ``name``, loading it on first use.
 
-        Live names return a snapshot of the summarizer's current state,
-        refreshed whenever its ``items_processed`` has advanced since the
-        last snapshot; the refresh is single-flight, so concurrent readers
-        racing an ingesting thread share one ``snapshot()`` call per
-        version instead of interleaving duplicate snapshots.  Raises
+        A live name returns a snapshot covering every item its source had
+        accepted when the call began (see :meth:`register_live`).  Raises
         ``KeyError`` for unknown names and ``ValueError`` for files that are
         not valid release documents.
         """
+        return self.lookup(name)[0]
+
+    def lookup(self, name: str) -> tuple[Release, bool]:
+        """:meth:`get`, plus whether the release is a live snapshot.
+
+        Both come from one registry read.  Asking :meth:`is_live` after
+        :meth:`get` instead can mistake a snapshot for the static release
+        of the same name: an ingest service unregisters a released tenant's
+        live entry, then adds its final release under the same name.
+        """
         with self._lock:
-            summarizer = self._live.get(name)
-            snapshot_lock = self._snapshot_locks.get(name)
-        if summarizer is not None and snapshot_lock is not None:
-            return self._live_snapshot(name, summarizer, snapshot_lock)
-        with self._lock:
+            entry = self._live.get(name)
             release = self._local.get(name) or self._loaded.get(name)
             path = self._paths.get(name)
+        if entry is not None:
+            return entry.current(), True
         if release is not None:
-            return release
+            return release, False
         if path is None:
             raise KeyError(
                 f"unknown release {name!r}; known releases: {', '.join(self.names()) or '(none)'}"
@@ -220,36 +295,7 @@ class ReleaseStore:
         with self._lock:
             # A concurrent loader may have won; keep one canonical object so
             # its compiled engines are shared.
-            return self._loaded.setdefault(name, release)
-
-    def _live_snapshot(self, name: str, summarizer, snapshot_lock: threading.Lock) -> Release:
-        """Current snapshot for a live name, re-taken when ingestion advanced.
-
-        The fast path returns the cached snapshot without any blocking call;
-        the slow path serialises on the per-name lock so exactly one reader
-        snapshots a given version while the rest wait and reuse it.  The
-        summarizer is only consulted outside the store lock (it can block on
-        an ingest worker), and the cache write is skipped if the name was
-        unregistered (or re-registered) meanwhile.
-        """
-        version = int(summarizer.items_processed)
-        with self._lock:
-            snapshot = self._live_snapshots.get(name)
-        if snapshot is not None and snapshot.items_processed == version:
-            return snapshot
-        with snapshot_lock:
-            # Re-check: the reader that held the lock before us may have
-            # snapshotted this (or a newer) version already.
-            version = int(summarizer.items_processed)
-            with self._lock:
-                snapshot = self._live_snapshots.get(name)
-            if snapshot is not None and snapshot.items_processed == version:
-                return snapshot
-            snapshot = summarizer.snapshot()
-            with self._lock:
-                if self._live.get(name) is summarizer:
-                    self._live_snapshots[name] = snapshot
-            return snapshot
+            return self._loaded.setdefault(name, release), False
 
     def domain_of(self, name: str) -> str:
         """The domain type name (e.g. ``"UnitInterval"``) of a release."""
@@ -272,20 +318,21 @@ class ReleaseStore:
                 continue
         return matches
 
-    def resolve(self, name: str | None = None, domain: str | None = None) -> tuple[str, Release]:
-        """Route to a single release by ``name`` or, failing that, ``domain``.
+    def route(self, name: str | None = None, domain: str | None = None) -> str:
+        """The name a request addresses: ``name``, or else the one release of
+        ``domain``.
 
-        Raises ``KeyError`` when the addressed release does not exist
-        (unknown name, domain with no match) and ``ValueError`` when the
-        request itself is bad (no addressing given, ambiguous domain) --
-        serving cannot guess between two interval releases.
+        Raises ``KeyError`` when the addressed domain has no release and
+        ``ValueError`` when the request itself is bad (no addressing given,
+        ambiguous domain) -- serving cannot guess between two interval
+        releases.  An unknown ``name`` raises on :meth:`lookup`.
         """
         if name is not None:
-            return name, self.get(name)
+            return name
         if domain is not None:
             matches = self.names_for_domain(domain)
             if len(matches) == 1:
-                return matches[0], self.get(matches[0])
+                return matches[0]
             if not matches:
                 raise KeyError(f"domain {domain!r} matches no release")
             raise ValueError(
@@ -294,12 +341,18 @@ class ReleaseStore:
             )
         raise ValueError("a query must address a release by 'release' name or 'domain'")
 
+    def resolve(self, name: str | None = None, domain: str | None = None) -> tuple[str, Release]:
+        """:meth:`route` to a single release by ``name`` or ``domain``, then
+        :meth:`get` it; returns ``(name, release)``."""
+        name = self.route(name, domain)
+        return name, self.get(name)
+
     # ------------------------------------------------------------------ #
     # listing
     # ------------------------------------------------------------------ #
     def info(self, name: str) -> dict:
         """JSON-serialisable metadata for one release (the ``/releases`` row)."""
-        release = self.get(name)
+        release, live = self.lookup(name)
         return {
             "name": name,
             "domain": type(release.domain).__name__,
@@ -308,7 +361,7 @@ class ReleaseStore:
             "memory_words": release.memory_words,
             "leaves": release.tree.num_leaves(),
             "queries": list(release.supported_queries()),
-            "live": self.is_live(name),
+            "live": live,
         }
 
     def describe(self) -> list[dict]:

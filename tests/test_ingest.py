@@ -21,6 +21,7 @@ import errno
 import itertools
 import json
 import os
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -56,6 +57,7 @@ from repro.ingest import (
 from repro.memory.accounting import measure_method
 from repro.privacy.accountant import BudgetExceededError
 from repro.serve.http import create_server
+from repro.serve.service import QueryService
 from repro.serve.store import ReleaseStore
 from repro.sketch.countmin import CountMinSketch
 
@@ -1091,6 +1093,106 @@ class TestLiveServing:
         assert sum(store.is_live(f"c{i}") for i in range(4)) == 4
         service.close()
         assert sum(store.is_live(f"c{i}") for i in range(4)) == 0
+
+
+class TestReadYourWrites:
+    """A live answer covers every append the service accepted before the
+    query, flushed or not: a client that appended waits inside one request
+    instead of polling until its data shows."""
+
+    QUERY = {"type": "mass", "lower": 0.0, "upper": 0.5}
+
+    def test_unflushed_append_is_covered_by_the_next_answer(self):
+        store = ReleaseStore()
+        with IngestService(workers=1, store=store, flush_interval=None) as service:
+            service.register(TenantSpec("mine", stream_size=1024, seed=11, continual=True))
+            service.append("mine", np.linspace(0.0, 1.0, 64))
+            service.flush()
+            queries = QueryService(store)
+            assert queries.answer(self.QUERY, release="mine")["items_processed"] == 64
+            service.append("mine", np.linspace(0.0, 1.0, 32))
+            assert service.items_processed("mine") == 64  # still staged
+            answer = queries.answer(self.QUERY, release="mine")
+            assert answer["items_processed"] == 96 and answer["cached"] is False
+            assert service.items_processed("mine") == 96
+
+    def test_failed_append_moves_the_version_once(self, monkeypatch):
+        """An append past the horizon is accepted, then fails at the worker:
+        the next read re-snapshots at most once and later reads reuse that
+        snapshot, rather than re-snapshotting on every query."""
+        store = ReleaseStore()
+        with IngestService(workers=1, store=store, flush_interval=None) as service:
+            service.register(TenantSpec("full", stream_size=64, seed=12, continual=True))
+            service.append("full", np.linspace(0.0, 1.0, 60))
+            service.flush()
+            assert store.get("full").items_processed == 60
+            calls = []
+            snapshot = service.snapshot
+
+            def counting_snapshot(*args, **kwargs):
+                calls.append(args)
+                return snapshot(*args, **kwargs)
+
+            monkeypatch.setattr(service, "snapshot", counting_snapshot)
+            service.append("full", np.linspace(0.0, 1.0, 32))
+            reads = [store.get("full") for _ in range(3)]
+            assert all(read is reads[0] for read in reads)
+            assert reads[0].items_processed == 60 and len(calls) <= 1
+            with pytest.raises(AppendError) as excinfo:
+                service.flush()
+            assert [tenant for tenant, _ in excinfo.value.failures] == ["full"]
+
+    def test_appenders_read_their_writes_under_contention(self):
+        """Four appender threads, two per tenant, beside two workers on a
+        short switch interval.  After each append a thread reads the
+        tenant's accepted count, and its next answer covers at least that
+        many items; a lost update to the count, or a snapshot that missed a
+        counted batch, breaks it."""
+        tenants, rounds, batch = ("a", "b"), 200, 8
+        store = ReleaseStore()
+        errors: list[BaseException] = []
+        with IngestService(
+            workers=2, store=store, flush_interval=None, staging_items=64
+        ) as service:
+            for index, tenant in enumerate(tenants):
+                service.register(
+                    TenantSpec(tenant, stream_size=1 << 14, seed=40 + index, continual=True)
+                )
+                service.append(tenant, np.linspace(0.0, 1.0, batch))
+            service.flush()
+            queries = QueryService(store)
+
+            def append_and_read(tenant: str, seed: int) -> None:
+                rng = np.random.default_rng(seed)
+                try:
+                    for step in range(rounds):
+                        service.append(tenant, rng.random(batch))
+                        accepted = service.items_accepted(tenant)
+                        if step % 4 == 3:
+                            seen = queries.answer(self.QUERY, release=tenant)["items_processed"]
+                            assert seen >= accepted, (tenant, seen, accepted)
+                except BaseException as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=append_and_read, args=(tenants[index % 2], 50 + index))
+                for index in range(4)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            expected = batch * (1 + 2 * rounds)
+            assert [service.items_accepted(tenant) for tenant in tenants] == [expected] * 2
+            service.flush()
+            assert [service.items_processed(tenant) for tenant in tenants] == [expected] * 2
 
 
 class TestConcurrentIngestAndServe:

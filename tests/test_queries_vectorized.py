@@ -20,6 +20,7 @@ from repro.domain.geo import GeoDomain
 from repro.domain.hypercube import Hypercube
 from repro.domain.interval import UnitInterval
 from repro.domain.ipv4 import IPv4Domain
+from repro.queries import compiled
 from repro.queries.quantiles import QuantileEngine
 from repro.queries.range_queries import RangeQueryEngine
 
@@ -265,6 +266,18 @@ def test_mass_and_count_bit_identical(name):
         assert batch.tolist() == [reference.mass(lo, hi) for lo, hi in bounds]
         counts = engine.count_many([b[0] for b in bounds], [b[1] for b in bounds])
         assert counts.tolist() == [reference.count(lo, hi) for lo, hi in bounds]
+
+
+@pytest.mark.parametrize("name", list(DOMAINS))
+def test_mass_and_count_bit_identical_across_blocks(name, monkeypatch):
+    """The same pins with every batch split into several evaluation blocks.
+
+    At the default block size each 40-query batch here is one block.  With
+    39 elements a block holds one row of the 520- and 32-leaf trees, and
+    the 1-leaf tree's batch splits into 39 rows and a short last block.
+    """
+    monkeypatch.setattr(compiled, "_BLOCK_ELEMENTS", 39)
+    test_mass_and_count_bit_identical(name)
 
 
 @pytest.mark.parametrize("name", list(ORDERED))

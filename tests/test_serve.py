@@ -12,6 +12,7 @@ import contextlib
 import http.client
 import json
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -781,6 +782,78 @@ class TestLiveServing:
         assert final["items_processed"] == 20_000
         for answer in answers:
             assert 0.0 <= answer <= 1.0
+
+
+class TestLiveAnswersAreNeverCachedAsStatic:
+    """A live name can be unregistered while its snapshot is taken (an
+    ingest service releasing the tenant unregisters it, then adds the final
+    release under the same name; eviction unregisters too).  The snapshot's
+    answer must stay keyed as a live answer, not become the memoized answer
+    of the static release added next."""
+
+    @pytest.mark.parametrize("method", ["answer", "answer_many"])
+    def test_snapshot_of_a_name_unregistered_meanwhile(self, method):
+        summarizer = _live_summarizer()
+        summarizer.update_batch(np.random.default_rng(31).beta(2, 5, 1000))
+        store = ReleaseStore()
+
+        class UnregisteredWhileSnapshotting:
+            @property
+            def items_processed(self):
+                return summarizer.items_processed
+
+            def snapshot(self):
+                store.unregister_live("stream")
+                return summarizer.snapshot()
+
+        store.register_live("stream", UnregisteredWhileSnapshotting())
+        service = QueryService(store)
+        query = {"type": "mass", "lower": 0.0, "upper": 0.25}
+
+        def ask() -> dict:
+            if method == "answer":
+                return service.answer(query, release="stream")
+            return service.answer_many([query], release="stream")[0]
+
+        live = ask()
+        assert live["answer"] == answer_query(summarizer.snapshot(), query)
+        assert live["items_processed"] == 1000 and not store.is_live("stream")
+        final = _fit("interval", np.random.default_rng(32).beta(5, 2, 1000))
+        store.add("stream", final)
+        static = ask()
+        assert static["answer"] == final.mass(0.0, 0.25) != live["answer"]
+        assert static["cached"] is False and "items_processed" not in static
+        assert ask()["cached"] is True
+
+
+class TestKeepAliveResponsesDoNotStall:
+    """The handler writes headers and body separately; with Nagle's
+    algorithm on, the body of every keep-alive response would wait ~40 ms
+    for the client's delayed ACK of the headers."""
+
+    def test_keep_alive_round_trips_take_milliseconds(self, releases):
+        store = ReleaseStore()
+        store.add("only", releases["interval"])
+        body = json.dumps(
+            {"release": "only", "query": {"type": "mass", "lower": 0.1, "upper": 0.9}}
+        )
+        seconds = []
+        with _running_server(store) as base:
+            port = int(base.rsplit(":", 1)[1])
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                for _ in range(20):
+                    began = time.perf_counter()
+                    connection.request("POST", "/query", body=body)
+                    response = connection.getresponse()
+                    assert response.status == 200 and not response.will_close
+                    response.read()
+                    seconds.append(time.perf_counter() - began)
+            finally:
+                connection.close()
+        # The median, so that a few slow round trips on a busy host do not
+        # fail the test; a stalled response takes ~40 ms.
+        assert statistics.median(seconds) < 0.020
 
 
 # --------------------------------------------------------------------------- #
