@@ -76,11 +76,13 @@ def _unknown_tenant(tenant_id: str) -> KeyError:
 class _ItemCounter:
     """A tenant's monotonic item counts.
 
-    ``value`` counts the items the owning worker has processed (written by
-    the worker); ``accepted`` counts the items :meth:`IngestService.append`
-    has staged (written under the tenant's stage lock, which serialises
-    every append of the tenant).  ``accepted - value`` counts the items
-    still staged or queued, plus those of appends that failed.
+    ``value`` is the summarizer's ``items_processed`` as the owning worker
+    last left it, so it includes items restored from a checkpoint.
+    ``accepted`` counts the items :meth:`IngestService.append` has staged
+    on this service instance (written under the tenant's stage lock, which
+    serialises every append of the tenant): it starts at 0 whatever the
+    tenant restored, so it is an increasing version, not a quantity to
+    subtract ``value`` from.
     """
 
     __slots__ = ("value", "accepted")
@@ -364,11 +366,15 @@ class IngestService:
         return self._counter_of(tenant_id).value
 
     def items_accepted(self, tenant_id: str) -> int:
-        """Items :meth:`append` has accepted for the tenant, applied or not.
+        """Items :meth:`append` has accepted for the tenant on this service
+        instance, applied or not.
 
-        Counts the items of appends that later fail at the worker too (a
-        horizon overrun, bad values), so it can run ahead of
-        :meth:`items_processed` for good.
+        An increasing version that moves with every append, including
+        appends that later fail at the worker (a horizon overrun, bad
+        values); live serving versions the tenant's snapshots by it.  It
+        starts at 0 when the service starts and leaves out items the
+        tenant restored from a checkpoint, so it is not comparable with
+        :meth:`items_processed`.
         """
         return self._counter_of(tenant_id).accepted
 

@@ -74,23 +74,27 @@ class _LiveEntry:
     def current(self) -> Release:
         """The cached snapshot, re-taken when the source's version moved.
 
-        The fast path returns the cached snapshot without any blocking call;
-        the slow path serialises on the entry's lock, so exactly one reader
-        snapshots a given version while the rest wait and reuse it.  A
-        snapshot taken for an entry that was unregistered meanwhile lands in
-        the dead entry, which later lookups no longer reach.
+        Versions only grow, so a snapshot cached under a version at least
+        the one this reader read on arrival covers everything the reader
+        must see.  The fast path returns it without any blocking call; the
+        slow path serialises on the entry's lock, and a reader that waited
+        there reuses the snapshot the reader before it took, even though
+        appends moved the version meanwhile: concurrent readers of a
+        tenant that is being appended to share one snapshot instead of
+        taking one each.  A snapshot taken for an entry that was
+        unregistered meanwhile lands in the dead entry, which later lookups
+        no longer reach.
         """
         version = self.version()
         cached = self.snapshot
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached[0] >= version:
             return cached[1]
         with self.lock:
-            # Re-check: the reader that held the lock before us may have
-            # snapshotted this (or a newer) version already.
-            version = self.version()
             cached = self.snapshot
-            if cached is not None and cached[0] == version:
+            if cached is not None and cached[0] >= version:
                 return cached[1]
+            # Cache the snapshot under the newest version it covers.
+            version = self.version()
             snapshot = self.source.snapshot()
             self.snapshot = (version, snapshot)
             return snapshot
@@ -181,9 +185,13 @@ class ReleaseStore:
         * the version is read *before* a snapshot is requested and cached
           with it, so the snapshot covers at least that version;
         * the snapshot is reused while the version is unchanged; once it
-          moves, one reader re-snapshots and concurrent readers wait for it.
+          moves, one reader re-snapshots, and readers that arrived before
+          that snapshot was requested wait for it and reuse it.
 
-        An append the worker fails (a horizon overrun, bad values) still
+        So on a tenant that is being appended to, each query after an append
+        waits for the tenant's worker to apply it and take a snapshot; it
+        does not return an older snapshot at once.  An append the worker
+        fails (a horizon overrun, bad values) still
         moved the accepted count: the next query re-snapshots once, and
         later queries reuse that snapshot.  Snapshots are pure
         post-processing of continually-private state -- serving them
@@ -216,8 +224,11 @@ class ReleaseStore:
                 "register_live needs a continual summarizer exposing snapshot() "
                 "and items_processed; finished releases go through add()"
             )
+        # Built before taking the store lock: choosing the version reads
+        # the source's attributes, which for a tenant handle are counts.
+        entry = _LiveEntry(summarizer)
         with self._lock:
-            self._live[str(name)] = _LiveEntry(summarizer)
+            self._live[str(name)] = entry
 
     def unregister_live(self, name: str) -> bool:
         """Stop serving live snapshots under ``name``; returns whether it was live.
@@ -340,12 +351,6 @@ class ReleaseStore:
                 f"{', '.join(matches)}; address one by name"
             )
         raise ValueError("a query must address a release by 'release' name or 'domain'")
-
-    def resolve(self, name: str | None = None, domain: str | None = None) -> tuple[str, Release]:
-        """:meth:`route` to a single release by ``name`` or ``domain``, then
-        :meth:`get` it; returns ``(name, release)``."""
-        name = self.route(name, domain)
-        return name, self.get(name)
 
     # ------------------------------------------------------------------ #
     # listing

@@ -284,25 +284,24 @@ class TestReleaseStore:
         releases["ipv4"].save(tmp_path / "addresses.json")
         store = ReleaseStore(tmp_path)
         assert store.names_for_domain("IPv4Domain") == ["addresses"]
-        name, release = store.resolve(domain="unitinterval")
-        assert name == "scalar" and isinstance(release, Release)
+        name = store.route(domain="unitinterval")
+        assert name == "scalar" and isinstance(store.get(name), Release)
         with pytest.raises(KeyError, match="matches no release"):
-            store.resolve(domain="Hypercube")
+            store.route(domain="Hypercube")
 
     def test_domain_routing_skips_invalid_files(self, tmp_path, releases):
         releases["interval"].save(tmp_path / "good.json")
         (tmp_path / "workload.json").write_text("[1, 2, 3]")  # legit non-release JSON
         store = ReleaseStore(tmp_path)
         assert store.names_for_domain("UnitInterval") == ["good"]
-        name, _ = store.resolve(domain="UnitInterval")
-        assert name == "good"
+        assert store.route(domain="UnitInterval") == "good"
 
     def test_ambiguous_domain_routing_rejected(self, tmp_path, releases):
         releases["interval"].save(tmp_path / "one.json")
         releases["interval"].save(tmp_path / "two.json")
         store = ReleaseStore(tmp_path)
         with pytest.raises(ValueError, match="ambiguous"):
-            store.resolve(domain="UnitInterval")
+            store.route(domain="UnitInterval")
 
     def test_in_memory_add(self, releases):
         store = ReleaseStore()
@@ -989,6 +988,67 @@ class TestLiveSnapshotSingleFlight:
         # one initial version + one per ingested chunk is the ceiling; the
         # pre-fix store would re-snapshot per racing reader instead.
         assert summarizer.snapshot_calls <= chunks + 1
+
+
+class TestWaitingReadersShareTheNextSnapshot:
+    def test_appends_during_a_snapshot_cost_one_more_snapshot(self):
+        """Readers that queue behind an in-flight snapshot while appends
+        keep moving the version share the next snapshot: it was requested
+        after each of them arrived, so it covers what they must see.
+        Re-reading the version under the lock instead would take one
+        snapshot per waiting reader."""
+        summarizer = _live_summarizer()
+        summarizer.update_batch(np.random.default_rng(24).beta(2, 5, 1000))
+        gate = threading.Event()
+
+        class AppendedDuringEverySnapshot:
+            items_processed = 0
+
+            def __init__(self) -> None:
+                self.accepted, self.reads, self.snapshots = 1, [], []
+
+            @property
+            def items_accepted(self) -> int:
+                self.reads.append(self.accepted)
+                return self.accepted
+
+            def snapshot(self):
+                self.snapshots.append(self.accepted)
+                gate.wait(timeout=10)
+                self.accepted += 1  # an append lands while the worker snapshots
+                return summarizer.snapshot()
+
+        source = AppendedDuringEverySnapshot()
+        store = ReleaseStore()
+        store.register_live("hot", source)
+
+        def wait_until(condition) -> None:
+            deadline = time.monotonic() + 10
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        first: list = []
+        leader = threading.Thread(target=lambda: first.append(store.get("hot")))
+        leader.start()
+        wait_until(lambda: source.snapshots == [1])
+        source.accepted = 2  # appended after the first snapshot was requested
+        reads = len(source.reads)
+        later: list = []
+        waiting = [
+            threading.Thread(target=lambda: later.append(store.get("hot")))
+            for _ in range(3)
+        ]
+        for thread in waiting:
+            thread.start()
+        wait_until(lambda: len(source.reads) >= reads + 3)  # each read version 2
+        gate.set()
+        for thread in [leader, *waiting]:
+            thread.join(timeout=10)
+        assert source.snapshots == [1, 3]
+        assert len(first) == 1 and len(later) == 3
+        assert first[0] is not later[0]
+        assert all(result is later[0] for result in later)
 
 
 class TestCacheSingleFlight:
