@@ -181,7 +181,8 @@ class ReleaseStore:
           (an ingest-service tenant, whose worker applies appends after
           ``append()`` returns) and its ``items_processed`` otherwise (an
           in-process summarizer, which applies a batch before
-          ``update_batch`` returns);
+          ``update_batch`` returns); either way a count that never
+          decreases;
         * the version is read *before* a snapshot is requested and cached
           with it, so the snapshot covers at least that version;
         * the snapshot is reused while the version is unchanged; once it
@@ -191,12 +192,11 @@ class ReleaseStore:
         So on a tenant that is being appended to, each query after an append
         waits for the tenant's worker to apply it and take a snapshot; it
         does not return an older snapshot at once.  An append the worker
-        fails (a horizon overrun, bad values) still
-        moved the accepted count: the next query re-snapshots once, and
-        later queries reuse that snapshot.  Snapshots are pure
-        post-processing of continually-private state -- serving them
-        consumes no extra privacy budget, no matter how often the stream is
-        queried.
+        fails (a horizon overrun, bad values) still moved the accepted
+        count: the next query re-snapshots once, and later queries reuse
+        that snapshot.  Snapshots are pure post-processing of
+        continually-private state -- serving them consumes no extra privacy
+        budget, no matter how often the stream is queried.
 
         Live names shadow same-named files and survive :meth:`refresh`;
         :class:`repro.serve.service.QueryService` keys its cache on the
@@ -288,14 +288,26 @@ class ReleaseStore:
         Both come from one registry read.  Asking :meth:`is_live` after
         :meth:`get` instead can mistake a snapshot for the static release
         of the same name: an ingest service unregisters a released tenant's
-        live entry, then adds its final release under the same name.
+        live entry, then adds its final release under the same name.  When
+        that happens while this call snapshots the tenant, the worker
+        refuses the snapshot, and the call answers from what the name holds
+        now (the final release, or ``KeyError``).
         """
         with self._lock:
             entry = self._live.get(name)
             release = self._local.get(name) or self._loaded.get(name)
             path = self._paths.get(name)
         if entry is not None:
-            return entry.current(), True
+            try:
+                return entry.current(), True
+            except RuntimeError:
+                # A source unregistered while this call snapshotted it (an
+                # ingest tenant released, or its service closed) refuses the
+                # snapshot; answer as a call arriving a moment later would.
+                with self._lock:
+                    if self._live.get(name) is entry:
+                        raise
+                return self.lookup(name)
         if release is not None:
             return release, False
         if path is None:

@@ -43,6 +43,7 @@ from repro.domain.ipv4 import IPv4Domain
 from repro.ingest import (
     AppendError,
     IngestService,
+    LiveTenantHandle,
     MemoryLedger,
     RateLimiter,
     TenantBudgetRegistry,
@@ -1193,6 +1194,40 @@ class TestReadYourWrites:
             assert [service.items_accepted(tenant) for tenant in tenants] == [expected] * 2
             service.flush()
             assert [service.items_processed(tenant) for tenant in tenants] == [expected] * 2
+
+    def test_query_racing_the_release_answers_from_the_final_release(self):
+        """A query reads the tenant's live entry, then ``release()`` lands
+        before its snapshot: the worker refuses to snapshot the sealed
+        stream, and the query answers from the final release the service
+        registered under the name, as if it had arrived a moment later."""
+        store = ReleaseStore()
+        with IngestService(workers=1, store=store, flush_interval=None) as service:
+            service.register(TenantSpec("ends", stream_size=256, seed=13, continual=True))
+            service.append("ends", np.linspace(0.0, 1.0, 64))
+            service.flush()
+            handle = LiveTenantHandle(service, "ends")
+            armed, released = [], []
+
+            class ReleasedAfterTheEntryWasRead:
+                @property
+                def items_processed(self) -> int:
+                    return handle.items_processed
+
+                @property
+                def items_accepted(self) -> int:
+                    if armed and not released:
+                        released.append(service.release("ends"))
+                    return handle.items_accepted
+
+                def snapshot(self):
+                    return handle.snapshot()
+
+            store.register_live("ends", ReleasedAfterTheEntryWasRead())
+            armed.append(True)
+            answer = QueryService(store).answer(self.QUERY, release="ends")
+            assert len(released) == 1 and not store.is_live("ends")
+            assert answer["answer"] == released[0].mass(0.0, 0.5)
+            assert "items_processed" not in answer and answer["cached"] is False
 
 
 class TestConcurrentIngestAndServe:
