@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark suite.
 
-Each benchmark regenerates one of the paper's tables or trade-off analyses
-(see DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-results).  The benchmarks print their result tables to stdout so that running
-``pytest benchmarks/ --benchmark-only -s`` reproduces the numbers in
-EXPERIMENTS.md; the timed quantity is the full experiment run.
+Each ``bench_*.py`` check regenerates one of the paper's tables or trade-off
+analyses through :mod:`repro.experiments` and asserts its shape.  The checks
+print their result tables to stdout, so ``pytest benchmarks/ --benchmark-only
+-s`` shows the numbers; the timed quantity is the full experiment run.  CI
+runs the checks with ``--benchmark-disable``, which runs each experiment once
+without timing it.
 """
 
 from __future__ import annotations

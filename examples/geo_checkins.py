@@ -20,10 +20,9 @@ from repro.stream.datasets import geo_checkin_stream
 
 
 def density_grid(domain: GeoDomain, points, level: int) -> dict:
-    """Normalised frequency of each level-``level`` cell."""
-    counts = domain.level_frequencies(list(points), level)
-    total = sum(counts.values())
-    return {cell: count / total for cell, count in counts.items()}
+    """Normalised frequency of each occupied level-``level`` cell, by cell code."""
+    codes, counts = domain.level_frequencies(points, level)
+    return dict(zip(codes.tolist(), (counts / counts.sum()).tolist()))
 
 
 def main() -> None:
@@ -46,8 +45,9 @@ def main() -> None:
           f"{algorithm.memory_words()} words\n")
 
     # Downstream task 1: coarse density map (level 6 = 8x8 grid over the box).
-    true_density = density_grid(domain, checkins, level=6)
-    synthetic_density = density_grid(domain, synthetic, level=6)
+    level = 6
+    true_density = density_grid(domain, checkins, level)
+    synthetic_density = density_grid(domain, synthetic, level)
     cells = set(true_density) | set(synthetic_density)
     l1_gap = sum(abs(true_density.get(c, 0.0) - synthetic_density.get(c, 0.0)) for c in cells)
     print(f"L1 distance between 8x8 density maps: {l1_gap:.4f} (0 = identical, 2 = disjoint)")
@@ -56,7 +56,8 @@ def main() -> None:
     top_true = sorted(true_density.items(), key=lambda item: item[1], reverse=True)[:5]
     print("\nbusiest grid cells            original   synthetic")
     for cell, share in top_true:
-        print(f"  cell {''.join(map(str, cell)):<12}        {share:8.1%}   "
+        bits = format(cell, f"0{level}b")
+        print(f"  cell {bits:<12}        {share:8.1%}   "
               f"{synthetic_density.get(cell, 0.0):8.1%}")
 
     # Overall fidelity in the Wasserstein metric used by the paper.

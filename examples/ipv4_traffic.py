@@ -27,10 +27,14 @@ from repro.stream.stream import DataStream
 
 def top_prefixes(domain: IPv4Domain, addresses, prefix_length: int, count: int):
     """The ``count`` most frequent /prefix_length blocks with their shares."""
-    frequencies = domain.level_frequencies(list(addresses), prefix_length)
-    total = sum(frequencies.values())
-    ranked = sorted(frequencies.items(), key=lambda item: item[1], reverse=True)[:count]
-    return [(domain.cidr(theta), freq / total) for theta, freq in ranked]
+    codes, frequencies = domain.level_frequencies(addresses, prefix_length)
+    shares = frequencies / frequencies.sum()
+    ranked = np.argsort(-frequencies, kind="stable")[:count]
+    first, _ = domain.cell_bounds_batch(prefix_length, codes[ranked])
+    return [
+        (f"{domain.format(int(address))}/{prefix_length}", share)
+        for address, share in zip(first, shares[ranked])
+    ]
 
 
 def main() -> None:

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.base import level_counts
 from repro.core.config import PrivHPConfig
+from repro.core.partition import select_top_k
 from repro.core.privhp import PrivHP
 from repro.core.sampler import SyntheticDataGenerator
 from repro.core.tree import PartitionTree
@@ -38,7 +40,16 @@ def build_exact_pruned_tree(
     level_cutoff: int,
     depth: int,
 ) -> PartitionTree:
-    """Construct ``T_exact``: exact counts, exact top-k pruning (proof Step 1)."""
+    """Construct ``T_exact``: exact counts, exact top-k pruning (proof Step 1).
+
+    One location pass at ``depth`` feeds :func:`repro.core.base.level_counts`.
+    Its dense histograms fill the complete levels ``0 .. level_cutoff``, as
+    in :func:`repro.baselines.pmm.build_exact_tree`.  Below, each level
+    stores the children of the previous level's ``pruning_k`` heaviest cells
+    with their counts looked up in the level's sorted occupied cells, and
+    :func:`repro.core.partition.select_top_k` picks the next hot set, as
+    :func:`repro.core.partition.grow_partition` does.
+    """
     if pruning_k < 1:
         raise ValueError(f"pruning_k must be at least 1, got {pruning_k}")
     if not 0 <= level_cutoff <= depth:
@@ -47,28 +58,22 @@ def build_exact_pruned_tree(
     if not data:
         raise ValueError("data must be non-empty")
 
-    # Exact frequencies per level, computed once.
-    level_frequencies = {
-        level: domain.level_frequencies(data, level) for level in range(depth + 1)
-    }
+    codes = Domain.pack_paths(domain.locate_batch(data, depth))
+    exact, deep = level_counts(codes, depth, level_cutoff)
+    tree = PartitionTree.complete(level_cutoff)
+    for level, histogram in enumerate(exact):
+        _, counts = tree.level(level)
+        counts += histogram
 
-    # Complete portion: every cell down to the cut-off level.
-    counts = {
-        theta: float(level_frequencies[level].get(theta, 0))
-        for level in range(level_cutoff + 1)
-        for theta in domain.cells_at_level(level)
-    }
-
-    # Pruned portion: expand only the exactly-heaviest k cells per level.
-    hot = list(domain.cells_at_level(level_cutoff))
-    for level in range(level_cutoff + 1, depth + 1):
-        frequencies = level_frequencies[level]
-        children = [theta + (bit,) for theta in hot for bit in (0, 1)]
-        for child in children:
-            counts[child] = float(frequencies.get(child, 0))
-        children.sort(key=lambda cell: (-counts[cell], cell))
-        hot = children[:pruning_k]
-    return PartitionTree.from_cells(counts)
+    hot = np.arange(1 << level_cutoff)
+    for cells, cell_counts in deep:
+        children = np.repeat(hot << 1, 2)
+        children[1::2] += 1
+        position = np.minimum(np.searchsorted(cells, children), cells.size - 1)
+        counts = np.where(cells[position] == children, cell_counts[position], 0).astype(float)
+        tree.append_level(children, counts)
+        hot = select_top_k(children, counts, pruning_k)
+    return tree
 
 
 def decompose_error(

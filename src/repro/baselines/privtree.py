@@ -17,14 +17,16 @@ decisions and half perturbs the released leaf counts.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
 from repro.baselines.base import SyntheticDataMethod
 from repro.core.sampler import SyntheticDataGenerator
 from repro.core.tree import PartitionTree
-from repro.domain.base import Cell, Domain
+from repro.domain.base import Domain
 
 __all__ = ["PrivTreeMethod"]
 
@@ -69,35 +71,44 @@ class PrivTreeMethod(SyntheticDataMethod):
 
         # Exact cell counts are computed lazily per node; PrivTree has full
         # data access so this does not violate any streaming constraint.
-        def exact_count(theta: Cell) -> int:
-            level = len(theta)
-            return sum(1 for point in data if self.domain.locate(point, level) == theta)
+        # Each point is located once at max_depth: the points of the cell
+        # (level, code) are the sorted depth codes in one contiguous run.
+        depth_codes = np.sort(Domain.pack_paths(self.domain.locate_batch(data, self.max_depth)))
 
-        internal: list[Cell] = []
-        leaves: list[Cell] = []
-        frontier: list[Cell] = [()]
+        def exact_count(level: int, code: int) -> int:
+            shift = self.max_depth - level
+            low, high = np.searchsorted(depth_codes, (code << shift, (code + 1) << shift))
+            return int(high - low)
+
+        internal: list[tuple[int, int]] = []
+        leaves: list[tuple[int, int]] = []
+        frontier: list[tuple[int, int]] = [(0, 0)]
         while frontier:
-            theta = frontier.pop()
-            count = exact_count(theta)
-            biased = count - len(theta) * delta
+            level, code = frontier.pop()
+            count = exact_count(level, code)
+            biased = count - level * delta
             noisy = biased + generator.laplace(0.0, lam)
-            should_split = noisy > self.threshold and len(theta) < self.max_depth
+            should_split = noisy > self.threshold and level < self.max_depth
             if should_split:
-                internal.append(theta)
-                frontier.extend((theta + (0,), theta + (1,)))
+                internal.append((level, code))
+                frontier.extend(((level + 1, code << 1), (level + 1, (code << 1) | 1)))
             else:
-                leaves.append(theta)
+                leaves.append((level, code))
 
         # Release noisy counts for the leaves only, then propagate upwards so
         # the tree carries a consistent measure for the sampler.
-        counts: dict[Cell, float] = {}
-        for theta in leaves:
-            noisy_count = exact_count(theta) + generator.laplace(0.0, 1.0 / count_epsilon)
-            counts[theta] = max(noisy_count, 0.0)
-        for theta in sorted(internal, key=len, reverse=True):
-            counts[theta] = counts[theta + (0,)] + counts[theta + (1,)]
+        counts: dict[tuple[int, int], float] = {}
+        for level, code in leaves:
+            noisy_count = exact_count(level, code) + generator.laplace(0.0, 1.0 / count_epsilon)
+            counts[level, code] = max(noisy_count, 0.0)
+        for level, code in sorted(internal, reverse=True):
+            counts[level, code] = counts[level + 1, code << 1] + counts[level + 1, (code << 1) | 1]
 
-        self._tree = PartitionTree.from_cells(counts)
+        cells = sorted(counts)
+        self._tree = PartitionTree(counts[cells[0]])
+        for level, group in itertools.groupby(cells[1:], key=operator.itemgetter(0)):
+            codes = [code for _, code in group]
+            self._tree.append_level(codes, [counts[level, code] for code in codes])
         return SyntheticDataGenerator(self._tree, self.domain, rng=generator)
 
     def memory_words(self) -> int:

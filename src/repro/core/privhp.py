@@ -11,8 +11,8 @@ This module implements Algorithm 1 of the paper end to end:
    is the batch path (:meth:`PrivHP.update_batch` is its one-segment case):
    one vectorised location pass, then per segment the
    :func:`repro.core.base.level_counts` roll-up, one in-place add of each
-   exact level's dense histogram and one aggregated update per sketch level,
-   producing the same state as item-by-item :meth:`PrivHP.update`.
+   exact level's dense histogram and one aggregated update per sketch level.
+   Item-by-item :meth:`PrivHP.update` is the one-item batch.
 3. **Growing** -- :meth:`PrivHP.release` runs
    :func:`repro.core.partition.grow_partition` (Algorithm 2) and wraps the
    result in a :class:`repro.api.release.Release`.
@@ -101,18 +101,8 @@ class PrivHP(SummarizerBase):
     # parsing the stream (Algorithm 1, lines 9-15)
     # ------------------------------------------------------------------ #
     def update(self, point) -> None:
-        """Process one stream item in ``O(L * j)`` time and O(1) extra space."""
-        self._check_open()
-        path = self.domain.locate(point, self.config.depth)
-        code = 0
-        for level in range(self.config.depth + 1):
-            if level:
-                code = (code << 1) | path[level - 1]
-            if level <= self.config.level_cutoff:
-                self._tree.increment_many((code,), (1.0,), level)
-            else:
-                self._sketches[level].update(path[:level], 1.0)
-        self._items_processed += 1
+        """Process one stream item: the one-item case of :meth:`update_batch`."""
+        self.update_batch([point])
 
     def update_batch(self, points) -> "PrivHP":
         """Vectorised ingestion of one batch; returns ``self`` for chaining.

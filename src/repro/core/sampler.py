@@ -118,26 +118,6 @@ class SyntheticDataGenerator:
             return {(): 1.0}
         return {theta: float(weight / total) for theta, weight in zip(leaves, weights)}
 
-    def leaf_probability_of_point(self, point) -> float:
-        """Probability mass of the leaf cell containing ``point``."""
-        probabilities = self.leaf_probabilities()
-        if probabilities.keys() == {()}:
-            return 1.0
-        depth = max(len(theta) for theta in probabilities)
-        path = self.domain.locate(point, depth)
-        for level in range(len(path), -1, -1):
-            prefix = path[:level]
-            if prefix in probabilities:
-                return probabilities[prefix]
-        return 0.0
-
-    def expected_value(self, function, num_samples: int = 1000) -> float:
-        """Monte-Carlo estimate of ``E_{Y ~ generator}[function(Y)]``."""
-        if num_samples <= 0:
-            raise ValueError(f"num_samples must be positive, got {num_samples}")
-        samples = self.sample(num_samples)
-        return float(np.mean([function(sample) for sample in samples]))
-
     # ------------------------------------------------------------------ #
     # bookkeeping
     # ------------------------------------------------------------------ #

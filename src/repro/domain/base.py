@@ -9,7 +9,7 @@ partition-tree counters well-defined linear statistics of the stream.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -118,40 +118,6 @@ class Domain(ABC):
         if level < 0:
             raise ValueError(f"level must be non-negative, got {level}")
         return (2.0**level) * self.level_max_diameter(level)
-
-    # ------------------------------------------------------------------ #
-    # cell algebra
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def root_cell() -> Cell:
-        """The index of the whole space."""
-        return ()
-
-    @staticmethod
-    def children(theta: Cell) -> tuple[Cell, Cell]:
-        """The two child cells of ``theta``."""
-        theta = validate_cell(theta)
-        return theta + (0,), theta + (1,)
-
-    @staticmethod
-    def parent(theta: Cell) -> Cell:
-        """The parent cell of ``theta`` (the root has no parent)."""
-        theta = validate_cell(theta)
-        if not theta:
-            raise ValueError("the root cell has no parent")
-        return theta[:-1]
-
-    @staticmethod
-    def level_of(theta: Cell) -> int:
-        """The level (depth) of a cell, i.e. the length of its index."""
-        return len(theta)
-
-    def cells_at_level(self, level: int) -> Iterable[Cell]:
-        """Iterate over every cell index at ``level`` (2^level of them)."""
-        if level < 0:
-            raise ValueError(f"level must be non-negative, got {level}")
-        for code in range(2**level):
-            yield tuple((code >> (level - 1 - position)) & 1 for position in range(level))
 
     # ------------------------------------------------------------------ #
     # bulk helpers shared by the algorithms
@@ -275,31 +241,15 @@ class Domain(ABC):
         weights = (np.int64(1) << np.arange(level - 1, -1, -1, dtype=np.int64))
         return bits.astype(np.int64) @ weights
 
-    def locate_path(self, point, depth: int) -> list[Cell]:
-        """The root-to-depth path of cells containing ``point``.
+    def level_frequencies(self, data, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Exact subdomain frequencies ``C_l`` of a dataset at ``level``.
 
-        Returns cells for levels ``0..depth`` inclusive.  The default
-        implementation locates the deepest cell once and takes prefixes, which
-        is valid because the decomposition is nested.
+        Returns ``(codes, counts)``: the occupied cells' :meth:`pack_paths`
+        codes in ascending order and the number of points in each, both
+        int64, from one :meth:`locate_batch` pass.  Used by the evaluation
+        metrics and the examples; PrivHP itself never calls this on the
+        stream (it would require a second pass).
         """
-        deepest = self.locate(point, depth)
-        return [deepest[:level] for level in range(depth + 1)]
-
-    def level_frequencies(self, data, level: int) -> dict[Cell, int]:
-        """Exact subdomain frequencies ``C_l`` for a dataset at ``level``.
-
-        Used by the evaluation harness and the exact-pruning analysis; PrivHP
-        itself never calls this on the stream (it would require a second
-        pass).
-        """
-        counts: dict[Cell, int] = {}
-        for point in data:
-            theta = self.locate(point, level)
-            counts[theta] = counts.get(theta, 0) + 1
-        return counts
-
-    def validate_points(self, data) -> None:
-        """Raise ``ValueError`` if any point lies outside the domain."""
-        for index, point in enumerate(data):
-            if not self.contains(point):
-                raise ValueError(f"point at position {index} is outside the domain: {point!r}")
+        codes = self.pack_paths(self.locate_batch(data, level))
+        cells, counts = np.unique(codes, return_counts=True)
+        return cells, counts.astype(np.int64, copy=False)

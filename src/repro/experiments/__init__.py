@@ -1,7 +1,8 @@
 """Experiment harness: the code that regenerates the paper's tables and figures.
 
-Each module corresponds to one experiment family from DESIGN.md's index and is
-driven by the benchmarks under ``benchmarks/`` (and runnable directly, e.g.
+Each module corresponds to one experiment family (Table 1, the trade-offs,
+skew, throughput and the ablations) and is driven by the ``bench_*.py``
+checks under ``benchmarks/`` (and runnable directly, e.g.
 ``python -m repro.experiments.table1``).  Functions return plain lists of row
 dictionaries so benchmarks, tests and examples can all consume them.
 """

@@ -1,6 +1,6 @@
 """Ablation experiments A-budget, A-consistency and A-sketch.
 
-These probe the design choices DESIGN.md calls out:
+These probe three design choices of the paper:
 
 * **Budget allocation** (Lemma 5): the optimal Lagrange split of epsilon
   across levels versus a uniform split.
@@ -11,14 +11,16 @@ These probe the design choices DESIGN.md calls out:
 
 The method-level ablations are PrivHP configuration variants on the
 ``methods`` axis of a :class:`repro.experiments.runner.MatrixSpec`; the
-sketch ablation probes the sketch structures directly and stays a plain
-loop.
+sketch ablation probes the sketch structures directly on the level's cell
+codes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.base import cell_keys
+from repro.domain.base import Domain
 from repro.domain.interval import UnitInterval
 from repro.experiments.harness import domain_spec_for_dimension, measured_row
 from repro.experiments.runner import MatrixSpec, run_matrix
@@ -139,42 +141,38 @@ def sketch_ablation(
     domain = UnitInterval()
     rng = np.random.default_rng(seed)
     data = zipf_cell_stream(stream_size, dimension=1, level=level, exponent=zipf_exponent, rng=rng)
-    keys = [domain.locate(point, level) for point in data]
-    true_counts: dict = {}
-    for key in keys:
-        true_counts[key] = true_counts.get(key, 0) + 1
+    codes = Domain.pack_paths(domain.locate_batch(data, level))
+    cells, true_counts = np.unique(codes, return_counts=True)
+    keys = cell_keys(level, cells)
 
-    def mean_absolute_error(estimator) -> float:
-        errors = [abs(estimator.query(key) - count) for key, count in true_counts.items()]
-        return float(np.mean(errors))
+    def mean_absolute_error(estimates) -> float:
+        return float(np.mean(np.abs(estimates - true_counts)))
 
-    width_rows = []
-    for width in widths:
-        sketch = CountMinSketch(width=int(width), depth=6, seed=seed)
-        sketch.update_many(keys)
-        width_rows.append(
-            {"width": int(width), "depth": 6, "mean_abs_error": mean_absolute_error(sketch)}
-        )
+    def count_min(width: int, depth: int) -> float:
+        sketch = CountMinSketch(width=width, depth=depth, seed=seed)
+        sketch.update_batch(keys, true_counts.astype(float))
+        return mean_absolute_error(sketch.query_many(keys))
 
-    depth_rows = []
-    for depth in depths:
-        sketch = CountMinSketch(width=16, depth=int(depth), seed=seed)
-        sketch.update_many(keys)
-        depth_rows.append(
-            {"width": 16, "depth": int(depth), "mean_abs_error": mean_absolute_error(sketch)}
-        )
+    width_rows = [
+        {"width": int(width), "depth": 6, "mean_abs_error": count_min(int(width), 6)}
+        for width in widths
+    ]
+    depth_rows = [
+        {"width": 16, "depth": int(depth), "mean_abs_error": count_min(16, int(depth))}
+        for depth in depths
+    ]
 
-    reference = CountMinSketch(width=16, depth=6, seed=seed)
-    reference.update_many(keys)
+    # Misra-Gries depends on arrival order, so it sees the stream item by item.
     misra = MisraGries(capacity=16)
-    misra.update_many(keys)
+    misra.update_many(codes.tolist())
+    misra_estimates = np.array([misra.query(cell) for cell in cells.tolist()])
     comparison_rows = [
-        {"sketch": "CountMin(w=16,j=6)", "mean_abs_error": mean_absolute_error(reference)},
-        {"sketch": "MisraGries(c=16)", "mean_abs_error": mean_absolute_error(misra)},
+        {"sketch": "CountMin(w=16,j=6)", "mean_abs_error": count_min(16, 6)},
+        {"sketch": "MisraGries(c=16)", "mean_abs_error": mean_absolute_error(misra_estimates)},
     ]
     return {
         "width_sweep": width_rows,
         "depth_sweep": depth_rows,
         "sketch_comparison": comparison_rows,
-        "distinct_cells": len(true_counts),
+        "distinct_cells": int(cells.size),
     }

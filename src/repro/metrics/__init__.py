@@ -15,7 +15,6 @@ from repro.metrics.wasserstein import (
     wasserstein1_exact,
 )
 from repro.metrics.tail import (
-    level_frequencies,
     tail_norm,
     tail_norm_from_counts,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "empirical_wasserstein",
     "evaluate_method",
     "hierarchical_wasserstein",
-    "level_frequencies",
     "sliced_wasserstein",
     "tail_norm",
     "tail_norm_from_counts",

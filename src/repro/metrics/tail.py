@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.domain.base import Cell, Domain
+from repro.domain.base import Domain
 
 __all__ = [
-    "level_frequencies",
     "tail_norm_from_counts",
     "tail_norm",
 ]
-
-
-def level_frequencies(data, domain: Domain, level: int) -> dict[Cell, int]:
-    """Exact subdomain frequencies ``C_l`` of a dataset at one level."""
-    return domain.level_frequencies(data, level)
 
 
 def tail_norm_from_counts(counts, k: int) -> float:
@@ -43,6 +37,10 @@ def tail_norm_from_counts(counts, k: int) -> float:
 
 
 def tail_norm(data, domain: Domain, level: int, k: int) -> float:
-    """``||tail_k^level(X)||_1`` computed from the raw dataset."""
-    counts = level_frequencies(data, domain, level)
+    """``||tail_k^level(X)||_1`` computed from the raw dataset.
+
+    The counts are :meth:`repro.domain.base.Domain.level_frequencies`: one
+    location pass over ``data`` at ``level``.
+    """
+    _, counts = domain.level_frequencies(data, level)
     return tail_norm_from_counts(counts, k)

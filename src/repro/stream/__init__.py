@@ -6,7 +6,8 @@ abstraction that enforces single-pass access and measures throughput, and
 paper's approximation term -- is controllable.  Real sensitive traces are not
 available offline, so :mod:`repro.stream.datasets` synthesises realistic
 stand-ins (IPv4 traffic with heavy-hitter structure, clustered geo check-ins,
-heavy-tailed transaction amounts); DESIGN.md records the substitution.
+heavy-tailed transaction amounts); that module's docstring records the
+substitution.
 """
 
 from repro.stream.stream import DataStream, StreamStats

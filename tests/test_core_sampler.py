@@ -101,30 +101,12 @@ class TestLeafProbabilities:
         assert probabilities[(1, 0)] == 0.0
         assert sum(probabilities.values()) == pytest.approx(1.0)
 
-    def test_leaf_probability_of_point(self, interval):
-        generator = SyntheticDataGenerator(weighted_tree(), interval, rng=0)
-        assert generator.leaf_probability_of_point(0.1) == pytest.approx(0.5)
-        assert generator.leaf_probability_of_point(0.9) == pytest.approx(0.0)
-
     def test_degenerate_tree_probability(self, interval):
         generator = SyntheticDataGenerator(PartitionTree(0.0), interval, rng=0)
         assert generator.leaf_probabilities() == {(): 1.0}
-        assert generator.leaf_probability_of_point(0.4) == 1.0
 
 
 class TestUtilities:
-    def test_expected_value_estimates_mean(self, interval):
-        generator = SyntheticDataGenerator(weighted_tree(), interval, rng=0)
-        estimate = generator.expected_value(lambda x: float(x), num_samples=4000)
-        # Mass: 0.5 on [0,0.25), 0.25 on [0.25,0.5), 0.25 on [0.5,0.75).
-        expected = 0.5 * 0.125 + 0.25 * 0.375 + 0.25 * 0.625
-        assert estimate == pytest.approx(expected, abs=0.02)
-
-    def test_expected_value_requires_positive_samples(self, interval):
-        generator = SyntheticDataGenerator(weighted_tree(), interval, rng=0)
-        with pytest.raises(ValueError):
-            generator.expected_value(lambda x: x, num_samples=0)
-
     def test_total_mass_and_memory(self, interval):
         generator = SyntheticDataGenerator(weighted_tree(), interval, rng=0)
         assert generator.total_mass == pytest.approx(100.0)

@@ -44,12 +44,6 @@ class TestLocate:
                 lower, upper = interval.cell_bounds(theta)
                 assert lower <= point <= upper
 
-    def test_locate_path_is_nested(self, interval):
-        path = interval.locate_path(0.61, 5)
-        assert len(path) == 6
-        for shallow, deep in zip(path, path[1:]):
-            assert deep[: len(shallow)] == shallow
-
     def test_out_of_domain_point_raises(self, interval):
         with pytest.raises(ValueError):
             interval.locate(1.5, 3)
@@ -93,16 +87,6 @@ class TestSampling:
 class TestBulkHelpers:
     def test_level_frequencies_partition_the_data(self, interval, rng):
         data = rng.random(200)
-        counts = interval.level_frequencies(data, 4)
-        assert sum(counts.values()) == 200
-        for theta in counts:
-            assert len(theta) == 4
-
-    def test_cells_at_level_enumerates_all(self, interval):
-        cells = list(interval.cells_at_level(3))
-        assert len(cells) == 8
-        assert len(set(cells)) == 8
-
-    def test_validate_points_raises_on_outside(self, interval):
-        with pytest.raises(ValueError):
-            interval.validate_points([0.5, 2.0])
+        codes, counts = interval.level_frequencies(data, 4)
+        assert counts.sum() == 200
+        assert np.all(np.diff(codes) > 0) and codes.min() >= 0 and codes.max() < 16

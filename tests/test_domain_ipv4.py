@@ -75,5 +75,6 @@ class TestPrefixCells:
 
     def test_level_frequencies_groups_by_prefix(self, ipv4):
         data = [ipv4.parse("10.0.0.1"), ipv4.parse("10.0.0.2"), ipv4.parse("192.168.0.1")]
-        counts = ipv4.level_frequencies(data, 8)
-        assert sorted(counts.values()) == [1, 2]
+        codes, counts = ipv4.level_frequencies(data, 8)
+        assert codes.tolist() == [10, 192]
+        assert counts.tolist() == [2, 1]

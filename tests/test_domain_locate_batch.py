@@ -9,12 +9,19 @@ mantissa and the 62 levels whose cell codes fit the int64 codes
 :meth:`Domain.pack_paths` returns.  Past level 62 the vectorised paths of
 the continuous domains raise instead of answering, while ``locate`` still
 answers.
+
+``Domain.level_frequencies`` counts cells from one ``locate_batch`` pass; a
+property checks it against a ``Counter`` of the scalar ``locate`` cells.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.registry import make_domain
 
@@ -97,3 +104,39 @@ def test_locate_batch_raises_past_62_levels(spec, level):
     with pytest.raises(ValueError, match="deeper than 62 levels"):
         domain.locate_batch(points, level)
     assert len(domain.locate(points[0], level)) == level
+
+
+FIVE_DOMAINS = ("interval", "hypercube:2", "ipv4", "discrete:1000", "geo")
+
+
+def _edges_and_points(spec: str, domain):
+    """Each domain's edge points and a strategy for further points."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    if spec == "interval":
+        return [0.0, 1.0, 0.5], unit
+    if spec == "hypercube:2":
+        return [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)], st.tuples(unit, unit)
+    if spec == "ipv4":
+        return [0, 1, 1 << 31, (1 << 32) - 1], st.integers(0, (1 << 32) - 1)
+    if spec == "geo":
+        corners = [(domain.lat_min, domain.lon_min), (domain.lat_max, domain.lon_max)]
+        return corners, st.tuples(
+            st.floats(min_value=domain.lat_min, max_value=domain.lat_max),
+            st.floats(min_value=domain.lon_min, max_value=domain.lon_max),
+        )
+    return [0, 1, domain.size - 1], st.integers(0, domain.size - 1)
+
+
+@pytest.mark.parametrize("spec", FIVE_DOMAINS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_level_frequencies_count_the_scalar_cells(spec, data):
+    domain = make_domain(spec)
+    edges, point = _edges_and_points(spec, domain)
+    points = edges + data.draw(st.lists(point, max_size=40))
+    level = data.draw(st.integers(0, 32 if spec == "ipv4" else 62))
+    codes, counts = domain.level_frequencies(np.array(points), level)
+    oracle = Counter(domain.locate(item, level) for item in points)
+    expected = sorted((int("".join(map(str, cell)) or "0", 2), n) for cell, n in oracle.items())
+    assert codes.dtype == counts.dtype == np.int64
+    assert list(zip(codes.tolist(), counts.tolist())) == expected

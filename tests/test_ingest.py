@@ -1063,6 +1063,7 @@ class TestLiveServing:
                         {"release": "gone", "query": {"type": "mass", "lower": 0.0, "upper": 0.5}},
                     )
                 assert excinfo.value.code == 404
+                excinfo.value.close()
 
     def test_eviction_unregisters_release_republishes_static(self, tmp_path):
         store = ReleaseStore()

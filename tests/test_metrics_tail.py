@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.tail import level_frequencies, tail_norm, tail_norm_from_counts
+from repro.metrics.tail import tail_norm, tail_norm_from_counts
 
 
 class TestTailNormFromCounts:
@@ -56,8 +56,3 @@ class TestTailNormFromData:
         shallow = tail_norm(data, interval, level=3, k=k)
         deep = tail_norm(data, interval, level=6, k=k)
         assert shallow <= deep + 1e-9
-
-    def test_level_frequencies_returns_domain_counts(self, interval, rng):
-        data = rng.random(100)
-        counts = level_frequencies(data, interval, 3)
-        assert sum(counts.values()) == 100

@@ -434,6 +434,7 @@ class TestTransportsAreByteIdentical:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(base + "/sample", {"size": 10})
             assert excinfo.value.code == 404
+            excinfo.value.close()
 
 
 class TestHTTPEndpoints:
@@ -478,18 +479,21 @@ class TestHTTPEndpoints:
             _post(served + "/query", payload)
         assert excinfo.value.code == code
         body = json.loads(excinfo.value.read())
+        excinfo.value.close()
         assert message in body["error"]
 
     def test_unknown_get_path_is_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(served + "/nope")
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_invalid_json_body_is_400(self, served):
         request = urllib.request.Request(served + "/query", data=b"{oops")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
 
 class TestNaNBounds:
@@ -552,6 +556,7 @@ class TestNaNBounds:
                     _post(base + "/query", payload)
                 assert excinfo.value.code == 400
                 assert "NaN" in json.loads(excinfo.value.read())["error"]
+                excinfo.value.close()
             infinite = _post(
                 base + "/query",
                 {"release": "scalar", "query": {"type": "mass", "lower": 0.2, "upper": "inf"}},
