@@ -52,6 +52,14 @@ class TestPrivTree:
         with pytest.raises(ValueError):
             PrivTreeMethod(interval, epsilon=1.0).fit([], rng=0)
 
+    def test_max_depth_past_the_code_width_raises_at_fit(self, interval, ipv4, rng):
+        """Every point is located once at max_depth, so a depth whose cell
+        codes do not fit raises at fit, however shallow the tree stays."""
+        with pytest.raises(ValueError, match="deeper than 62 levels"):
+            PrivTreeMethod(interval, epsilon=0.1, max_depth=63).fit(rng.random(20), rng=0)
+        with pytest.raises(ValueError, match="32-bit"):
+            PrivTreeMethod(ipv4, epsilon=0.1, max_depth=33).fit(np.arange(20), rng=0)
+
 
 class TestQuantile:
     def test_fit_and_sample_interval(self, interval, rng):
