@@ -156,10 +156,11 @@ class Domain(ABC):
 
         Coordinate ``i`` of an ``(n, d)`` array is split ``s_i`` times within
         the first ``level`` positions; its dyadic index is
-        ``floor(x_i * 2^{s_i})`` (clamped to the valid range, matching the
-        halving comparison loop for out-of-range values), and bit ``t`` of
-        that index lands at position ``i + t*d``.  Levels past 62, whose cell
-        codes :meth:`pack_paths` cannot pack, raise ``ValueError``.
+        ``floor(x_i * 2^{s_i})`` (a coordinate of exactly 1 goes to the last
+        cell), and bit ``t`` of that index lands at position ``i + t*d``.
+        The caller checks that every coordinate lies in ``[0, 1]``.  Levels
+        past 62, whose cell codes :meth:`pack_paths` cannot pack, raise
+        ``ValueError``.
         """
         if level > 62:
             raise ValueError(f"cannot locate a batch deeper than 62 levels, got {level}")

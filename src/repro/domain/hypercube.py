@@ -90,8 +90,10 @@ class Hypercube(Domain):
             raise ValueError(
                 f"expected a point of dimension {self.dimension}, got shape {array.shape}"
             )
-        if not np.isfinite(array).all():
-            raise ValueError("point coordinates must be finite")
+        # The negated all() form also rejects NaN (whose comparisons are all
+        # False).
+        if not ((array >= 0.0) & (array <= 1.0)).all():
+            raise ValueError(f"point {array.tolist()} lies outside [0, 1]^{self.dimension}")
         return array
 
     def locate(self, point, level: int) -> Cell:
@@ -113,9 +115,10 @@ class Hypercube(Domain):
         """Vectorised :meth:`locate`: per-axis binary expansions, interleaved.
 
         Coordinate ``i`` is split ``s_i`` times within the first ``level``
-        positions; its dyadic index is ``floor(x_i * 2^{s_i})`` (clamped to
-        the valid range, matching the comparison loop for out-of-range
-        values), and bit ``t`` of that index lands at position ``i + t*d``.
+        positions; its dyadic index is ``floor(x_i * 2^{s_i})`` (a coordinate
+        of exactly 1 goes to the last cell), and bit ``t`` of that index
+        lands at position ``i + t*d``.  A coordinate outside ``[0, 1]``
+        raises ``ValueError``, as in :meth:`locate`.
         """
         if level < 0:
             raise ValueError(f"level must be non-negative, got {level}")
@@ -126,8 +129,9 @@ class Hypercube(Domain):
             raise ValueError(
                 f"expected points of shape (n, {self.dimension}), got {coords.shape}"
             )
-        if coords.size and not np.isfinite(coords).all():
-            raise ValueError("point coordinates must be finite")
+        # The negated all() form also rejects NaN.
+        if coords.size and not ((coords >= 0.0) & (coords <= 1.0)).all():
+            raise ValueError(f"points must lie in [0, 1]^{self.dimension}")
         return self._interleave_unit_bits(coords, level)
 
     def sample_cell(self, theta: Cell, rng: np.random.Generator) -> np.ndarray:

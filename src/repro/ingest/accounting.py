@@ -12,20 +12,12 @@ Two ledgers keep the ingestion service honest:
   per-level split as before.
 * :class:`MemoryLedger` tracks the words each resident summarizer holds
   plus a recency order, which is what the worker's eviction of cold tenants
-  to checkpoint files runs on.  Accounting is *amortized*: an exact
-  measurement (via :func:`repro.memory.accounting.measure_method`, which
-  understands both one-shot and continual summarizers) is taken when a
-  tenant first becomes resident and then only every ``measure_interval``
-  touches or on eviction decisions; between exact points the ledger
-  extrapolates with the per-touch word slope observed between the last two
-  measurements.  One-shot summarizers have constant resident size during
-  ingestion (slope 0 -- the tree only grows at release), and continual
-  banks grow by O(log horizon) words per event, so the estimate stays
-  within the tolerance contract asserted in the tests: between exact
-  measurements the per-tenant error is bounded by ``measure_interval``
-  times the change in per-touch growth rate, and it resets to zero at
-  every exact point.  One ledger per worker -- workers share no mutable
-  state.
+  to checkpoint files runs on.  A summarizer's words are fixed at
+  construction (the paper's bounded-memory layout: complete exact levels,
+  then fixed-size sketches), so the worker records them once, from the
+  summarizer's ``memory_words()``, when the tenant becomes resident; the
+  ledger's totals are exact, not estimates.  One ledger per worker --
+  workers share no mutable state.
 """
 
 from __future__ import annotations
@@ -118,122 +110,64 @@ class TenantBudgetRegistry:
             }
 
 
-#: Exact re-measure cadence: one full ``measure_method`` walk per this many
-#: touches of a tenant; every touch in between costs O(1).
-DEFAULT_MEASURE_INTERVAL = 16
-
-
 class MemoryLedger:
-    """Amortized word accounting plus recency for one worker's tenants.
+    """Per-tenant words plus recency for one worker's resident tenants.
 
     Not thread-safe by design: exactly one worker owns a ledger, the same
     way it exclusively owns its partition of tenants.
 
-    The protocol: :meth:`touch` bumps a tenant's recency and extrapolates
-    its word estimate from the last observed per-touch slope, returning
-    ``True`` whenever an exact measurement is due (first sighting, or every
-    ``measure_interval`` touches); the caller then measures the summarizer
-    and feeds the result to :meth:`record_exact`, which re-anchors the
-    estimate and refreshes the slope.  ``total_words`` is maintained
+    Since a summarizer's words are fixed at construction, the worker calls
+    :meth:`record` once per residency, and every later :meth:`touch` only
+    bumps the tenant's recency.  ``total_words`` is maintained
     incrementally, so the budget check on the append hot path is O(1)
     instead of a sum over every resident tenant.
 
     Example:
-        >>> ledger = MemoryLedger(measure_interval=2)
-        >>> ledger.touch("a")       # unknown tenant: exact measure due
-        True
-        >>> ledger.record_exact("a", 100)
-        >>> ledger.touch("a")       # 1 touch since anchor: estimate only
-        False
-        >>> ledger.touch("a")       # interval reached: exact measure due
-        True
-        >>> ledger.record_exact("a", 140)    # slope becomes 20 words/touch
+        >>> ledger = MemoryLedger()
+        >>> ledger.record("a", 100)
+        >>> ledger.record("b", 40)
         >>> ledger.touch("a")
-        False
-        >>> ledger.words_of("a"), ledger.total_words
-        (160, 160)
+        >>> ledger.total_words, ledger.eviction_order()
+        (140, ['b', 'a'])
         >>> ledger.drop("a")
-        160
+        100
+        >>> ledger.total_words
+        40
     """
 
-    def __init__(self, measure_interval: int = DEFAULT_MEASURE_INTERVAL) -> None:
-        if measure_interval < 1:
-            raise ValueError(f"measure_interval must be >= 1, got {measure_interval}")
-        self.measure_interval = int(measure_interval)
-        self._words: dict[str, float] = {}
-        self._exact_words: dict[str, int] = {}
-        self._slope: dict[str, float] = {}
-        self._touches_since: dict[str, int] = {}
+    def __init__(self) -> None:
+        self._words: dict[str, int] = {}
         self._last_touch: dict[str, int] = {}
         self._clock = 0
-        self._total = 0.0
+        self._total = 0
 
-    def _set_estimate(self, tenant_id: str, words: float) -> None:
-        self._total += words - self._words.get(tenant_id, 0.0)
-        self._words[tenant_id] = words
+    def record(self, tenant_id: str, words: int) -> None:
+        """Track a tenant that has just become resident, holding ``words``.
 
-    def touch(self, tenant_id: str) -> bool:
-        """Bump recency, extrapolate the estimate; True when an exact
-        measurement is due from the caller (via :meth:`record_exact`)."""
-        self._clock += 1
-        self._last_touch[tenant_id] = self._clock
-        if tenant_id not in self._exact_words:
-            return True
-        touches = self._touches_since[tenant_id] + 1
-        self._touches_since[tenant_id] = touches
-        slope = self._slope.get(tenant_id, 0.0)
-        if slope:
-            self._set_estimate(tenant_id, self._words[tenant_id] + slope)
-        return touches >= self.measure_interval
-
-    def record_exact(self, tenant_id: str, words: int) -> None:
-        """Anchor a tenant at an exactly measured word count.
-
-        The per-touch slope is refreshed from the delta since the previous
-        anchor, so growth-rate changes are picked up within one interval.
+        Counts as one touch: the tenant enters the recency order as the
+        warmest resident.
         """
         words = int(words)
-        previous = self._exact_words.get(tenant_id)
-        touches = self._touches_since.get(tenant_id, 0)
-        if previous is not None and touches > 0:
-            self._slope[tenant_id] = max(0.0, (words - previous) / touches)
-        self._exact_words[tenant_id] = words
-        self._touches_since[tenant_id] = 0
-        self._set_estimate(tenant_id, float(words))
-        if tenant_id not in self._last_touch:
-            self._clock += 1
-            self._last_touch[tenant_id] = self._clock
+        self._total += words - self._words.get(tenant_id, 0)
+        self._words[tenant_id] = words
+        self.touch(tenant_id)
+
+    def touch(self, tenant_id: str) -> None:
+        """Mark a tenant as the most recently used one."""
+        self._clock += 1
+        self._last_touch[tenant_id] = self._clock
 
     def drop(self, tenant_id: str) -> int:
         """Forget a tenant (evicted or released); returns the words freed."""
         self._last_touch.pop(tenant_id, None)
-        self._exact_words.pop(tenant_id, None)
-        self._slope.pop(tenant_id, None)
-        self._touches_since.pop(tenant_id, None)
-        freed = self._words.pop(tenant_id, 0.0)
+        freed = self._words.pop(tenant_id, 0)
         self._total -= freed
-        return int(round(freed))
+        return freed
 
     @property
     def total_words(self) -> int:
-        """Estimated words held by every resident tenant together (O(1))."""
-        return int(round(self._total))
-
-    def words_of(self, tenant_id: str) -> int:
-        """Current word estimate of one tenant (0 when not resident)."""
-        return int(round(self._words.get(tenant_id, 0.0)))
-
-    def exact_words_of(self, tenant_id: str) -> int | None:
-        """The last exactly measured word count (None before any anchor)."""
-        return self._exact_words.get(tenant_id)
-
-    def staleness_of(self, tenant_id: str) -> int:
-        """Touches of *other* tenants since this one was last touched."""
-        return self._clock - self._last_touch[tenant_id]
-
-    def resident(self) -> list[str]:
-        """Ids of every tenant the ledger currently tracks."""
-        return list(self._words)
+        """Words held by every resident tenant together (O(1))."""
+        return self._total
 
     def eviction_order(self, protect: str | None = None) -> list[str]:
         """Cost-aware eviction order, best candidate first.

@@ -19,13 +19,13 @@ lands each tenant's run of appends with a single ``coerce_stream`` plus one
 by one, because the segment boundaries (and with them the float summation
 order and the continual event axis) are preserved.
 
-Each worker also runs its own word-budget bookkeeping, amortized through
-the :class:`repro.ingest.accounting.MemoryLedger`: exact ``measure_method``
-walks happen on first residency, on snapshots, every ``measure_interval``
-touches and on eviction decisions; every other touch extrapolates in O(1).
-When its partition exceeds its share of the service's memory budget, the
-worker evicts tenants cost-aware (coldness x resident words) by handing
-the summarizer to the service's shared
+Each worker also keeps its own word budget in a
+:class:`repro.ingest.accounting.MemoryLedger`.  A summarizer's words are
+fixed at construction, so the worker reads ``memory_words()`` once, when a
+tenant becomes resident, and every later touch only bumps the tenant's
+recency.  When its partition exceeds its share of the service's memory
+budget, the worker evicts tenants cost-aware (coldness x resident words) by
+handing the summarizer to the service's shared
 :class:`repro.io.checkpoint_writer.CheckpointWriter`, which persists it in
 the background.  An evicted tenant is restored transparently -- and
 byte-for-byte -- on its next touch, either by reclaiming the still-pending
@@ -41,10 +41,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.ingest.accounting import DEFAULT_MEASURE_INTERVAL, MemoryLedger
+from repro.ingest.accounting import MemoryLedger
 from repro.ingest.spec import TenantSpec
-from repro.io.serialization import load_checkpoint, save_checkpoint
-from repro.memory.accounting import measure_method
+from repro.io.serialization import load_checkpoint
 
 __all__ = ["partition_of", "IngestWorker", "ReplyBox", "AppendError"]
 
@@ -171,7 +170,6 @@ class IngestWorker(threading.Thread):
         checkpoint_format: str = "binary",
         checkpoint_writer=None,
         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
-        measure_interval: int = DEFAULT_MEASURE_INTERVAL,
     ) -> None:
         super().__init__(name=f"ingest-worker-{index}", daemon=True)
         if checkpoint_format not in ("binary", "json"):
@@ -180,11 +178,12 @@ class IngestWorker(threading.Thread):
             )
         if reply_timeout <= 0:
             raise ValueError(f"reply_timeout must be positive, got {reply_timeout}")
+        if checkpoint_dir is not None and checkpoint_writer is None:
+            raise ValueError("a checkpoint_dir needs a checkpoint_writer to evict tenants through")
         self.index = index
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_format = checkpoint_format
-        #: Shared service-level async writer; ``None`` falls back to
-        #: synchronous ``save_checkpoint`` on the worker thread.
+        #: Shared service-level async writer, the one path evictions take.
         self._writer = checkpoint_writer
         self.reply_timeout = float(reply_timeout)
         self.memory_budget_words = memory_budget_words
@@ -198,12 +197,13 @@ class IngestWorker(threading.Thread):
         self._specs: dict[str, TenantSpec] = {}
         self._residents: dict[str, _Resident] = {}
         self._released: set[str] = set()
-        self._ledger = MemoryLedger(measure_interval=measure_interval)
+        self._ledger = MemoryLedger()
         self._failures: list[tuple[str, str]] = []
         self.evictions = 0
         self.restores = 0
         self.items_ingested = 0
         self.appends = 0
+        #: ``memory_words()`` reads: one each time a tenant becomes resident.
         self.exact_measures = 0
 
     # ------------------------------------------------------------------ #
@@ -296,8 +296,6 @@ class IngestWorker(threading.Thread):
             return self._stats()
         if op == "drain":
             return self._op_drain()
-        if op == "audit":
-            return self._op_audit()
         raise ValueError(f"unknown worker op {op!r}")
 
     def _checkpoint_path(self, tenant_id: str):
@@ -350,12 +348,9 @@ class IngestWorker(threading.Thread):
                 summarizer = spec.build_summarizer()
         state = _Resident(summarizer, spec.make_domain())
         self._residents[tenant_id] = state
-        self._measure_exact(tenant_id, state)
-        return state
-
-    def _measure_exact(self, tenant_id: str, state: _Resident) -> None:
         self.exact_measures += 1
-        self._ledger.record_exact(tenant_id, measure_method(state.summarizer).total_words)
+        self._ledger.record(tenant_id, summarizer.memory_words())
+        return state
 
     def _maybe_announce(self, tenant_id: str, state: _Resident) -> None:
         if state.announced or state.summarizer.items_processed == 0:
@@ -376,7 +371,7 @@ class IngestWorker(threading.Thread):
         (each array is one segment), so the summarizer state -- float
         summation order, continual event axis -- is byte-identical to the
         uncoalesced path; only the per-batch fixed costs (message, coerce,
-        locate, measure) are amortized across the run.
+        locate) are amortized across the run.
         """
         state = self._resident(tenant_id)
         segments = [np.asarray(values) for values in arrays]
@@ -413,8 +408,7 @@ class IngestWorker(threading.Thread):
         counter = self._counters.get(tenant_id)
         if counter is not None:
             counter.value = items
-        if self._ledger.touch(tenant_id):
-            self._measure_exact(tenant_id, state)
+        self._ledger.touch(tenant_id)
         self._maybe_announce(tenant_id, state)
         self._enforce_memory_budget(protect=tenant_id)
         return items
@@ -428,7 +422,6 @@ class IngestWorker(threading.Thread):
                 "as continual)"
             )
         self._ledger.touch(tenant_id)
-        self._measure_exact(tenant_id, state)
         return state.summarizer.snapshot(sampling_seed=sampling_seed)
 
     def _op_release(self, tenant_id: str):
@@ -468,17 +461,14 @@ class IngestWorker(threading.Thread):
                 "evicting a tenant requires a checkpoint directory; construct "
                 "the service with checkpoint_dir=..."
             )
-        state = self._residents[tenant_id]
-        if self._writer is not None:
-            # Hand the summarizer to the background writer and return; the
-            # worker drops its reference, so the writer is the sole owner
-            # until the write lands or the tenant is restored via take_back.
-            self._writer.submit(
-                tenant_id, state.summarizer, path, format=self.checkpoint_format
-            )
-        else:
-            save_checkpoint(state.summarizer, path, format=self.checkpoint_format)
-        # Only now: a save that raised leaves the tenant resident.
+        # Hand the summarizer to the background writer and return; the
+        # worker drops its reference, so the writer is the sole owner until
+        # the write lands or the tenant is restored via take_back.  The
+        # tenant leaves the residents only after the hand-over succeeds.
+        self._writer.submit(
+            tenant_id, self._residents[tenant_id].summarizer, path,
+            format=self.checkpoint_format,
+        )
         del self._residents[tenant_id]
         self._ledger.drop(tenant_id)
         self.evictions += 1
@@ -492,30 +482,7 @@ class IngestWorker(threading.Thread):
         for tenant_id in self._ledger.eviction_order(protect=protect):
             if self._ledger.total_words <= budget:
                 return
-            # Eviction decisions run on exact numbers: re-anchor the
-            # candidate before evicting so an over-estimate alone never
-            # pushes a tenant out.
-            state = self._residents.get(tenant_id)
-            if state is not None:
-                self._measure_exact(tenant_id, state)
-                if self._ledger.total_words <= budget:
-                    return
             self._evict(tenant_id)
-
-    def _op_audit(self) -> list:
-        """Ledger-estimate vs exact words per resident tenant (diagnostics).
-
-        Returns ``(tenant_id, estimated, exact)`` rows *before* re-anchoring
-        the ledger at the exact values, so callers (and the tolerance tests)
-        observe the drift the amortization actually produced.
-        """
-        rows = []
-        for tenant_id, state in self._residents.items():
-            estimated = self._ledger.words_of(tenant_id)
-            exact = measure_method(state.summarizer).total_words
-            rows.append((tenant_id, estimated, int(exact)))
-            self._ledger.record_exact(tenant_id, exact)
-        return rows
 
     def _stats(self) -> dict:
         failures, self._failures = self._failures, []

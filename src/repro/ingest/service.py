@@ -56,7 +56,7 @@ import threading
 
 import numpy as np
 
-from repro.ingest.accounting import DEFAULT_MEASURE_INTERVAL, TenantBudgetRegistry
+from repro.ingest.accounting import TenantBudgetRegistry
 from repro.ingest.partition import (
     DEFAULT_REPLY_TIMEOUT,
     AppendError,
@@ -202,10 +202,6 @@ class IngestService:
         Seconds callers wait for a worker reply (``flush``, ``release``,
         ...) before raising ``TimeoutError``; a deep coalesced queue under
         heavy load can legitimately need more than the default 60 s.
-    measure_interval:
-        Exact memory re-measure cadence of the amortized accounting: one
-        full ``measure_method`` walk per tenant per this many touches
-        (plus always on first residency, snapshots and eviction decisions).
 
     Example:
         >>> import numpy as np
@@ -235,7 +231,6 @@ class IngestService:
         staging_bytes: int = 1 << 20,
         flush_interval: float | None = 0.05,
         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
-        measure_interval: int = DEFAULT_MEASURE_INTERVAL,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -293,7 +288,6 @@ class IngestService:
                 checkpoint_format=checkpoint_format,
                 checkpoint_writer=self._writer,
                 reply_timeout=self.reply_timeout,
-                measure_interval=measure_interval,
             )
             for index in range(workers)
         ]
@@ -356,10 +350,6 @@ class IngestService:
         """Sorted ids of every registered tenant."""
         with self._lock:
             return sorted(self._specs)
-
-    def spec_of(self, tenant_id: str) -> TenantSpec:
-        """The spec a tenant was registered with."""
-        return self._require_tenant(tenant_id)
 
     def items_processed(self, tenant_id: str) -> int:
         """Items the owning worker has fully processed for the tenant."""
@@ -478,21 +468,6 @@ class IngestService:
         if raise_on_failure and stats["failures"]:
             raise AppendError(stats["failures"])
         return stats
-
-    def audit_memory(self) -> list:
-        """Ledger-estimate vs exact words for every resident tenant.
-
-        Flushes first, then asks each worker to measure every resident
-        summarizer exactly; returns ``(tenant_id, estimated, exact)`` rows
-        with the estimates as they stood *before* the audit re-anchored the
-        ledgers.  This is the amortized-accounting tolerance probe used by
-        the tests and the benchmark.
-        """
-        self._check_open()
-        self._ship_all()
-        return [
-            row for worker in self._workers for row in worker.request("audit")
-        ]
 
     def snapshot(self, tenant_id: str, sampling_seed: int | None = None):
         """A mid-stream Release of a continual tenant (post-processing only).

@@ -249,14 +249,6 @@ class ReleaseStore:
         with self._lock:
             return name in self._live
 
-    def version_of(self, name: str) -> int | None:
-        """The version a live name's snapshots are cached under right now
-        (see :meth:`register_live`), or ``None`` for static releases."""
-        with self._lock:
-            entry = self._live.get(name)
-        # The count may block on an ingest worker: read it unlocked.
-        return None if entry is None else entry.version()
-
     def names(self) -> list[str]:
         """Sorted names of every addressable release (disk, memory or live)."""
         with self._lock:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import PrivHPBuilder
 from repro.domain.hypercube import Hypercube
 
 
@@ -74,6 +75,29 @@ class TestLocate:
                 square.locate([bad, 0.5], 4)
             with pytest.raises(ValueError):
                 square.locate_batch(np.array([[0.2, 0.3], [bad, 0.5]]), 4)
+
+    @pytest.mark.parametrize("bad", [[7.0, -3.0], [1.0 + 1e-12, 0.5], [0.5, -1e-300]])
+    def test_out_of_domain_rejected_by_both_locate_paths(self, square, bad):
+        """A coordinate outside [0, 1] is an error, not a point of the edge
+        cell, as on the interval and geo domains."""
+        with pytest.raises(ValueError, match="outside"):
+            square.locate(bad, 4)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            square.locate_batch(np.array([[0.2, 0.3], bad]), 4)
+
+    def test_closed_unit_cube_is_in_domain(self, square):
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        bits = square.locate_batch(corners, 4)
+        assert [tuple(row) for row in bits] == [square.locate(c, 4) for c in corners]
+        assert square.locate([1.0, 1.0], 4) == (1, 1, 1, 1)
+
+    @pytest.mark.parametrize("continual", [False, True])
+    def test_summarizer_rejects_out_of_domain_batch(self, continual):
+        builder = PrivHPBuilder("hypercube:2").stream_size(256).seed(3)
+        summarizer = (builder.continual() if continual else builder).build()
+        with pytest.raises(ValueError):
+            summarizer.update_batch(np.array([[7.0, -3.0]]))
+        assert summarizer.items_processed == 0
 
 
 class TestSampling:
