@@ -236,6 +236,55 @@ def _random_bounds(name, rng, count=40):
     return [(int(a), int(b)) for a, b in pairs]
 
 
+def _edge_bounds(name, tree, rng, count=4):
+    """Bounds on the edges of the compiled table's leaf cells.
+
+    Each picked leaf gives its own cell, a box from one leaf's lower corner
+    to another's upper corner, and ``lower == upper`` at both of its edges
+    (one-item ranges on the integer domains); the domain's ends follow,
+    with ``-0.0`` beside ``0.0`` on the interval and the hypercube.
+    """
+    table = compiled.CompiledLeafTable(tree, DOMAINS[name])
+    picks = rng.integers(0, len(table), (count, 2))
+    if name in ("ipv4", "discrete"):
+        low, high = table.low.tolist(), table.high.tolist()
+        bounds = []
+        for i, j in picks:
+            if low[i] <= high[i]:
+                bounds += [(low[i], high[i]), (low[i], low[i]), (high[i], high[i])]
+            bounds.append((min(low[i], low[j]), max(high[i], high[j])))
+        last = 2**32 - 1 if name == "ipv4" else 4095
+        return bounds + [(0, 0), (last, last), (0, last), (0, 1), (last - 1, last)]
+    if name == "interval":
+        low, high = table.low.tolist(), table.high.tolist()
+        bounds = []
+        for i, j in picks:
+            bounds += [(low[i], high[i]), (low[i], low[i]), (high[i], high[i])]
+            bounds.append((min(low[i], low[j]), max(high[i], high[j])))
+        ends = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (1.0, 1.0)]
+        return bounds + ends + [(-0.0, 1.0), (0.0, 1.0), (-0.0, 0.5), (0.5, 1.0)]
+    low, high = table.low, table.high
+    if name == "geo":
+        # The table holds normalised corners; queries take (lat, lon).
+        low, high = DOMAINS[name]._denormalise(low), DOMAINS[name]._denormalise(high)
+    bounds = []
+    for i, j in picks:
+        bounds += [(low[i].tolist(), high[i].tolist()), (low[i].tolist(), low[i].tolist())]
+        bounds.append((high[i].tolist(), high[i].tolist()))
+        bounds.append((np.minimum(low[i], low[j]).tolist(), np.maximum(high[i], high[j]).tolist()))
+    if name == "geo":
+        return bounds + [([24.0, -125.0], [49.0, -66.0]), ([24.0, -125.0], [24.0, -125.0])]
+    ends = [
+        ([-0.0, -0.0], [0.0, 0.0]),
+        ([-0.0, 0.0], [1.0, -0.0]),
+        ([0.0, 0.0], [1.0, 1.0]),
+        ([-0.0, -0.0], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0, 1.0]),
+        ([-0.0, 0.5], [0.5, 1.0]),
+    ]
+    return bounds + ends
+
+
 def _degenerate_tree():
     return PartitionTree(0.0)
 
@@ -258,7 +307,7 @@ def test_mass_and_count_bit_identical(name):
     for tree in _trees(name):
         engine = RangeQueryEngine(tree, domain)
         reference = ScalarRangeReference(tree, domain)
-        bounds = _random_bounds(name, rng)
+        bounds = _random_bounds(name, rng) + _edge_bounds(name, tree, rng)
         for lower, upper in bounds:
             assert engine.mass(lower, upper) == reference.mass(lower, upper)
             assert engine.count(lower, upper) == reference.count(lower, upper)
@@ -284,10 +333,12 @@ def test_mass_and_count_bit_identical_across_blocks(name, monkeypatch):
 def test_cdf_bit_identical(name):
     domain = DOMAINS[name]
     rng = np.random.default_rng(43)
-    points = [upper for _, upper in _random_bounds(name, rng, count=25) if not isinstance(upper, str)]
+    random_points = [upper for _, upper in _random_bounds(name, rng, count=25) if not isinstance(upper, str)]
     for tree in _trees(name):
         engine = RangeQueryEngine(tree, domain)
         reference = ScalarRangeReference(tree, domain)
+        # Leaf edges, the domain's ends and -0.0 beside the random points.
+        points = random_points + [bound for pair in _edge_bounds(name, tree, rng) for bound in pair]
         assert [engine.cdf(p) for p in points] == [reference.cdf(p) for p in points]
         assert engine.cdf_many(points).tolist() == [reference.cdf(p) for p in points]
 
