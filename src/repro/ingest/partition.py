@@ -415,6 +415,8 @@ class IngestWorker(threading.Thread):
 
     def _op_snapshot(self, tenant_id: str, sampling_seed=None):
         state = self._resident(tenant_id)
+        # A snapshot can restore an evicted tenant; make room as an append does.
+        self._enforce_memory_budget(protect=tenant_id)
         if not hasattr(state.summarizer, "snapshot"):
             raise ValueError(
                 f"tenant {tenant_id!r} is a one-shot summarizer with no "

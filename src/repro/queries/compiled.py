@@ -25,11 +25,18 @@ order is an ``argsort`` of the codes left-aligned to level 62.
 
 Byte-identical contract
 -----------------------
-Every kernel reproduces the retired scalar loops bit for bit: terms are
-accumulated sequentially (``np.cumsum``, which sums left to right, not
-``np.sum``'s pairwise reduction), per-axis box fractions multiply in axis
-order, integer overlaps divide with the same int64 -> float64 true division,
-and the quantile descent performs the same compare/subtract sequence per
+Every kernel reproduces the retired scalar loops bit for bit.  The range
+kernel evaluates only the *kept* leaves -- probability > 0 and a
+non-degenerate cell -- which are exactly the leaves the scalar loop did not
+skip or zero; every other leaf added ``+0.0`` to a non-negative running
+sum, which is exact, so dropping it changes no bit.  The kept leaves stay
+in table order, and their terms are accumulated sequentially (an in-place
+``np.cumsum`` along the leaf axis, which sums left to right, never
+``np.sum``'s pairwise reduction); adding ``0.0`` to the last column
+reproduces the loop's ``total = 0.0`` start, so an all ``-0.0`` row still
+sums to ``+0.0``.  Per-axis box fractions multiply in axis order, integer
+overlaps divide with the same int64 -> float64 true division, and the
+quantile descent performs the same compare/subtract sequence per
 probability.  ``tests/test_queries_vectorized.py`` pins the equality against
 reference implementations of the old loops, which take each leaf's geometry
 from the scalar ``cell_bounds`` / ``cell_range``, on randomised trees over
@@ -63,10 +70,11 @@ from repro.domain.ipv4 import IPv4Domain
 
 __all__ = ["CompiledLeafTable", "CompiledDescentTable"]
 
-#: Bound on the elements of one temporary (queries x leaves) block so that
+#: Bound on the elements of one (queries x kept leaves) buffer so that
 #: arbitrarily large batches evaluate in bounded memory: ~2 MB of float64
-#: per block, a size that stays in cache (63 queries at ~4.1k leaves).
-#: Rows are independent, so the block size never changes an answer.
+#: per buffer, a size that stays in cache (at least 63 queries at ~4.1k
+#: leaves, more when zero-mass leaves are skipped).  Rows are independent,
+#: so the block size never changes an answer.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -113,6 +121,7 @@ class CompiledLeafTable:
         self.size = len(self.probabilities)
         self._positive = self.probabilities > 0
         self._compile_geometry(domain, levels, codes)
+        self._keep_leaves()
         self._compile_cdf(domain, levels, codes)
 
     @classmethod
@@ -120,11 +129,11 @@ class CompiledLeafTable:
         """Rebuild a table from :meth:`export_arrays` output (mmap-friendly).
 
         The arrays are used as-is (read-only memory-mapped views are fine:
-        the kernels never write into them), so loading a persisted table is
-        O(1) in the number of leaves -- no tree walk, no geometry recompute.
-        Derived state (``width``, the positive-probability mask) is recomputed
-        with the same expressions compilation uses, so a rebuilt table answers
-        queries bit-identically to one compiled from the tree.
+        the kernels never write into them) -- no tree walk, no geometry
+        recompute.  Derived state (``width``, the positive-probability mask
+        and the kept leaves ``mass_many`` evaluates) is recomputed in O(L)
+        array passes with the same expressions compilation uses, so a rebuilt
+        table answers queries bit-identically to one compiled from the tree.
         """
         if kind not in ("interval", "box", "intrange"):
             raise ValueError(f"unknown compiled leaf-table kind {kind!r}")
@@ -148,6 +157,7 @@ class CompiledLeafTable:
         if table.low.shape != table.high.shape or len(table.low) != table.size:
             raise ValueError("compiled leaf-table arrays disagree on the leaf count")
         table._positive = table.probabilities > 0
+        table._keep_leaves()
         if "cdf" in arrays or "leaf_order" in arrays:
             try:
                 table.leaf_order = arrays["leaf_order"]
@@ -192,6 +202,37 @@ class CompiledLeafTable:
         if self.kind != "intrange":
             self.width = self.high - self.low
 
+    def _keep_leaves(self) -> None:
+        """The leaves ``mass_many`` evaluates, in table order.
+
+        A leaf is kept when its probability is positive and its cell is not
+        degenerate (positive width on every axis, or ``low <= high`` for an
+        integer range): the scalar loop skipped every other leaf or added
+        ``+0.0`` for it.  Each kept leaf carries its bounds, the divisor of
+        its overlap (``width``, or ``high - low + 1`` in int64) and its
+        probability.  Box geometry is stored axis-major, ``(d, K)``, so each
+        axis is one contiguous row.
+        """
+        if self.kind == "intrange":
+            cells = self.low <= self.high
+        elif self.kind == "box":
+            cells = np.all(self.width > 0, axis=1)
+        else:
+            cells = self.width > 0
+        kept = np.flatnonzero(self._positive & cells)
+        self._kept_probabilities = self.probabilities[kept]
+        if self.kind == "box":
+            self._kept_low = np.ascontiguousarray(self.low[kept].T)
+            self._kept_high = np.ascontiguousarray(self.high[kept].T)
+            self._kept_divisor = np.ascontiguousarray(self.width[kept].T)
+        else:
+            self._kept_low = self.low[kept]
+            self._kept_high = self.high[kept]
+            if self.kind == "interval":
+                self._kept_divisor = self.width[kept]
+            else:
+                self._kept_divisor = self._kept_high - self._kept_low + 1
+
     def _compile_cdf(self, domain: Domain, levels: np.ndarray, codes: np.ndarray) -> None:
         """Prefix-sum/CDF array over the ordered-domain leaf order.
 
@@ -221,65 +262,72 @@ class CompiledLeafTable:
         ``(N,)`` floats for intervals, ``(N, d)`` normalised floats for
         boxes, ``(N,)`` int64 for integer ranges.  Row ``i`` of the result
         is bit-identical to the retired scalar ``mass`` on query ``i``.
+
+        Each block of queries fills one ``(queries x kept leaves)`` buffer
+        in place -- overlap, divide by the divisor, multiply by the
+        probability -- and sums it left to right with an in-place
+        ``np.cumsum`` along the leaf axis.
         """
         count = len(lowers)
-        result = np.empty(count)
-        block = max(1, _BLOCK_ELEMENTS // max(self.size, 1))
+        result = np.zeros(count)
+        kept = len(self._kept_probabilities)
+        if count == 0 or kept == 0:
+            return result
+        block = min(count, max(1, _BLOCK_ELEMENTS // kept))
+        terms = np.empty((block, kept))
+        scratch = np.empty((block, kept))
+        ratio = np.empty((block, kept)) if self.kind == "box" else None
         for start in range(0, count, block):
             stop = min(start + block, count)
-            fractions = self._fractions(lowers[start:stop], uppers[start:stop])
-            terms = np.where(
-                self._positive[None, :], self.probabilities[None, :] * fractions, 0.0
+            rows = stop - start
+            self._fill_terms(
+                lowers[start:stop],
+                uppers[start:stop],
+                terms[:rows],
+                scratch[:rows],
+                None if ratio is None else ratio[:rows],
             )
-            totals = _sequential_sum(terms, axis=1)
+            sums = np.cumsum(terms[:rows], axis=1, out=terms[:rows])
+            # The scalar loop started from ``total = 0.0``.
+            totals = sums[:, -1] + 0.0
             result[start:stop] = np.minimum(np.maximum(totals, 0.0), 1.0)
         return result
 
-    def _fractions(self, lowers, uppers) -> np.ndarray:
-        """Fraction of each leaf cell covered by each query region: (N, L)."""
+    def _fill_terms(self, lowers, uppers, terms, scratch, ratio) -> None:
+        """Write ``probability * fraction covered`` of each kept leaf by each
+        query into ``terms``, with the scalar loop's operations in its order."""
+        high, low, divisor = self._kept_high, self._kept_low, self._kept_divisor
         if self.kind == "interval":
-            overlap = np.maximum(
-                0.0,
-                np.minimum(self.high[None, :], uppers[:, None])
-                - np.maximum(self.low[None, :], lowers[:, None]),
-            )
-            valid = self.width > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fractions = overlap / self.width[None, :]
-            return np.where(valid[None, :], fractions, 0.0)
-        if self.kind == "box":
-            # Multiply per-axis coverage in axis order, exactly like the
-            # scalar loop's running ``fraction *= overlap / width``; any
-            # degenerate axis zeroes the whole leaf (the scalar early
-            # return).
-            n = len(lowers)
-            fractions = np.ones((n, self.size))
-            degenerate = np.zeros(self.size, dtype=bool)
+            np.minimum(high, uppers[:, None], out=terms)
+            np.maximum(low, lowers[:, None], out=scratch)
+            np.subtract(terms, scratch, out=terms)
+            np.maximum(0.0, terms, out=terms)
+            np.divide(terms, divisor, out=terms)
+        elif self.kind == "box":
+            # The running ``fraction *= overlap / width`` in axis order; the
+            # first axis's ratio is the product's first factor (1.0 * r == r).
             for axis in range(self.dimension):
-                width = self.width[:, axis]
-                valid = width > 0
-                degenerate |= ~valid
-                overlap = np.maximum(
-                    0.0,
-                    np.minimum(self.high[None, :, axis], uppers[:, None, axis])
-                    - np.maximum(self.low[None, :, axis], lowers[:, None, axis]),
-                )
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = overlap / width[None, :]
-                fractions = fractions * np.where(valid[None, :], ratio, 0.0)
-            return np.where(degenerate[None, :], 0.0, fractions)
-        # intrange
-        overlap = np.maximum(
-            0,
-            np.minimum(self.high[None, :], uppers[:, None])
-            - np.maximum(self.low[None, :], lowers[:, None])
-            + 1,
-        )
-        size = self.high - self.low + 1
-        valid = self.low <= self.high
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = overlap / np.where(valid, size, 1)[None, :]
-        return np.where(valid[None, :], fractions, 0.0)
+                overlap = terms if axis == 0 else ratio
+                np.minimum(high[axis], uppers[:, axis, None], out=overlap)
+                np.maximum(low[axis], lowers[:, axis, None], out=scratch)
+                np.subtract(overlap, scratch, out=overlap)
+                np.maximum(0.0, overlap, out=overlap)
+                np.divide(overlap, divisor[axis], out=overlap)
+                if axis:
+                    np.multiply(terms, overlap, out=terms)
+        else:
+            # Integer overlaps in int64, held in the two float buffers'
+            # memory; the true division reads ``overlap`` and writes
+            # ``terms``, whose int64 contents are dead by then.
+            overlap = scratch.view(np.int64)
+            start = terms.view(np.int64)
+            np.minimum(high, uppers[:, None], out=overlap)
+            np.maximum(low, lowers[:, None], out=start)
+            np.subtract(overlap, start, out=overlap)
+            np.add(overlap, 1, out=overlap)
+            np.maximum(0, overlap, out=overlap)
+            np.divide(overlap, divisor, out=terms)
+        np.multiply(self._kept_probabilities, terms, out=terms)
 
     def marginal(self, axis: int, bins: int) -> np.ndarray:
         """One-dimensional marginal histogram for box tables: (bins,).

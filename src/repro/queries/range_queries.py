@@ -99,10 +99,16 @@ class RangeQueryEngine:
                 raise ValueError("lower bound must not exceed upper bound, and neither may be NaN")
             return low, high
         if kind == "intrange":
-            low = np.array([self._as_int(value) for value in lowers], dtype=np.int64)
-            high = np.array([self._as_int(value) for value in uppers], dtype=np.int64)
-            if np.any(low > high):
+            low = [self._as_int(value) for value in lowers]
+            high = [self._as_int(value) for value in uppers]
+            if any(a > b for a, b in zip(low, high)):
                 raise ValueError("lower bound must not exceed upper bound")
+            # Every cell lies in [0, end), so a bound past either end answers
+            # as one just past it does; clipping there keeps the kernel's
+            # int64 overlap arithmetic from overflowing.
+            end = self.domain.size if isinstance(self.domain, DiscreteDomain) else 2**32
+            low = np.array([min(max(value, -1), end) for value in low], dtype=np.int64)
+            high = np.array([min(max(value, -1), end) for value in high], dtype=np.int64)
             return low, high
         # box: normalise geographic bounds per query, then shape-check.
         domain = self.domain
@@ -131,7 +137,11 @@ class RangeQueryEngine:
 
     @staticmethod
     def _as_int(value) -> int:
-        return IPv4Domain.parse(value) if isinstance(value, str) else int(value)
+        if isinstance(value, str):
+            return IPv4Domain.parse(value)
+        if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            raise ValueError(f"integer range bounds must be finite, not NaN or infinite; got {value}")
+        return int(value)
 
     # ------------------------------------------------------------------ #
     # queries

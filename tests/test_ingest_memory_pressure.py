@@ -5,7 +5,7 @@ budget far below their total, so hundreds of evictions and restores happen
 while the tenants take appends and snapshots.  The test pins the order in
 which the worker evicts tenants and its counters after every flush, and it
 checks that the words the service reports are exactly the words its
-resident summarizers hold.  A change to the worker's memory accounting that
+resident summarizers hold and stay within the budget.  A change to the worker's memory accounting that
 keeps these pins keeps every eviction decision.
 """
 
@@ -29,25 +29,25 @@ EVICTION_ORDER = (
     "27 39 22 18 36 31 36 19 38 17 14 15 28 26 25 31 16 39 34 04 20 19 23 05 "
     "12 36 27 08 30 35 14 37 33 09 00 36 04 06 15 20 35 11 18 12 27 26 19 39 "
     "28 32 31 36 02 16 30 11 33 34 17 15 08 01 38 21 00 13 18 19 24 36 04 35 "
-    "14 07 39 27 32 06 34 31 29 09 37 36 20 08 22 04 28 31 19 16 26 05 21 12 "
-    "15 38 24 14 02 27 10 30 25 18 34 37 23 08 36 04 03 35 16 06 38 24 18 11 "
-    "36 14 29 28 27 "
+    "14 07 39 32 27 06 34 31 29 09 37 36 20 08 22 04 28 31 19 16 26 05 21 12 "
+    "15 38 24 14 02 27 10 30 35 18 25 34 37 23 36 04 03 35 16 06 24 38 18 11 "
+    "36 14 29 28 27 08 34 17 32 02 "
 ).split()
 
 #: ``(evictions, restores, memory_words, resident)`` after each round's flush.
 STATS_AFTER_EACH_FLUSH = [
     (14, 0, 33316, 16),
-    (37, 16, 41184, 18),
-    (64, 41, 45982, 17),
+    (38, 16, 38978, 17),
+    (65, 41, 35762, 16),
     (88, 66, 36704, 18),
-    (115, 92, 49612, 17),
+    (116, 92, 39392, 16),
     (142, 120, 37806, 18),
-    (173, 148, 40468, 15),
-    (194, 173, 45662, 19),
+    (174, 148, 35990, 14),
+    (196, 173, 39152, 17),
     (219, 197, 37728, 18),
-    (242, 221, 47934, 19),
-    (270, 249, 46924, 19),
-    (293, 273, 47772, 20),
+    (245, 221, 36946, 16),
+    (273, 249, 38034, 16),
+    (298, 273, 38274, 15),
 ]
 
 
@@ -100,6 +100,8 @@ def test_eviction_decisions_under_a_tight_budget_are_pinned(tmp_path, monkeypatc
                 state.summarizer.memory_words() for state in worker._residents.values()
             )
             assert stats["memory_words"] == resident_words
+            # Appends and snapshots alike leave the worker within its budget.
+            assert stats["memory_words"] <= 40_000
         order = [stem[1:] for stem in evicted]
     assert rows == STATS_AFTER_EACH_FLUSH
     assert order == EVICTION_ORDER

@@ -566,6 +566,68 @@ class TestNaNBounds:
             assert stats["cache"]["size"] == 1
 
 
+class TestIntegerBoundsOutsideInt64:
+    """An infinite bound on an integer domain has no integer value: a
+    ``ValueError`` in process and a JSON 400 over HTTP, after which the
+    keep-alive connection still answers.  A finite bound past the domain,
+    however large, answers like the domain's end."""
+
+    BAD_QUERIES = (
+        '{"type": "mass", "lower": 0, "upper": 1e400}',
+        '{"type": "range_count", "lower": -1e400, "upper": 5}',
+        '{"type": "cdf", "point": Infinity}',
+    )
+
+    @pytest.mark.parametrize("name", ["ipv4", "discrete"])
+    def test_in_process(self, releases, name):
+        release = releases[name]
+        service = QueryService(ReleaseStore())
+        service.store.add(name, release)
+        inf = float("inf")
+        for call in (
+            lambda: release.mass(0, inf),
+            lambda: release.range_count(-inf, 5),
+            lambda: release.cdf(inf),
+            lambda: service.answer({"type": "mass", "lower": 0, "upper": inf}),
+            lambda: service.answer({"type": "cdf", "point": inf}),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+        last = 2**32 - 1 if name == "ipv4" else 4095
+        assert release.mass(0, 1e30) == release.mass(0, last)
+        assert release.mass(-(2**70), 2**70) == release.mass(0, last)
+        assert release.mass(-(2**63), -(2**63)) == 0.0
+        assert release.mass(2**63, 2**70) == 0.0
+
+    @pytest.mark.parametrize("name", ["ipv4", "discrete"])
+    def test_http_answers_400_and_keeps_the_connection(self, releases, name):
+        store = ReleaseStore()
+        store.add(name, releases[name])
+        valid = {"type": "mass", "lower": 0, "upper": 1000}
+        with _running_server(store) as base:
+            port = int(base.rsplit(":", 1)[1])
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                for query in self.BAD_QUERIES:
+                    for body in (
+                        f'{{"release": "{name}", "query": {query}}}',
+                        f'{{"release": "{name}", "queries": [{json.dumps(valid)}, {query}]}}',
+                    ):
+                        connection.request("POST", "/query", body=body)
+                        response = connection.getresponse()
+                        error = json.loads(response.read())["error"]
+                        assert response.status == 400 and not response.will_close
+                        assert "finite" in error
+                        connection.request(
+                            "POST", "/query", body=json.dumps({"release": name, "query": valid})
+                        )
+                        response = connection.getresponse()
+                        assert response.status == 200
+                        assert json.loads(response.read())["answer"] == releases[name].mass(0, 1000)
+            finally:
+                connection.close()
+
+
 # --------------------------------------------------------------------------- #
 # batch workload files and the CLI
 # --------------------------------------------------------------------------- #
