@@ -264,9 +264,10 @@ class CompiledLeafTable:
         is bit-identical to the retired scalar ``mass`` on query ``i``.
 
         Each block of queries fills one ``(queries x kept leaves)`` buffer
-        in place -- overlap, divide by the divisor, multiply by the
-        probability -- and sums it left to right with an in-place
-        ``np.cumsum`` along the leaf axis.
+        of terms in place -- overlap, divide by the divisor, multiply by the
+        probability; a scratch buffer of the same shape (two for boxes)
+        holds the overlap's lower edge -- and sums it left to right with an
+        in-place ``np.cumsum`` along the leaf axis.
         """
         count = len(lowers)
         result = np.zeros(count)

@@ -140,7 +140,7 @@ class RangeQueryEngine:
         if isinstance(value, str):
             return IPv4Domain.parse(value)
         if isinstance(value, (float, np.floating)) and not np.isfinite(value):
-            raise ValueError(f"integer range bounds must be finite, not NaN or infinite; got {value}")
+            raise ValueError(f"integer range bounds must be finite, got {value}")
         return int(value)
 
     # ------------------------------------------------------------------ #

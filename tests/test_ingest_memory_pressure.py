@@ -5,8 +5,8 @@ budget far below their total, so hundreds of evictions and restores happen
 while the tenants take appends and snapshots.  The test pins the order in
 which the worker evicts tenants and its counters after every flush, and it
 checks that the words the service reports are exactly the words its
-resident summarizers hold and stay within the budget.  A change to the worker's memory accounting that
-keeps these pins keeps every eviction decision.
+resident summarizers hold, and within the budget.  A change to the worker's
+memory accounting that keeps these pins keeps every eviction decision.
 """
 
 from __future__ import annotations
