@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 from typing import Any, Callable
 
 __all__ = ["QueryCache"]
@@ -36,36 +37,62 @@ class QueryCache:
         if maxsize < 1:
             raise ValueError(f"maxsize must be at least 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self._entries: OrderedDict[str, Any] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         #: Single-flight state: one event per key currently being computed,
         #: and how many lookups waited on another thread's computation.
-        self._inflight: dict[str, threading.Event] = {}
+        self._inflight: dict[Hashable, threading.Event] = {}
         self._inflight_waits = 0
 
-    def get(self, key: str, default: Any = None) -> Any:
+    def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached answer for ``key`` (counts a hit or a miss)."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                self._misses += 1
-                return default
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
+        return self.get_many([key], default)[0]
 
-    def put(self, key: str, value: Any) -> None:
+    def get_many(self, keys: list[Hashable], default: Any = None) -> list:
+        """:meth:`get` over a list of keys under one lock acquisition.
+
+        Hits, misses and the LRU order come out as from one :meth:`get` per
+        key in order; a missing key's slot holds ``default``.
+        """
+        values = []
+        hits = 0
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                value = entries.get(key, _MISSING)
+                if value is _MISSING:
+                    values.append(default)
+                else:
+                    entries.move_to_end(key)
+                    hits += 1
+                    values.append(value)
+            self._hits += hits
+            self._misses += len(keys) - hits
+        return values
+
+    def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` under ``key``, evicting the least recently used
         entry when full."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+        self.put_many([(key, value)])
 
-    def lookup(self, key: str, compute: Callable[[], Any]) -> Any:
+    def put_many(self, items: list[tuple[Hashable, Any]]) -> None:
+        """Store ``(key, value)`` pairs in order under one lock acquisition.
+
+        The entries left, and their LRU order, are those of one :meth:`put`
+        per pair: either way the cache ends up holding the ``maxsize`` most
+        recently stored or read keys.
+        """
+        with self._lock:
+            entries = self._entries
+            for key, value in items:
+                entries[key] = value
+                entries.move_to_end(key)
+            while len(entries) > self.maxsize:
+                entries.popitem(last=False)
+
+    def lookup(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The cached answer for ``key``, computing and storing it on a miss.
 
         Cold keys are single-flight: the first thread to miss computes (with

@@ -26,10 +26,15 @@ Routes:
   rides :meth:`~repro.serve.service.QueryService.answer_many`: one release
   resolution and one vectorised evaluation pass for the whole list.
 
-Responses go out with ``TCP_NODELAY`` set on the connection: the handler
-writes the status line and headers, then the body, and with Nagle's
-algorithm on, the body of a keep-alive response would wait for the
-client's delayed ACK of the headers (~40 ms on Linux).
+Each JSON response -- status line, headers and body -- goes out in one
+socket write.  ``TCP_NODELAY`` stays set on the connection all the same: a
+large batch response (a 256-query body is ~37 KB) spans several segments,
+and with Nagle's algorithm on, its last partial segment would wait for the
+client's delayed ACK of the ones before it (~40 ms on Linux).  A request
+rejected before its body is read (an unknown path, a missing, invalid or
+out-of-range ``Content-Length``) gets ``Connection: close``, so the unread
+body is never parsed as the next request; a body that is not valid JSON,
+or not text at all, gets a 400 and the connection stays open.
 
 Clients that disconnect mid-response are routine at high concurrency
 (timeouts, impatient load balancers): response writes that hit a dead
@@ -92,22 +97,34 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
     #: The socket timeout ``StreamRequestHandler.setup`` applies; a timed-out
     #: read or write ends the connection in ``handle_one_request``.
     timeout = IDLE_TIMEOUT_S
-    #: ``StreamRequestHandler.setup`` sets ``TCP_NODELAY``, so the body write
-    #: that follows the header write is sent at once instead of waiting for
-    #: the client's delayed ACK.
+    #: ``StreamRequestHandler.setup`` sets ``TCP_NODELAY``, so the last
+    #: segment of a response that spans several is sent at once instead of
+    #: waiting for the client's delayed ACK.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # plumbing
     # ------------------------------------------------------------------ #
-    def _send_json(self, payload, status: int = 200) -> None:
+    def _send_json(self, payload, status: int = 200, close: bool = False) -> None:
+        """Send ``payload`` as the JSON response, in one socket write.
+
+        ``close`` adds ``Connection: close`` and ends the connection after
+        the response.
+        """
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if close:
+                self.send_header("Connection", "close")
+            if self.request_version == "HTTP/0.9":  # no status line, no headers
+                self.wfile.write(body)
+            else:
+                # end_headers() would write the buffered head by itself;
+                # queue the blank line and the body behind it instead.
+                self._headers_buffer += (b"\r\n", body)
+                self.flush_headers()
         except ConnectionError:
             # The client hung up mid-response (BrokenPipeError /
             # ConnectionResetError).  The answer is already computed and the
@@ -116,8 +133,8 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
             self.server.count_write_failure()
             self.close_connection = True
 
-    def _send_error_json(self, message: str, status: int) -> None:
-        self._send_json({"error": message}, status=status)
+    def _send_error_json(self, message: str, status: int, close: bool = False) -> None:
+        self._send_json({"error": message}, status=status, close=close)
 
     def log_message(self, format: str, *args) -> None:
         if self.server.verbose:
@@ -141,22 +158,29 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(f"unknown path {self.path!r}", status=404)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming convention
+        # A rejection sent before the body is read closes the connection:
+        # left in the stream, the unread body would be parsed as the next
+        # request.
         if self.path.split("?", 1)[0].rstrip("/") != "/query":
-            self._send_error_json(f"unknown path {self.path!r}", status=404)
+            self._send_error_json(f"unknown path {self.path!r}", status=404, close=True)
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
-            self._send_error_json("invalid Content-Length", status=400)
+            self._send_error_json("invalid Content-Length", status=400, close=True)
             return
         if length <= 0 or length > MAX_BODY_BYTES:
             self._send_error_json(
-                f"request body must be 1..{MAX_BODY_BYTES} bytes, got {length}", status=400
+                f"request body must be 1..{MAX_BODY_BYTES} bytes, got {length}",
+                status=400,
+                close=True,
             )
             return
         try:
             request = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # JSONDecodeError; UnicodeDecodeError on bytes that are not text;
+            # RecursionError on arrays or objects nested too deep.
             self._send_error_json(f"request body is not valid JSON: {error}", status=400)
             return
         if not isinstance(request, dict):

@@ -209,17 +209,49 @@ def evaluate_many(release: Release, canonicals: list[dict]) -> list:
     return answers
 
 
-def query_key(release_name: str, canonical_query: dict, version: int | None = None) -> str:
+def _key_part(value):
+    """A hashable stand-in for one canonical query value.
+
+    Two values get equal parts exactly when their JSON texts are equal.
+    Strings key as themselves.  Floats key by value, except that
+    ``0.0 == -0.0`` and ``nan != nan``, so zeros and NaNs key by their
+    text; lists key as tuples of their items' parts; anything else keys by
+    its type and JSON text, so that ``true`` and ``1.0`` stay apart.
+    """
+    kind = type(value)
+    if kind is float:
+        return value if value and value == value else (float, repr(value))
+    if kind is str:
+        return value
+    if kind is list:
+        return tuple([_key_part(item) for item in value])
+    return (kind, json.dumps(value, sort_keys=True))
+
+
+def query_key(release_name: str, canonical_query: dict, version: int | None = None) -> tuple:
     """The cache key of a canonical query against a named release.
+
+    The key is a tuple of the release name, the version and one hashable
+    part per value of the canonical query (as :func:`normalize_query`
+    returns it, so its fields come in a fixed order per type).  Two queries
+    share a key exactly when their canonical JSON texts are equal: the key
+    keeps apart ``-0.0`` and ``0.0`` bounds, a ``true`` bound and ``1.0``,
+    and a string bound and the number it spells, as the JSON text does,
+    without encoding any JSON on the hot path.
 
     ``version`` is the snapshot version (``items_processed``) for live
     releases -- including it invalidates every memoized answer the moment the
     underlying stream advances, while static releases (version ``None``) keep
     one permanent entry per query.
+
+    Example:
+        >>> query_key("r", {"type": "cdf", "point": 0.5}, version=7)
+        ('r', 7, 'cdf', 0.5)
+        >>> query_key("r", {"type": "cdf", "point": -0.0}) == query_key(
+        ...     "r", {"type": "cdf", "point": 0.0})
+        False
     """
-    return json.dumps(
-        [release_name, version, canonical_query], sort_keys=True, separators=(",", ":")
-    )
+    return (release_name, version, *[_key_part(value) for value in canonical_query.values()])
 
 
 class QueryService:
@@ -307,9 +339,11 @@ class QueryService:
         could silently mix snapshot versions mid-batch while ingestion
         advanced.  Queries already memoized come from the cache; the misses
         are evaluated together through :func:`evaluate_many` (one vectorised
-        pass per query type) and stored.  Within-batch duplicates of a cold
-        query are evaluated in the same pass and both report
-        ``cached: False``.
+        pass per query type) and stored.  The batch takes the cache's lock
+        twice, once to read every key and once to store every miss, with
+        the hit and miss counts and LRU order of one ``get`` per query and
+        one ``put`` per miss.  Within-batch duplicates of a cold query are
+        evaluated in the same pass and both report ``cached: False``.
         """
         queries = list(queries)
         if not queries:
@@ -318,21 +352,14 @@ class QueryService:
         canonicals = [normalize_query(resolved, query) for query in queries]
         keys = [query_key(name, canonical, version=version) for canonical in canonicals]
 
-        answers: list = [None] * len(queries)
-        cached_flags = [False] * len(queries)
-        misses: list[int] = []
-        for index, key in enumerate(keys):
-            value = self.cache.get(key, _UNSET)
-            if value is _UNSET:
-                misses.append(index)
-            else:
-                answers[index] = value
-                cached_flags[index] = True
+        answers = self.cache.get_many(keys, _UNSET)
+        cached_flags = [answer is not _UNSET for answer in answers]
+        misses = [index for index, cached in enumerate(cached_flags) if not cached]
         if misses:
             computed = evaluate_many(resolved, [canonicals[i] for i in misses])
             for index, value in zip(misses, computed):
                 answers[index] = value
-                self.cache.put(keys[index], value)
+            self.cache.put_many([(keys[index], answers[index]) for index in misses])
 
         results = []
         for index in range(len(queries)):

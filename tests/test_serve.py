@@ -165,6 +165,23 @@ class TestQueryCache:
         with pytest.raises(ValueError, match="maxsize"):
             QueryCache(maxsize=0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_reads_and_writes_match_the_per_key_loop(self, seed):
+        """``get_many`` and ``put_many`` leave the hits, misses, entries and
+        LRU order that one ``get`` per key and one ``put`` per pair leave,
+        through evictions and repeated keys."""
+        rng = np.random.default_rng(seed)
+        batched, looped = QueryCache(maxsize=5), QueryCache(maxsize=5)
+        for _ in range(40):
+            keys = [f"k{key}" for key in rng.integers(0, 9, rng.integers(1, 8))]
+            assert batched.get_many(keys, "miss") == [looped.get(key, "miss") for key in keys]
+            items = [(f"k{key}", int(key)) for key in rng.integers(0, 9, rng.integers(0, 8))]
+            batched.put_many(items)
+            for key, value in items:
+                looped.put(key, value)
+            assert list(batched._entries.items()) == list(looped._entries.items())
+            assert batched.stats() == looped.stats()
+
 
 # --------------------------------------------------------------------------- #
 # query normalisation and the Release query surface
@@ -203,6 +220,66 @@ class TestNormalizeQuery:
     def test_marginal_default_bins(self, releases):
         canonical = normalize_query(releases["hypercube"], {"type": "marginal", "axis": 1})
         assert canonical["bins"] == 32
+
+
+class TestQueryKeys:
+    """Two canonical queries share a cache key exactly when their JSON texts
+    are equal, though the key encodes no JSON."""
+
+    #: Each pair spells two queries that Python's ``==`` would confuse (or a
+    #: key that parsed the string would): each makes its own cache entry.
+    PAIRS = [
+        ('{"type": "mass", "lower": -0.0, "upper": 0.5}',
+         '{"type": "mass", "lower": 0.0, "upper": 0.5}'),
+        ('{"type": "cdf", "point": -0.0}', '{"type": "cdf", "point": 0.0}'),
+        ('{"type": "quantile", "q": -0.0}', '{"type": "quantile", "q": 0.0}'),
+        ('{"type": "mass", "lower": true, "upper": 1.0}',
+         '{"type": "mass", "lower": 1.0, "upper": 1.0}'),
+        ('{"type": "mass", "lower": "0.25", "upper": 0.75}',
+         '{"type": "mass", "lower": 0.25, "upper": 0.75}'),
+        ('{"type": "cdf", "point": "0.25"}', '{"type": "cdf", "point": 0.25}'),
+    ]
+
+    @pytest.mark.parametrize("method", ["answer", "answer_many"])
+    def test_confusable_pairs_make_separate_entries(self, releases, method):
+        release = releases["interval"]
+        store = ReleaseStore()
+        store.add("only", release)
+        service = QueryService(store)
+        queries = [json.loads(text) for pair in self.PAIRS for text in pair]
+        if method == "answer":
+            results = [service.answer(query) for query in queries]
+        else:
+            results = service.answer_many(queries)
+        assert [result["cached"] for result in results] == [False] * 12
+        assert service.stats()["cache"]["size"] == 12
+        for query, result in zip(queries, results):
+            assert result["answer"] == answer_query(release, query)
+
+    def test_keys_are_equal_exactly_when_json_texts_are(self):
+        values = [
+            0.0, -0.0, 0.25, -0.25, 1.0, float("inf"), -float("inf"), float("nan"),
+            float("nan"), True, False, 1, 0, "0.25", "1.0", "", None,
+            [0.0], [-0.0], [0.0, 0.25], [0.25, 0.0], [float("nan")], {"a": 1.0},
+        ]
+        for a in values:
+            for b in values:
+                same_json = json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+                same_key = query_key("r", {"type": "cdf", "point": a}) == query_key(
+                    "r", {"type": "cdf", "point": b}
+                )
+                assert same_key == same_json, (a, b)
+                hash(query_key("r", {"type": "cdf", "point": a}))
+
+    def test_release_and_version_are_part_of_the_key(self):
+        query = {"type": "cdf", "point": 0.5}
+        keys = {
+            query_key("a", query),
+            query_key("b", query),
+            query_key("a", query, version=0),
+            query_key("a", query, version=1),
+        }
+        assert len(keys) == 4
 
 
 class TestReleaseQuerySurface:
@@ -359,6 +436,36 @@ class TestQueryService:
         service.answer({"type": "quantile", "q": 0.5})
         stats = service.stats()
         assert stats["releases"] == 1 and stats["cache"]["misses"] == 1
+
+    def test_batch_cache_flags_stats_and_lru_order(self, releases):
+        """A batch with earlier hits and in-batch duplicates: every
+        duplicate of a cold query misses, and the batch leaves the counts
+        and LRU order of one read per query, then one store per miss."""
+        store = ReleaseStore()
+        store.add("interval", releases["interval"])
+        service = QueryService(store, cache_size=4)
+        a, b, c, d, e = (
+            {"type": "mass", "lower": 0.1, "upper": 0.2},
+            {"type": "cdf", "point": 0.3},
+            {"type": "quantile", "q": 0.5},
+            {"type": "mass", "lower": 0.4, "upper": 0.9},
+            {"type": "cdf", "point": 0.7},
+        )
+        service.answer(a)
+        service.answer(b)
+        results = service.answer_many([a, c, c, b, d, a, c])
+        assert [row["cached"] for row in results] == [True, False, False, True, False, True, False]
+        cache = service.stats()["cache"]
+        assert (cache["hits"], cache["misses"], cache["size"]) == (3, 6, 4)
+        # Least recent first: b, a, d, c.  One more entry evicts b only.
+        service.answer(e)
+        assert [row["cached"] for row in service.answer_many([a, d, c, e, b])] == [
+            True, True, True, True, False
+        ]
+        cache = service.stats()["cache"]
+        assert (cache["hits"], cache["misses"], cache["size"]) == (7, 8, 4)
+        for query, row in zip([a, c, c, b, d, a, c], results):
+            assert row["answer"] == answer_query(releases["interval"], query)
 
 
 # --------------------------------------------------------------------------- #
@@ -893,9 +1000,9 @@ class TestLiveAnswersAreNeverCachedAsStatic:
 
 
 class TestKeepAliveResponsesDoNotStall:
-    """The handler writes headers and body separately; with Nagle's
-    algorithm on, the body of every keep-alive response would wait ~40 ms
-    for the client's delayed ACK of the headers."""
+    """A keep-alive round trip takes milliseconds.  A response sent in more
+    than one piece with Nagle's algorithm on would wait ~40 ms for the
+    client's delayed ACK of the first."""
 
     def test_keep_alive_round_trips_take_milliseconds(self, releases):
         store = ReleaseStore()
@@ -1242,6 +1349,115 @@ class TestIdleConnectionsAreClosed:
                 raw.close()
                 kept.close()
             assert _post(base + "/query", body)["answer"] == answer
+
+
+def _read_until_closed(client: socket.socket) -> bytes:
+    """Everything the server sends until it closes the connection (a server
+    that keeps the connection open fails the read with ``TimeoutError``)."""
+    chunks = []
+    while chunk := client.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+#: A whole request, sent as the body of a request the server rejects.
+_SMUGGLED = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class TestRejectedBodiesCloseTheConnection:
+    """A request rejected before its body is read gets one response with
+    ``Connection: close``, and the connection ends: the unread body, here a
+    whole request, is never parsed as the next request."""
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /query HTTP/1.1\r\nHost: x\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 1048577\r\n", 400),
+            (b"POST /sample HTTP/1.1\r\nHost: x\r\nContent-Length: 31\r\n", 404),
+        ],
+        ids=["missing", "invalid", "zero", "negative", "too-large", "unknown-path"],
+    )
+    def test_one_response_then_close(self, releases, head, status):
+        assert len(_SMUGGLED) == 31  # the unknown path's Content-Length
+        store = ReleaseStore()
+        store.add("only", releases["interval"])
+        with _running_server(store) as base:
+            port = int(base.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
+                client.sendall(head + b"\r\n" + _SMUGGLED)
+                received = _read_until_closed(client)
+        response_head, _, body = received.partition(b"\r\n\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert response_head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close" in response_head
+        assert "error" in json.loads(body)
+
+
+class TestUndecodableBodies:
+    """A body that is not valid JSON -- bytes that are not text, or nesting
+    too deep to decode -- gets a JSON 400 and the keep-alive connection
+    answers the next query."""
+
+    @pytest.mark.parametrize(
+        "body", [b"\xff\xfe\x00", b'"\xff"', b"[" * 10_000], ids=["utf16-bom", "0xff", "deep"]
+    )
+    def test_400_then_the_connection_answers(self, releases, body):
+        store = ReleaseStore()
+        store.add("only", releases["interval"])
+        valid = {"release": "only", "query": {"type": "mass", "lower": 0.1, "upper": 0.9}}
+        with _running_server(store) as base:
+            port = int(base.rsplit(":", 1)[1])
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                connection.request("POST", "/query", body=body)
+                response = connection.getresponse()
+                error = json.loads(response.read())["error"]
+                assert response.status == 400 and not response.will_close
+                assert "not valid JSON" in error
+                connection.request("POST", "/query", body=json.dumps(valid))
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["answer"] == releases["interval"].mass(0.1, 0.9)
+            finally:
+                connection.close()
+
+
+class TestExpectContinue:
+    """``Expect: 100-continue``: the interim ``100 Continue`` reaches the
+    client before it sends the body; the answer follows the body."""
+
+    def test_continue_arrives_before_the_body_is_sent(self, releases):
+        store = ReleaseStore()
+        store.add("only", releases["interval"])
+        body = json.dumps(
+            {"release": "only", "query": {"type": "mass", "lower": 0.1, "upper": 0.9}}
+        ).encode()
+        with _running_server(store) as base:
+            port = int(base.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
+                client.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                )
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    chunk = client.recv(1)
+                    assert chunk, "connection closed before 100 Continue"
+                    interim += chunk
+                assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+                client.sendall(body)
+                response = http.client.HTTPResponse(client)
+                response.begin()
+                try:
+                    assert response.status == 200 and not response.will_close
+                    answer = json.loads(response.read())["answer"]
+                finally:
+                    response.close()
+        assert answer == releases["interval"].mass(0.1, 0.9)
 
 
 @pytest.mark.skipif(
