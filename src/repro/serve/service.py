@@ -231,13 +231,13 @@ def _key_part(value):
 def query_key(release_name: str, canonical_query: dict, version: int | None = None) -> tuple:
     """The cache key of a canonical query against a named release.
 
-    The key is a tuple of the release name, the version and one hashable
-    part per value of the canonical query (as :func:`normalize_query`
-    returns it, so its fields come in a fixed order per type).  Two queries
-    share a key exactly when their canonical JSON texts are equal: the key
-    keeps apart ``-0.0`` and ``0.0`` bounds, a ``true`` bound and ``1.0``,
-    and a string bound and the number it spells, as the JSON text does,
-    without encoding any JSON on the hot path.
+    The key is a tuple: the release name, the version, then one hashable
+    part per value of the canonical query (whose fields
+    :func:`normalize_query` puts in a fixed order per type).  Two queries
+    share a key exactly when their canonical JSON texts are equal, so
+    ``-0.0`` and ``0.0``, ``true`` and ``1.0``, or ``"0.25"`` and ``0.25``
+    stay apart, yet no JSON is encoded for the usual float and string
+    values.
 
     ``version`` is the snapshot version (``items_processed``) for live
     releases -- including it invalidates every memoized answer the moment the
