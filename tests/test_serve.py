@@ -8,6 +8,7 @@ five domains -- every transport funnels through one evaluation path.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import http.client
 import itertools
@@ -168,20 +169,35 @@ class TestQueryCache:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_reads_and_writes_match_the_per_key_loop(self, seed):
-        """``get_many`` and ``put_many`` leave the hits, misses, entries and
-        LRU order that one ``get`` per key and one ``put`` per pair leave,
-        through evictions and repeated keys."""
+        """``get_many`` and ``put_many`` leave the values, hits, misses,
+        entries and LRU order of a per-key LRU loop, through evictions and
+        repeated keys."""
         rng = np.random.default_rng(seed)
-        batched, looped = QueryCache(maxsize=5), QueryCache(maxsize=5)
+        cache = QueryCache(maxsize=5)
+        entries: collections.OrderedDict = collections.OrderedDict()
+        hits = misses = 0
         for _ in range(40):
             keys = [f"k{key}" for key in rng.integers(0, 9, rng.integers(1, 8))]
-            assert batched.get_many(keys, "miss") == [looped.get(key, "miss") for key in keys]
+            expected = []
+            for key in keys:  # one read per key
+                if key in entries:
+                    entries.move_to_end(key)
+                    hits += 1
+                    expected.append(entries[key])
+                else:
+                    misses += 1
+                    expected.append("miss")
+            assert cache.get_many(keys, "miss") == expected
             items = [(f"k{key}", int(key)) for key in rng.integers(0, 9, rng.integers(0, 8))]
-            batched.put_many(items)
-            for key, value in items:
-                looped.put(key, value)
-            assert list(batched._entries.items()) == list(looped._entries.items())
-            assert batched.stats() == looped.stats()
+            for key, value in items:  # one store per pair
+                entries[key] = value
+                entries.move_to_end(key)
+                while len(entries) > 5:
+                    entries.popitem(last=False)
+            cache.put_many(items)
+            assert list(cache._entries.items()) == list(entries.items())
+            stats = cache.stats()
+            assert (stats["hits"], stats["misses"], stats["size"]) == (hits, misses, len(entries))
 
 
 # --------------------------------------------------------------------------- #
