@@ -30,18 +30,37 @@ kernel evaluates only the *kept* leaves -- probability > 0 and a
 non-degenerate cell -- which are exactly the leaves the scalar loop did not
 skip or zero; every other leaf added ``+0.0`` to a non-negative running
 sum, which is exact, so dropping it changes no bit.  The kept leaves stay
-in table order, and their terms are accumulated sequentially (an in-place
-``np.cumsum`` along the leaf axis, which sums left to right, never
-``np.sum``'s pairwise reduction); adding ``0.0`` to the last column
-reproduces the loop's ``total = 0.0`` start, so an all ``-0.0`` row still
-sums to ``+0.0``.  Per-axis box fractions multiply in axis order, integer
-overlaps divide with the same int64 -> float64 true division, and the
-quantile descent performs the same compare/subtract sequence per
-probability.  ``tests/test_queries_vectorized.py`` pins the equality against
+in table order, and their terms are accumulated sequentially, never by
+``np.sum``'s pairwise reduction; adding ``0.0`` to the total reproduces the
+loop's ``total = 0.0`` start, so an all ``-0.0`` sum still ends as ``+0.0``.
+Per-axis box fractions multiply in axis order, integer overlaps divide with
+the same int64 -> float64 true division, and the quantile descent performs
+the same compare/subtract sequence per probability.
+
+Interval blocks of ``_COVERED_MIN_QUERIES`` or more queries skip most of
+the overlap arithmetic.  In IEEE arithmetic a kept leaf that lies inside
+``[lower, upper]`` adds exactly its probability: the overlap is
+``high - low``, the very subtraction that made ``width``, ``x / x`` is
+``1.0`` for any finite positive ``x``, and ``p * 1.0`` is ``p``.  A leaf
+outside the range adds a zero, and the sign of a zero term cannot change a
+sum that ends with ``+ 0.0``.  Kept interval cells are disjoint, so at most
+two of them -- the ones that strictly contain a bound -- need the formula,
+with the same ufuncs in the same order as the formula kernel.  That block is
+one ``(kept leaves x queries)`` buffer summed with ``np.add.reduce`` along
+the leaf axis, which is its outer, non-contiguous axis: numpy then adds the
+buffer row by row, left to right in every column, and only a reduction
+along the contiguous axis is pairwise.  A one-query block is a single
+column, which numpy reduces pairwise, so it, and every block too small to
+gain, takes the formula kernel, summed by an in-place ``np.cumsum`` along
+the leaf axis.
+
+``tests/test_queries_vectorized.py`` pins the equality against
 reference implementations of the old loops, which take each leaf's geometry
 from the scalar ``cell_bounds`` / ``cell_range``, on randomised trees over
-all five domains; ``tests/test_domain_cell_bounds_batch.py`` pins the batch
-geometry against the scalar one at every level.
+all five domains; ``tests/test_interval_range_kernel.py`` pins interval
+answers at every block shape either kernel sees, and
+``tests/test_domain_cell_bounds_batch.py`` pins the batch geometry against
+the scalar one at every level.
 
 Example:
     >>> from repro.queries.compiled import CompiledLeafTable
@@ -73,9 +92,29 @@ __all__ = ["CompiledLeafTable", "CompiledDescentTable"]
 #: Bound on the elements of one (queries x kept leaves) buffer so that
 #: arbitrarily large batches evaluate in bounded memory: ~2 MB of float64
 #: per buffer, a size that stays in cache (at least 63 queries at ~4.1k
-#: leaves, more when zero-mass leaves are skipped).  Rows are independent,
-#: so the block size never changes an answer.
+#: leaves, more when zero-mass leaves are skipped).  Queries are
+#: independent, so the block size never changes an answer.
 _BLOCK_ELEMENTS = 1 << 18
+
+#: Interval blocks of at least this many queries take the covered-leaf
+#: kernel; smaller ones keep the formula kernel.  A one-query block must:
+#: numpy sums a single column pairwise, which moves the last bits.  Up to
+#: about 16 queries the formula kernel is also the faster one, since the
+#: covered-leaf kernel pays a per-leaf cost in each of its passes (on 215
+#: to 3,336 kept leaves, on a 2-vCPU host, it overtakes between 8 and 24
+#: queries).
+_COVERED_MIN_QUERIES = 16
+
+
+def _overlap_fractions(high, low, divisor, lowers, uppers, out, scratch) -> None:
+    """``max(0, min(high, upper) - max(low, lower)) / divisor`` into ``out``,
+    with the scalar loop's operations in its order (``scratch`` holds the
+    overlap's lower edge)."""
+    np.minimum(high, uppers, out=out)
+    np.maximum(low, lowers, out=scratch)
+    np.subtract(out, scratch, out=out)
+    np.maximum(0.0, out, out=out)
+    np.divide(out, divisor, out=out)
 
 
 def _sequential_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -230,8 +269,30 @@ class CompiledLeafTable:
             self._kept_high = self.high[kept]
             if self.kind == "interval":
                 self._kept_divisor = self.width[kept]
+                self._order_kept_cells()
             else:
                 self._kept_divisor = self._kept_high - self._kept_low + 1
+
+    def _order_kept_cells(self) -> None:
+        """The kept interval cells in domain order, for the covered-leaf kernel.
+
+        Kept cells are leaves of one partition with positive width, so
+        sorting them by lower edge sorts their upper edges too, and each
+        query's covered cells are one run of that order.  ``_kept_rank``
+        gives each kept leaf's position in it, in the narrowest signed
+        integer type that holds ``-kept - 1``, so ``rank - first`` is exact
+        and its unsigned view compares cheaply.  Tables loaded from arrays
+        are checked here, since overlapping cells would break the run.
+        """
+        order = np.argsort(self._kept_low, kind="stable")
+        self._domain_order = order
+        self._domain_low = self._kept_low[order]
+        self._domain_high = self._kept_high[order]
+        if np.any(self._domain_high[:-1] > self._domain_low[1:]):
+            raise ValueError("compiled interval leaf cells overlap")
+        count = len(order)
+        self._kept_rank = np.empty(count, dtype=np.min_scalar_type(-count - 1))
+        self._kept_rank[order] = np.arange(count)
 
     def _compile_cdf(self, domain: Domain, levels: np.ndarray, codes: np.ndarray) -> None:
         """Prefix-sum/CDF array over the ordered-domain leaf order.
@@ -263,11 +324,13 @@ class CompiledLeafTable:
         boxes, ``(N,)`` int64 for integer ranges.  Row ``i`` of the result
         is bit-identical to the retired scalar ``mass`` on query ``i``.
 
-        Each block of queries fills one ``(queries x kept leaves)`` buffer
-        of terms in place -- overlap, divide by the divisor, multiply by the
-        probability; a scratch buffer of the same shape (two for boxes)
-        holds the overlap's lower edge -- and sums it left to right with an
-        in-place ``np.cumsum`` along the leaf axis.
+        The formula kernel fills one ``(queries x kept leaves)`` buffer of
+        terms per block in place -- overlap, divide by the divisor, multiply
+        by the probability; a scratch buffer of the same shape (two for
+        boxes) holds the overlap's lower edge -- and sums it left to right
+        with an in-place ``np.cumsum`` along the leaf axis.  Interval blocks
+        of at least ``_COVERED_MIN_QUERIES`` queries take the covered-leaf
+        kernel instead (:meth:`_covered_sums`).
         """
         count = len(lowers)
         result = np.zeros(count)
@@ -275,45 +338,90 @@ class CompiledLeafTable:
         if count == 0 or kept == 0:
             return result
         block = min(count, max(1, _BLOCK_ELEMENTS // kept))
-        terms = np.empty((block, kept))
-        scratch = np.empty((block, kept))
-        ratio = np.empty((block, kept)) if self.kind == "box" else None
         for start in range(0, count, block):
             stop = min(start + block, count)
-            rows = stop - start
-            self._fill_terms(
-                lowers[start:stop],
-                uppers[start:stop],
-                terms[:rows],
-                scratch[:rows],
-                None if ratio is None else ratio[:rows],
-            )
-            sums = np.cumsum(terms[:rows], axis=1, out=terms[:rows])
-            # The scalar loop started from ``total = 0.0``.
-            totals = sums[:, -1] + 0.0
+            if self.kind == "interval" and stop - start >= _COVERED_MIN_QUERIES:
+                totals = self._covered_sums(lowers[start:stop], uppers[start:stop])
+            else:
+                totals = self._formula_sums(lowers[start:stop], uppers[start:stop])
             result[start:stop] = np.minimum(np.maximum(totals, 0.0), 1.0)
         return result
+
+    def _formula_sums(self, lowers, uppers) -> np.ndarray:
+        """One block's sums through the formula kernel, query-major."""
+        shape = (len(lowers), len(self._kept_probabilities))
+        terms = np.empty(shape)
+        scratch = np.empty(shape)
+        ratio = np.empty(shape) if self.kind == "box" else None
+        self._fill_terms(lowers, uppers, terms, scratch, ratio)
+        sums = np.cumsum(terms, axis=1, out=terms)
+        # The scalar loop started from ``total = 0.0``.
+        return sums[:, -1] + 0.0
+
+    def _covered_sums(self, lowers, uppers) -> np.ndarray:
+        """One interval block's sums through the covered-leaf kernel.
+
+        The block is one ``(kept leaves x queries)`` buffer.  A kept leaf
+        inside ``[lower, upper]`` adds exactly its probability, and a leaf
+        outside adds ``+0.0`` (see the module's contract), so the buffer
+        starts as the covered mask times the probabilities: the covered
+        leaves are the domain positions ``first <= rank < end``, found by
+        ``searchsorted``.  Only a leaf that strictly contains a bound needs
+        the overlap formula, and that leaf is the one just before ``first``
+        or at ``end``; the formula is written at both, which is exact even
+        where neither bound is strictly inside, because it gives every leaf
+        its own term.  ``np.add.reduce`` along the leaf axis, which is not
+        the buffer's contiguous axis, adds row by row, left to right.
+        """
+        kept = len(self._kept_probabilities)
+        first = np.searchsorted(self._domain_low, lowers)
+        end = np.searchsorted(self._domain_high, uppers, side="right")
+        rank = self._kept_rank
+        unsigned = np.dtype(f"u{rank.itemsize}")
+        # ``rank - first`` viewed unsigned is below ``end - first`` exactly
+        # when ``first <= rank < end``.
+        offset = np.subtract(rank[:, None], first.astype(rank.dtype))
+        covered = np.less(offset.view(unsigned), np.maximum(end - first, 0).astype(unsigned))
+        terms = covered.astype(np.float64)
+        np.multiply(terms, self._kept_probabilities[:, None], out=terms)
+        leaves = self._domain_order[
+            np.concatenate([np.maximum(first - 1, 0), np.minimum(end, kept - 1)])
+        ]
+        edges = np.empty(len(leaves))
+        _overlap_fractions(
+            self._kept_high[leaves],
+            self._kept_low[leaves],
+            self._kept_divisor[leaves],
+            np.concatenate([lowers, lowers]),
+            np.concatenate([uppers, uppers]),
+            edges,
+            np.empty(len(leaves)),
+        )
+        np.multiply(self._kept_probabilities[leaves], edges, out=edges)
+        terms[leaves, np.tile(np.arange(len(lowers)), 2)] = edges
+        # The scalar loop started from ``total = 0.0``.
+        return np.add.reduce(terms, axis=0) + 0.0
 
     def _fill_terms(self, lowers, uppers, terms, scratch, ratio) -> None:
         """Write ``probability * fraction covered`` of each kept leaf by each
         query into ``terms``, with the scalar loop's operations in its order."""
         high, low, divisor = self._kept_high, self._kept_low, self._kept_divisor
         if self.kind == "interval":
-            np.minimum(high, uppers[:, None], out=terms)
-            np.maximum(low, lowers[:, None], out=scratch)
-            np.subtract(terms, scratch, out=terms)
-            np.maximum(0.0, terms, out=terms)
-            np.divide(terms, divisor, out=terms)
+            _overlap_fractions(high, low, divisor, lowers[:, None], uppers[:, None], terms, scratch)
         elif self.kind == "box":
             # The running ``fraction *= overlap / width`` in axis order; the
             # first axis's ratio is the product's first factor (1.0 * r == r).
             for axis in range(self.dimension):
                 overlap = terms if axis == 0 else ratio
-                np.minimum(high[axis], uppers[:, axis, None], out=overlap)
-                np.maximum(low[axis], lowers[:, axis, None], out=scratch)
-                np.subtract(overlap, scratch, out=overlap)
-                np.maximum(0.0, overlap, out=overlap)
-                np.divide(overlap, divisor[axis], out=overlap)
+                _overlap_fractions(
+                    high[axis],
+                    low[axis],
+                    divisor[axis],
+                    lowers[:, axis, None],
+                    uppers[:, axis, None],
+                    overlap,
+                    scratch,
+                )
                 if axis:
                     np.multiply(terms, overlap, out=terms)
         else:

@@ -33,8 +33,9 @@ and with Nagle's algorithm on, its last partial segment would wait for the
 client's delayed ACK of the ones before it (~40 ms on Linux).  A request
 rejected before its body is read (an unknown path, a missing, invalid or
 out-of-range ``Content-Length``) gets ``Connection: close``, so the unread
-body is never parsed as the next request; a body that is not valid JSON,
-or not text at all, gets a 400 and the connection stays open.
+body is never parsed as the next request, and so does a GET that carries a
+body, which is answered but never read; a body that is not valid JSON, or
+not text at all, gets a 400 and the connection stays open.
 
 Clients that disconnect mid-response are routine at high concurrency
 (timeouts, impatient load balancers): response writes that hit a dead
@@ -144,18 +145,24 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
     # routes
     # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
+        # GET bodies are never read, so a GET that carries one is answered
+        # with ``Connection: close``: left in the stream, the body would be
+        # parsed as the next request.
+        close = self.headers.get("Content-Length", "0").strip() != "0" or (
+            "Transfer-Encoding" in self.headers
+        )
         service = self.server.service
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path in ("/", "/healthz"):
-            self._send_json({"status": "ok", "releases": len(service.store)})
+            self._send_json({"status": "ok", "releases": len(service.store)}, close=close)
         elif path == "/releases":
-            self._send_json({"releases": service.store.describe()})
+            self._send_json({"releases": service.store.describe()}, close=close)
         elif path == "/stats":
             stats = service.stats()
             stats["write_failures"] = self.server.write_failures
-            self._send_json(stats)
+            self._send_json(stats, close=close)
         else:
-            self._send_error_json(f"unknown path {self.path!r}", status=404)
+            self._send_error_json(f"unknown path {self.path!r}", status=404, close=close)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming convention
         # A rejection sent before the body is read closes the connection:

@@ -36,6 +36,9 @@ Example:
 from __future__ import annotations
 
 import json
+import numbers
+
+import numpy as np
 
 from repro.api.release import Release
 from repro.queries.support import QUERY_TYPES, supported_queries
@@ -48,13 +51,14 @@ _UNSET = object()
 
 
 def _normalise_bound(value):
-    """Canonicalise one query bound: tuples/lists become lists of floats and
-    numeric scalars become floats, so int/float spellings of one query share
-    one cache entry.  Strings pass through (the engines parse IPv4 dotted
-    quads themselves)."""
-    if isinstance(value, (list, tuple)):
+    """Canonicalise one query bound: lists, tuples and one-dimensional arrays
+    become lists of floats and real numbers (numpy's included) become
+    floats, so int/float spellings of one query share one cache entry.
+    Booleans stay booleans, so ``true`` and ``1.0`` key apart.  Strings pass
+    through (the engines parse IPv4 dotted quads themselves)."""
+    if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1):
         return [float(component) for component in value]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, (bool, np.bool_)):
         return float(value)
     return value
 

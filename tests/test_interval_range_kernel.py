@@ -3,9 +3,10 @@
 ``CompiledLeafTable.mass_many`` evaluates a batch of interval queries block
 by block, and the order in which a block's terms are summed decides the last
 bits of each answer.  These pins cover the shapes where that order is most
-easily lost: batches of one, two and three queries, a batch whose last block
-holds a single query, both bounds inside one leaf, and bounds at or past the
-ends of the domain.  Every answer must equal the retired per-leaf loop, run
+easily lost: batches of one, two and three queries, blocks on either side of
+the size at which the covered-leaf kernel takes over, a batch whose last
+block holds a single query, both bounds inside one leaf, and bounds at or
+past the ends of the domain.  Every answer must equal the retired per-leaf loop, run
 over the table's own arrays, in every bit -- on private releases, about half
 of whose leaves carry no mass, and on the same tables with some of their
 cells collapsed to zero width.
@@ -127,6 +128,15 @@ def test_batches_of_one_two_and_three(tables, name, size):
     assert _bits(answers) == _bits(expected)
 
 
+@pytest.mark.parametrize("name", ["large", "large-collapsed", "small-collapsed", "uniform"])
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_blocks_on_either_side_of_the_kernel_choice(tables, name, offset):
+    """Blocks one query short of ``_COVERED_MIN_QUERIES`` take the formula
+    kernel and blocks of exactly that many the covered-leaf kernel; both
+    answer like the loop."""
+    test_batches_of_one_two_and_three(tables, name, compiled._COVERED_MIN_QUERIES + offset)
+
+
 @pytest.mark.parametrize("name", ["large", "large-collapsed"])
 def test_a_last_block_of_one_query(tables, name):
     """At the default block size, ``block + 1`` queries leave one for the
@@ -142,3 +152,15 @@ def test_a_last_block_of_one_query(tables, name):
     uppers = np.array([upper for _, upper in pairs])
     expected = [_reference_mass(table, lower, upper) for lower, upper in pairs]
     assert _bits(table.mass_many(lowers, uppers)) == _bits(expected)
+
+
+def test_overlapping_cells_are_rejected():
+    """The covered-leaf kernel needs disjoint cells; a table loaded from
+    arrays whose kept cells overlap is refused."""
+    arrays = {
+        "probabilities": np.array([0.5, 0.5]),
+        "low": np.array([0.0, 0.25]),
+        "high": np.array([0.5, 1.0]),
+    }
+    with pytest.raises(ValueError, match="overlap"):
+        CompiledLeafTable.from_arrays(UnitInterval(), kind="interval", root_count=2.0, arrays=arrays)

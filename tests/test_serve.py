@@ -687,6 +687,49 @@ class TestNaNBounds:
             assert stats["cache"]["size"] == 1
 
 
+class TestNumpyBounds:
+    """In-process callers may pass numpy numbers and one-dimensional arrays
+    as bounds: each query answers like its Python spelling and shares its
+    cache entry."""
+
+    CASES = [
+        (
+            "discrete",
+            {"type": "mass", "lower": np.int64(100), "upper": np.int64(2000)},
+            {"type": "mass", "lower": 100, "upper": 2000},
+        ),
+        (
+            "interval",
+            {"type": "mass", "lower": np.float32(0.25), "upper": np.float32(0.75)},
+            {"type": "mass", "lower": 0.25, "upper": 0.75},
+        ),
+        (
+            "hypercube",
+            {"type": "mass", "lower": np.array([0.1, 0.2]), "upper": np.array([0.6, 0.9])},
+            {"type": "mass", "lower": [0.1, 0.2], "upper": [0.6, 0.9]},
+        ),
+    ]
+
+    @pytest.mark.parametrize("method", ["answer", "answer_many"])
+    @pytest.mark.parametrize(
+        "name, numpy_query, python_query", CASES, ids=["int64", "float32", "ndarray"]
+    )
+    def test_answers_and_keys_match_the_python_spelling(
+        self, releases, method, name, numpy_query, python_query
+    ):
+        store = ReleaseStore()
+        store.add("only", releases[name])
+        service = QueryService(store)
+        if method == "answer":
+            first, second = service.answer(numpy_query), service.answer(python_query)
+        else:
+            [first], [second] = service.answer_many([numpy_query]), service.answer_many([python_query])
+        assert first["answer"] == answer_query(releases[name], python_query)
+        assert first["query"] == second["query"]
+        assert json.dumps(first["query"]) == json.dumps(second["query"])
+        assert (first["cached"], second["cached"]) == (False, True)
+
+
 class TestIntegerBoundsOutsideInt64:
     """An infinite bound on an integer domain has no integer value: a
     ``ValueError`` in process and a JSON 400 over HTTP, after which the
@@ -1381,7 +1424,37 @@ _SMUGGLED = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
 class TestRejectedBodiesCloseTheConnection:
     """A request rejected before its body is read gets one response with
     ``Connection: close``, and the connection ends: the unread body, here a
-    whole request, is never parsed as the next request."""
+    whole request, is never parsed as the next request.  A GET that carries
+    a body is answered the same way, since GET bodies are never read."""
+
+    @staticmethod
+    def _exchange(releases, request: bytes) -> tuple[bytes, bytes]:
+        """Send ``request`` on a raw connection; the one response's head and
+        body, after checking that it is the only one before the close."""
+        store = ReleaseStore()
+        store.add("only", releases["interval"])
+        with _running_server(store) as base:
+            port = int(base.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
+                client.sendall(request)
+                received = _read_until_closed(client)
+        assert received.count(b"HTTP/1.1 ") == 1
+        response_head, _, body = received.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close" in response_head
+        return response_head, body
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n" % len(_SMUGGLED),
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n",
+        ],
+        ids=["content-length", "transfer-encoding"],
+    )
+    def test_a_get_with_a_body_is_answered_then_closed(self, releases, head):
+        response_head, body = self._exchange(releases, head + b"\r\n" + _SMUGGLED)
+        assert response_head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body) == {"status": "ok", "releases": 1}
 
     @pytest.mark.parametrize(
         "head, status",
@@ -1399,17 +1472,8 @@ class TestRejectedBodiesCloseTheConnection:
         ids=["missing", "invalid", "zero", "negative", "too-large", "unknown-path"],
     )
     def test_one_response_then_close(self, releases, head, status):
-        store = ReleaseStore()
-        store.add("only", releases["interval"])
-        with _running_server(store) as base:
-            port = int(base.rsplit(":", 1)[1])
-            with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
-                client.sendall(head + b"\r\n" + _SMUGGLED)
-                received = _read_until_closed(client)
-        response_head, _, body = received.partition(b"\r\n\r\n")
-        assert received.count(b"HTTP/1.1 ") == 1
+        response_head, body = self._exchange(releases, head + b"\r\n" + _SMUGGLED)
         assert response_head.startswith(f"HTTP/1.1 {status} ".encode())
-        assert b"\r\nConnection: close" in response_head
         assert "error" in json.loads(body)
 
 
