@@ -170,9 +170,11 @@ class CompiledLeafTable:
         The arrays are used as-is (read-only memory-mapped views are fine:
         the kernels never write into them) -- no tree walk, no geometry
         recompute.  Derived state (``width``, the positive-probability mask
-        and the kept leaves ``mass_many`` evaluates) is recomputed in O(L)
-        array passes with the same expressions compilation uses, so a rebuilt
-        table answers queries bit-identically to one compiled from the tree.
+        and the kept leaves ``mass_many`` evaluates, with their domain order
+        on the interval) is recomputed in a few array passes with the same
+        expressions compilation uses, so a rebuilt table answers queries
+        bit-identically to one compiled from the tree.  Interval arrays whose
+        kept cells overlap, which no tree compiles to, raise ``ValueError``.
         """
         if kind not in ("interval", "box", "intrange"):
             raise ValueError(f"unknown compiled leaf-table kind {kind!r}")

@@ -58,6 +58,7 @@ def _normalise_bound(value):
     through (the engines parse IPv4 dotted quads themselves)."""
     if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1):
         return [float(component) for component in value]
+    # ``float`` and ``int`` first: they match without the slower ABC check.
     if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, (bool, np.bool_)):
         return float(value)
     return value

@@ -1428,15 +1428,16 @@ class TestRejectedBodiesCloseTheConnection:
     a body is answered the same way, since GET bodies are never read."""
 
     @staticmethod
-    def _exchange(releases, request: bytes) -> tuple[bytes, bytes]:
-        """Send ``request`` on a raw connection; the one response's head and
-        body, after checking that it is the only one before the close."""
+    def _exchange(releases, head: bytes) -> tuple[bytes, bytes]:
+        """Send ``head`` with a whole request as its body on a raw
+        connection; the one response's head and body, after checking that it
+        is the only one before the close."""
         store = ReleaseStore()
         store.add("only", releases["interval"])
         with _running_server(store) as base:
             port = int(base.rsplit(":", 1)[1])
             with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
-                client.sendall(request)
+                client.sendall(head + b"\r\n" + _SMUGGLED)
                 received = _read_until_closed(client)
         assert received.count(b"HTTP/1.1 ") == 1
         response_head, _, body = received.partition(b"\r\n\r\n")
@@ -1452,7 +1453,7 @@ class TestRejectedBodiesCloseTheConnection:
         ids=["content-length", "transfer-encoding"],
     )
     def test_a_get_with_a_body_is_answered_then_closed(self, releases, head):
-        response_head, body = self._exchange(releases, head + b"\r\n" + _SMUGGLED)
+        response_head, body = self._exchange(releases, head)
         assert response_head.startswith(b"HTTP/1.1 200 ")
         assert json.loads(body) == {"status": "ok", "releases": 1}
 
@@ -1472,7 +1473,7 @@ class TestRejectedBodiesCloseTheConnection:
         ids=["missing", "invalid", "zero", "negative", "too-large", "unknown-path"],
     )
     def test_one_response_then_close(self, releases, head, status):
-        response_head, body = self._exchange(releases, head + b"\r\n" + _SMUGGLED)
+        response_head, body = self._exchange(releases, head)
         assert response_head.startswith(f"HTTP/1.1 {status} ".encode())
         assert "error" in json.loads(body)
 
