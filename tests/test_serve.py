@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import email.utils
 import http.client
 import itertools
 import json
+import re
 import socket
 import statistics
 import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -1539,6 +1542,188 @@ class TestExpectContinue:
                 finally:
                     response.close()
         assert answer == releases["interval"].mass(0.1, 0.9)
+
+
+# --------------------------------------------------------------------------- #
+# request and response framing on the wire
+# --------------------------------------------------------------------------- #
+#: The ``Server`` text of every response (``http.server``'s own).
+_SERVER_TEXT = f"BaseHTTP/0.6 Python/{sys.version.split()[0]}"
+#: RFC 9110's IMF-fixdate, the form ``Date`` takes.
+_IMF_FIXDATE = re.compile(
+    r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec)"
+    r" \d{4} \d\d:\d\d:\d\d GMT"
+)
+#: A last request that asks the server to close the connection after it.
+_CLOSE = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+_HEALTHZ = b'{"releases": 1, "status": "ok"}'
+
+
+def _read_response(stream) -> tuple[list[str], bytes] | None:
+    """The next response on a socket's binary file: its head lines, status
+    line first and without line endings, and its body; ``None`` once the
+    server has closed the connection."""
+    line = stream.readline()
+    if not line:
+        return None
+    head = []
+    while line not in (b"\r\n", b""):
+        head.append(line.decode("latin-1").rstrip("\r\n"))
+        line = stream.readline()
+    length = next(
+        int(field.split(":", 1)[1]) for field in head if field.lower().startswith("content-length:")
+    )
+    return head, stream.read(length)
+
+
+def _post_bytes(path: bytes, payload: dict) -> bytes:
+    body = json.dumps(payload).encode()
+    return b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (
+        path, len(body), body
+    )
+
+
+class TestFraming:
+    """One exchange each on a raw socket.  Each response head carries the
+    same fields in the same order with the same text, and only ``Date``
+    varies; header names match in any case; the head limits are
+    ``http.server``'s; and the request's version and ``Connection`` field
+    decide whether the connection stays open."""
+
+    QUERY = {"release": "only", "query": {"type": "mass", "lower": 0.1, "upper": 0.9}}
+
+    @pytest.fixture
+    def port(self, releases):
+        store = ReleaseStore()
+        store.add("only", releases["interval"])
+        with _running_server(store) as base:
+            yield int(base.rsplit(":", 1)[1])
+
+    @staticmethod
+    def _exchange(port: int, data: bytes) -> list[tuple[list[str], bytes]]:
+        """Send ``data`` on a new connection; every response the server sends
+        before it closes the connection (one that stays open fails the read
+        with ``TimeoutError``)."""
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
+            client.sendall(data)
+            with client.makefile("rb") as stream:
+                responses = []
+                while (response := _read_response(stream)) is not None:
+                    responses.append(response)
+        return responses
+
+    @staticmethod
+    def _assert_date(field: str) -> None:
+        name, _, value = field.partition(": ")
+        assert name == "Date" and _IMF_FIXDATE.fullmatch(value)
+        assert abs(email.utils.parsedate_to_datetime(value).timestamp() - time.time()) < 5
+
+    @pytest.mark.parametrize(
+        "data, status, close",
+        [
+            (_post_bytes(b"/query", QUERY), "200 OK", False),
+            (
+                _post_bytes(b"/query", {"release": "only", "query": {"type": "no"}}),
+                "400 Bad Request",
+                False,
+            ),
+            (
+                _post_bytes(b"/query", {"release": "nope", "query": QUERY["query"]}),
+                "404 Not Found",
+                False,
+            ),
+            (_post_bytes(b"/sample", QUERY), "404 Not Found", True),
+            (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", "200 OK", False),
+        ],
+        ids=["answer", "bad-query", "unknown-release", "unknown-path", "get"],
+    )
+    def test_response_head(self, port, data, status, close):
+        responses = self._exchange(port, data if close else data + _CLOSE)
+        assert len(responses) == (1 if close else 2)
+        head, body = responses[0]
+        self._assert_date(head[2])
+        assert head[:2] + head[3:] == [
+            f"HTTP/1.1 {status}",
+            f"Server: {_SERVER_TEXT}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ] + (["Connection: close"] if close else [])
+        assert body == json.dumps(json.loads(body), sort_keys=True).encode()
+
+    def test_header_names_in_any_case(self, port, releases):
+        body = json.dumps(self.QUERY).encode()
+        lower = b"POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: %d\r\n\r\n" % len(body)
+        upper = (
+            b"POST /query HTTP/1.1\r\nHOST: x\r\nCONTENT-LENGTH: %d\r\nCONNECTION: close\r\n\r\n"
+            % len(body)
+        )
+        responses = self._exchange(port, lower + body + upper + body)
+        assert [head[0] for head, _ in responses] == ["HTTP/1.1 200 OK"] * 2
+        answer = releases["interval"].mass(0.1, 0.9)
+        assert [json.loads(body)["answer"] for _, body in responses] == [answer] * 2
+
+    @staticmethod
+    def _assert_431(response, reason: str, explain: str) -> None:
+        """``http.server``'s error page: the reason phrase names the limit."""
+        head, body = response
+        TestFraming._assert_date(head[2])
+        assert head[:2] + head[3:] == [
+            f"HTTP/1.1 431 {reason}",
+            f"Server: {_SERVER_TEXT}",
+            "Connection: close",
+            "Content-Type: text/html;charset=utf-8",
+            f"Content-Length: {len(body)}",
+        ]
+        assert f"<p>Message: {reason}.</p>" in body.decode()
+        assert f"<p>Error code explanation: 431 - {explain}.</p>" in body.decode()
+
+    @pytest.mark.parametrize("fields", [99, 100])
+    def test_at_most_99_header_fields(self, port, fields):
+        head = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n" + b"".join(
+            b"X-Field-%d: %d\r\n" % (index, index) for index in range(fields - 2)
+        )
+        [response] = self._exchange(port, head + b"\r\n")
+        if fields == 99:
+            assert response[0][0] == "HTTP/1.1 200 OK" and response[1] == _HEALTHZ
+        else:
+            self._assert_431(response, "Too many headers", "got more than 100 headers")
+
+    def test_header_lines_up_to_65536_bytes(self, port):
+        def line(size: int) -> bytes:
+            return b"X-Long: " + b"a" * (size - 10) + b"\r\n"
+
+        get = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        [(head, body)] = self._exchange(port, get + line(65536) + b"\r\n")
+        assert head[0] == "HTTP/1.1 200 OK" and body == _HEALTHZ
+        # Refused as soon as the line is read.  The head's blank line is not
+        # sent, so nothing is left unread when the server closes.
+        [response] = self._exchange(port, get + line(65537))
+        self._assert_431(
+            response, "Line too long", "got more than 65536 bytes when reading header line"
+        )
+
+    @pytest.mark.parametrize(
+        "data, stays_open",
+        [
+            (b"GET /healthz HTTP/1.0\r\n\r\n", False),
+            (b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", True),
+            (_CLOSE, False),
+            (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", True),
+        ],
+        ids=["http/1.0", "http/1.0-keep-alive", "http/1.1-close", "http/1.1"],
+    )
+    def test_version_and_connection_decide_persistence(self, port, data, stays_open):
+        responses = self._exchange(port, data + _CLOSE)
+        assert len(responses) == 1 + stays_open
+        for head, body in responses:
+            self._assert_date(head[2])
+            assert head[:2] + head[3:] == [
+                "HTTP/1.1 200 OK",
+                f"Server: {_SERVER_TEXT}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(_HEALTHZ)}",
+            ]
+            assert body == _HEALTHZ
 
 
 @pytest.mark.skipif(
