@@ -26,16 +26,29 @@ Routes:
   rides :meth:`~repro.serve.service.QueryService.answer_many`: one release
   resolution and one vectorised evaluation pass for the whole list.
 
-Each JSON response -- status line, headers and body -- goes out in one
-socket write.  ``TCP_NODELAY`` stays set on the connection all the same: a
-large batch response (a 256-query body is ~37 KB) spans several segments,
-and with Nagle's algorithm on, its last partial segment would wait for the
-client's delayed ACK of the ones before it (~40 ms on Linux).  A request
-rejected before its body is read (an unknown path, a missing, invalid or
-out-of-range ``Content-Length``) gets ``Connection: close``, so the unread
-body is never parsed as the next request, and so does a GET that carries a
-body, which is answered but never read; a body that is not valid JSON, or
-not text at all, gets a 400 and the connection stays open.
+The handler frames requests and responses itself, without the ``email``
+package.  The request line follows ``http.server``'s rules.  The header
+lines are read into a mapping that ignores the case of names, each value
+without its optional whitespace; of a repeated name the first occurrence
+wins.  ``http.server``'s limits stay: a header line over
+:data:`MAX_LINE_BYTES` or 100 header fields get 431.  Each JSON response --
+status line, ``Server``, ``Date``, ``Content-Type``, ``Content-Length``,
+``Connection: close`` when the connection ends, and the body -- is built as
+one string and goes out in one socket write; the ``Date`` text is formatted
+once a second.  ``TCP_NODELAY`` stays set on the connection all the same:
+a large batch response (a 256-query body is ~37 KB) spans several
+segments, and with Nagle's algorithm on, its last partial segment would
+wait for the client's delayed ACK of the ones before it (~40 ms on Linux).
+
+A request whose body is not read gets ``Connection: close``, so the unread
+body is never parsed as the next request.  Rejected before the body are: an
+unknown path; a missing, invalid or out-of-range ``Content-Length``; two
+``Content-Length`` fields whose values differ; a POST that carries a
+``Transfer-Encoding``, whose coded body is never decoded; and a head line
+that is not a field (no colon, whitespace before the colon, a folded
+continuation line, a bare CR), which another parser might read otherwise.
+A GET that carries a body is answered but never read.  A body that is not
+valid JSON, or not text at all, gets a 400 and the connection stays open.
 
 Clients that disconnect mid-response are routine at high concurrency
 (timeouts, impatient load balancers): response writes that hit a dead
@@ -66,11 +79,15 @@ Example (in-process; see ``examples/serve_demo.py`` for the HTTP loop):
 
 from __future__ import annotations
 
+import email.utils
 import json
 import multiprocessing
 import pathlib
+import re
 import socket
 import threading
+import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serve.service import QueryService
@@ -89,6 +106,79 @@ MAX_BODY_BYTES = 1 << 20
 #: open).
 IDLE_TIMEOUT_S = 300.0
 
+#: Longest request-head line accepted, in bytes with its line ending; a
+#: longer header line gets 431 (``http.server``'s limit).
+MAX_LINE_BYTES = 65536
+
+#: Most lines a request head may have after its request line, the blank
+#: line that ends it included: 99 header fields are answered, 100 get 431
+#: (``http.server``'s limit).
+MAX_HEAD_LINES = 100
+
+#: A header field line: a name of visible ASCII other than ``:``, the colon,
+#: the value and the line ending.  A line with whitespace before the colon,
+#: a folded continuation line or a bare CR does not match.
+_FIELD_LINE = re.compile(r"([!-9;-~]+):([^\r\n]*)\r?\n?")
+
+#: The request line's version, ``HTTP/major.minor`` with at most ten digits
+#: in each number (``http.server``'s rule).
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+class _HeadTooLarge(Exception):
+    """A request head past a limit; ``args`` are ``send_error``'s message
+    and explanation, ``http.server``'s own texts."""
+
+
+class _Fields(dict):
+    """A request head's fields by lower-case name; ``get``, ``in`` and
+    ``[]`` take a name in any case.  Of a repeated name the first
+    occurrence wins, as ``email.message.Message.get`` does."""
+
+    __slots__ = ()
+
+    def __contains__(self, name) -> bool:
+        return dict.__contains__(self, name.lower())
+
+    def __getitem__(self, name):
+        return dict.__getitem__(self, name.lower())
+
+    def get(self, name, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def _read_fields(stream) -> _Fields:
+    """Read a request head's header lines from ``stream``, through the
+    blank line that ends them, with optional whitespace stripped from each
+    value.
+
+    Raises :class:`_HeadTooLarge` past :data:`MAX_LINE_BYTES` or
+    :data:`MAX_HEAD_LINES`, and ``ValueError`` for a line that is not a
+    field or for two ``Content-Length`` fields whose values differ (RFC 9112
+    section 6.3: the body's end is unknown, so it cannot be skipped).
+    """
+    fields = _Fields()
+    lines = 0
+    while True:
+        line = stream.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _HeadTooLarge(
+                "Line too long", f"got more than {MAX_LINE_BYTES} bytes when reading header line"
+            )
+        lines += 1
+        if lines > MAX_HEAD_LINES:
+            raise _HeadTooLarge("Too many headers", f"got more than {MAX_HEAD_LINES} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        match = _FIELD_LINE.fullmatch(line.decode("iso-8859-1"))
+        if match is None:
+            raise ValueError(f"malformed header line {line!r}")
+        name = match[1].lower()
+        value = match[2].strip(" \t")
+        first = fields.setdefault(name, value)
+        if first != value and name == "content-length":
+            raise ValueError(f"conflicting Content-Length values {first!r} and {value!r}")
+
 
 class _QueryRequestHandler(BaseHTTPRequestHandler):
     """Translates HTTP requests into ``QueryService`` calls."""
@@ -106,26 +196,94 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # plumbing
     # ------------------------------------------------------------------ #
+    def parse_request(self) -> bool:
+        """Parse the request line by ``http.server``'s rules, then read the
+        header fields with :func:`_read_fields` instead of the ``email``
+        parser.  Returns False once an error response is sent."""
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            number = int(match[1]), int(match[2])
+            if number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({version[5:]})"
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # A path that starts with // reads as a URL's authority to clients
+        # (an open redirect), so it is reduced to one slash (gh-87389).
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        try:
+            self.headers = fields = _read_fields(self.rfile)
+        except _HeadTooLarge as error:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, *error.args)
+            return False
+        except ValueError as error:
+            self._send_error_json(str(error), status=400, close=True)
+            return False
+        connection = fields.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (
+            fields.get("Expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
     def _send_json(self, payload, status: int = 200, close: bool = False) -> None:
-        """Send ``payload`` as the JSON response, in one socket write.
+        """Send ``payload`` as the JSON response, head and body in one
+        socket write.
 
         ``close`` adds ``Connection: close`` and ends the connection after
         the response.
         """
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        if self.server.verbose:
+            self.log_request(status)
+        if close:
+            self.close_connection = True
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            response = body
+        else:
+            connection = "Connection: close\r\n" if close else ""
+            response = (
+                f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.server.date_header()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"{connection}\r\n"
+            ).encode("latin-1") + body
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if close:
-                self.send_header("Connection", "close")
-            if self.request_version == "HTTP/0.9":  # no status line, no headers
-                self.wfile.write(body)
-            else:
-                # end_headers() would write the buffered head by itself;
-                # queue the blank line and the body behind it instead.
-                self._headers_buffer += (b"\r\n", body)
-                self.flush_headers()
+            self.wfile.write(response)
         except ConnectionError:
             # The client hung up mid-response (BrokenPipeError /
             # ConnectionResetError).  The answer is already computed and the
@@ -179,6 +337,15 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
         if length <= 0 or length > MAX_BODY_BYTES:
             self._send_error_json(
                 f"request body must be 1..{MAX_BODY_BYTES} bytes, got {length}",
+                status=400,
+                close=True,
+            )
+            return
+        if "Transfer-Encoding" in self.headers:
+            # A transfer-coded body is never decoded: reading Content-Length
+            # bytes of chunked framing would leave the rest in the stream.
+            self._send_error_json(
+                "Transfer-Encoding is not supported; send the body with a Content-Length",
                 status=400,
                 close=True,
             )
@@ -240,6 +407,9 @@ class QueryHTTPServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.write_failures = 0
         self._write_failures_lock = threading.Lock()
+        #: ``(second, text)`` of the last ``Date`` formatted, swapped as one
+        #: tuple so that no thread pairs a new second with an old text.
+        self._date = (-1, "")
         if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
             raise ValueError("this platform does not support SO_REUSEPORT")
         self.allow_reuse_port = bool(reuse_port)
@@ -249,6 +419,15 @@ class QueryHTTPServer(ThreadingHTTPServer):
         """Record one response write that failed on a dead client socket."""
         with self._write_failures_lock:
             self.write_failures += 1
+
+    def date_header(self) -> str:
+        """The current second as an IMF-fixdate for ``Date``, formatted once
+        a second for every handler thread."""
+        second = int(time.time())
+        date = self._date
+        if date[0] != second:
+            date = self._date = (second, email.utils.formatdate(second, usegmt=True))
+        return date[1]
 
 
 def create_server(

@@ -54,13 +54,16 @@ def _normalise_bound(value):
     """Canonicalise one query bound: lists, tuples and one-dimensional arrays
     become lists of floats and real numbers (numpy's included) become
     floats, so int/float spellings of one query share one cache entry.
-    Booleans stay booleans, so ``true`` and ``1.0`` key apart.  Strings pass
-    through (the engines parse IPv4 dotted quads themselves)."""
+    Booleans stay booleans, so ``true`` and ``1.0`` key apart, and numpy's
+    become Python's.  Strings pass through (the engines parse IPv4 dotted
+    quads themselves)."""
     if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1):
         return [float(component) for component in value]
     # ``float`` and ``int`` first: they match without the slower ABC check.
-    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
         return float(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     return value
 
 

@@ -12,6 +12,7 @@ import collections
 import contextlib
 import email.utils
 import http.client
+import io
 import itertools
 import json
 import re
@@ -26,6 +27,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.builder import PrivHPBuilder
 from repro.api.release import Release
@@ -711,11 +714,23 @@ class TestNumpyBounds:
             {"type": "mass", "lower": np.array([0.1, 0.2]), "upper": np.array([0.6, 0.9])},
             {"type": "mass", "lower": [0.1, 0.2], "upper": [0.6, 0.9]},
         ),
+        (
+            "interval",
+            {"type": "mass", "lower": np.bool_(False), "upper": 0.5},
+            {"type": "mass", "lower": False, "upper": 0.5},
+        ),
+        (
+            "interval",
+            {"type": "cdf", "point": np.bool_(True)},
+            {"type": "cdf", "point": True},
+        ),
     ]
 
     @pytest.mark.parametrize("method", ["answer", "answer_many"])
     @pytest.mark.parametrize(
-        "name, numpy_query, python_query", CASES, ids=["int64", "float32", "ndarray"]
+        "name, numpy_query, python_query",
+        CASES,
+        ids=["int64", "float32", "ndarray", "bool-bound", "bool-point"],
     )
     def test_answers_and_keys_match_the_python_spelling(
         self, releases, method, name, numpy_query, python_query
@@ -1422,6 +1437,8 @@ def _read_until_closed(client: socket.socket) -> bytes:
 
 #: A whole request, sent as the body of a request the server rejects.
 _SMUGGLED = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+#: A valid query body.
+_QUERY = b'{"release": "only", "query": {"type": "mass", "lower": 0.1, "upper": 0.9}}'
 
 
 class TestRejectedBodiesCloseTheConnection:
@@ -1472,8 +1489,47 @@ class TestRejectedBodiesCloseTheConnection:
                 b"POST /sample HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n" % len(_SMUGGLED),
                 404,
             ),
+            # The first length covers a valid query and the blank line after
+            # it; the second also covers the request after them.
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+                b"Content-Length: %d\r\n\r\n%s"
+                % (len(_QUERY) + 2, len(_QUERY) + 2 + len(_SMUGGLED), _QUERY),
+                400,
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n"
+                b"Content-Length: 5\r\n",
+                400,
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length : %d\r\n" % len(_SMUGGLED),
+                400,
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nX-Folded: a\r\n b\r\n"
+                b"Content-Length: %d\r\n" % len(_SMUGGLED),
+                400,
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nX-A: 1\rContent-Length: %d\r\n"
+                % len(_SMUGGLED),
+                400,
+            ),
         ],
-        ids=["missing", "invalid", "zero", "negative", "too-large", "unknown-path"],
+        ids=[
+            "missing",
+            "invalid",
+            "zero",
+            "negative",
+            "too-large",
+            "unknown-path",
+            "differing-content-length",
+            "transfer-encoding-and-content-length",
+            "space-before-colon",
+            "folded-line",
+            "bare-cr",
+        ],
     )
     def test_one_response_then_close(self, releases, head, status):
         response_head, body = self._exchange(releases, head)
@@ -1724,6 +1780,83 @@ class TestFraming:
                 f"Content-Length: {len(_HEALTHZ)}",
             ]
             assert body == _HEALTHZ
+
+
+    def test_date_is_formatted_once_a_second(self, monkeypatch):
+        server = create_server(ReleaseStore(), port=0)
+        try:
+            now = 1_800_000_000.25
+            monkeypatch.setattr(serve_http.time, "time", lambda: now)
+            first = server.date_header()
+            assert first == "Fri, 15 Jan 2027 08:00:00 GMT"
+            now += 0.5
+            assert server.date_header() is first
+            now += 0.5
+            assert server.date_header() == "Fri, 15 Jan 2027 08:00:01 GMT"
+        finally:
+            server.server_close()
+
+
+#: The header fields the handler, and the benchmark's traced server, read.
+_HANDLER_FIELDS = ("Connection", "Content-Length", "Expect", "Transfer-Encoding", "X-Bench-Id")
+_TOKEN_CHARS = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyz"
+#: Field-value characters: visible ASCII and obs-text, with SP and HTAB inside.
+_VALUE_CHARS = "".join(map(chr, [9, *range(0x20, 0x7F), *range(0x80, 0x100)]))
+
+
+@st.composite
+def _header_blocks(draw) -> tuple[bytes, list[str]]:
+    """A well-formed header block, its blank line included, and the names
+    of its fields.  Names repeat, in mixed case; values carry optional
+    whitespace; lines end in CRLF or a bare LF."""
+    names, lines = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        name = draw(
+            st.sampled_from(_HANDLER_FIELDS + ("Host", "Content-Type"))
+            | st.text(_TOKEN_CHARS, min_size=1, max_size=10)
+        )
+        name = "".join(draw(st.sampled_from((char.lower(), char.upper()))) for char in name)
+        value = draw(
+            st.sampled_from(["5", "close", "keep-alive", "100-continue", "chunked"])
+            | st.text(_VALUE_CHARS, max_size=12).map(lambda text: text.strip(" \t"))
+        )
+        before, after = draw(st.text(" \t", max_size=2)), draw(st.text(" \t", max_size=2))
+        names.append(name)
+        lines.append(f"{name}:{before}{value}{after}")
+    endings = st.sampled_from(["\r\n", "\n"])
+    text = "".join(line + draw(endings) for line in lines) + draw(endings)
+    return text.encode("iso-8859-1"), names
+
+
+class TestHeaderReader:
+    """The handler's header reader against ``http.client.parse_headers``,
+    the stdlib parser it replaces: on well-formed header blocks both give
+    every field the same value once optional whitespace is removed, take
+    the first of a repeated name, and stop at the blank line.  Two
+    ``Content-Length`` fields that differ are refused instead."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_header_blocks(), st.binary(max_size=8))
+    def test_agrees_with_the_stdlib_parser(self, block, body):
+        block, names = block
+        reference = http.client.parse_headers(io.BytesIO(block + body))
+        stream = io.BytesIO(block + body)
+        lengths = {
+            value.strip(" \t")
+            for name, value in reference.items()
+            if name.lower() == "content-length"
+        }
+        if len(lengths) > 1:
+            with pytest.raises(ValueError, match="conflicting Content-Length values"):
+                serve_http._read_fields(stream)
+            return
+        fields = serve_http._read_fields(stream)
+        assert stream.read() == body
+        for name in set(names) | set(_HANDLER_FIELDS):
+            for spelling in (name, name.lower(), name.upper()):
+                expected = reference.get(spelling)
+                assert fields.get(spelling) == (expected and expected.strip(" \t"))
+                assert (spelling in fields) == (spelling in reference)
 
 
 @pytest.mark.skipif(
