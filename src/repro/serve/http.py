@@ -124,40 +124,43 @@ _FIELD_LINE = re.compile(r"([!-9;-~]+):([^\r\n]*)\r?\n?")
 #: in each number (``http.server``'s rule).
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
+#: Encodes every response body; ``json.dumps`` with ``sort_keys`` would build
+#: an encoder on each call.
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 class _HeadTooLarge(Exception):
     """A request head past a limit; ``args`` are ``send_error``'s message
     and explanation, ``http.server``'s own texts."""
 
 
-class _Fields(dict):
-    """A request head's fields by lower-case name; ``get``, ``in`` and
-    ``[]`` take a name in any case.  Of a repeated name the first
-    occurrence wins, as ``email.message.Message.get`` does."""
+class _Fields:
+    """A request head's fields; ``get`` and ``in`` take a name in any case."""
 
-    __slots__ = ()
+    __slots__ = ("_values",)
 
-    def __contains__(self, name) -> bool:
-        return dict.__contains__(self, name.lower())
+    def __init__(self, values: dict[str, str]) -> None:
+        self._values = values  # by lower-case name
 
-    def __getitem__(self, name):
-        return dict.__getitem__(self, name.lower())
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._values
 
-    def get(self, name, default=None):
-        return dict.get(self, name.lower(), default)
+    def get(self, name: str, default=None):
+        return self._values.get(name.lower(), default)
 
 
 def _read_fields(stream) -> _Fields:
     """Read a request head's header lines from ``stream``, through the
     blank line that ends them, with optional whitespace stripped from each
-    value.
+    value.  Of a repeated name the first occurrence wins, as
+    ``email.message.Message.get`` does.
 
     Raises :class:`_HeadTooLarge` past :data:`MAX_LINE_BYTES` or
     :data:`MAX_HEAD_LINES`, and ``ValueError`` for a line that is not a
     field or for two ``Content-Length`` fields whose values differ (RFC 9112
     section 6.3: the body's end is unknown, so it cannot be skipped).
     """
-    fields = _Fields()
+    values: dict[str, str] = {}
     lines = 0
     while True:
         line = stream.readline(MAX_LINE_BYTES + 1)
@@ -169,13 +172,13 @@ def _read_fields(stream) -> _Fields:
         if lines > MAX_HEAD_LINES:
             raise _HeadTooLarge("Too many headers", f"got more than {MAX_HEAD_LINES} headers")
         if line in (b"\r\n", b"\n", b""):
-            return fields
+            return _Fields(values)
         match = _FIELD_LINE.fullmatch(line.decode("iso-8859-1"))
         if match is None:
             raise ValueError(f"malformed header line {line!r}")
         name = match[1].lower()
         value = match[2].strip(" \t")
-        first = fields.setdefault(name, value)
+        first = values.setdefault(name, value)
         if first != value and name == "content-length":
             raise ValueError(f"conflicting Content-Length values {first!r} and {value!r}")
 
@@ -265,7 +268,7 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
         ``close`` adds ``Connection: close`` and ends the connection after
         the response.
         """
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = _JSON_ENCODER.encode(payload).encode("utf-8")
         if self.server.verbose:
             self.log_request(status)
         if close:

@@ -1796,6 +1796,41 @@ class TestFraming:
         finally:
             server.server_close()
 
+    def test_threads_get_the_text_of_the_second_they_read(self, monkeypatch):
+        """Handler threads share the cached ``Date``: each gets the text of
+        the second its own clock read gave, even when another thread swaps
+        the cache between that read and its return."""
+        ticks = itertools.count()
+        seen = threading.local()
+
+        def clock() -> float:
+            seen.second = 1_800_000_000 + next(ticks) // 3
+            return seen.second + 0.5
+
+        mismatches = []
+
+        def worker() -> None:
+            for _ in range(3000):
+                text = server.date_header()
+                if text != email.utils.formatdate(seen.second, usegmt=True):
+                    mismatches.append((seen.second, text))
+
+        server = create_server(ReleaseStore(), port=0)
+        monkeypatch.setattr(serve_http.time, "time", clock)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.server_close()
+        assert mismatches == []
+
 
 #: The header fields the handler, and the benchmark's traced server, read.
 _HANDLER_FIELDS = ("Connection", "Content-Length", "Expect", "Transfer-Encoding", "X-Bench-Id")
