@@ -424,29 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         "<tenant>.json before exiting",
     )
     ingest.add_argument(
-        "--checkpoint-format",
-        choices=("binary", "json"),
-        default="binary",
-        help="format for evicted-tenant checkpoints (default binary; "
-        "restores autodetect either)",
-    )
-    ingest.add_argument(
-        "--flush-interval", type=float, default=0.05, metavar="SECONDS",
-        help="staging-buffer flush cadence in seconds; 0 disables the "
-        "background flusher so staged appends ship only on size thresholds "
-        "and explicit flushes (default 0.05)",
-    )
-    ingest.add_argument(
-        "--staging-items", type=int, default=2048,
-        help="ship a partition's staged appends to its worker once this "
-        "many items accumulate (default 2048)",
-    )
-    ingest.add_argument(
-        "--staging-bytes", type=int, default=1 << 20,
-        help="ship a partition's staged appends once they hold this many "
-        "bytes (default 1 MiB)",
-    )
-    ingest.add_argument(
         "--reply-timeout", type=float, default=DEFAULT_REPLY_TIMEOUT,
         help="seconds to wait for a worker reply (register/snapshot/"
         f"release/stats) before failing (default {DEFAULT_REPLY_TIMEOUT:.0f})",
@@ -831,10 +808,6 @@ def _command_ingest(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         memory_budget_words=args.memory_budget_words,
         store=store,
-        checkpoint_format=args.checkpoint_format,
-        staging_items=args.staging_items,
-        staging_bytes=args.staging_bytes,
-        flush_interval=args.flush_interval if args.flush_interval > 0 else None,
         reply_timeout=args.reply_timeout,
     ) as service:
         print(

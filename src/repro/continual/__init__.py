@@ -8,9 +8,7 @@ first-class, batch-native production path:
 
 * :class:`BinaryMechanismCounter` -- the classic binary-tree (Chan-Shi-Song /
   Dwork et al.) counter releasing a running count at every step under
-  epsilon-DP for the whole stream; its
-  :meth:`~repro.continual.counter.BinaryMechanismCounter.step_many` consumes a
-  whole block of steps with closed-form dyadic bookkeeping.
+  epsilon-DP for the whole stream; the scalar reference for the banks.
 * :class:`BinaryMechanismCounterBank` -- a vector of those counters sharing
   one event-driven time axis, the vectorised layout behind the continual tree
   levels and sketches.

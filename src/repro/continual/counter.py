@@ -7,19 +7,14 @@ noise (``L`` = number of dyadic levels), and any prefix sum is assembled from
 at most ``L`` blocks, giving error ``O(L^{3/2}/epsilon)`` per release.
 
 The counter is *event-driven*: its time axis is its own update sequence (one
-step per call to :meth:`BinaryMechanismCounter.step`, or one per element of a
-:meth:`BinaryMechanismCounter.step_many` block).  A single stream element
-touches the counter at most once, so the per-element sensitivity argument of
-the classic construction applies unchanged.
+step per call to :meth:`BinaryMechanismCounter.step`).  A single stream
+element touches the counter at most once, so the per-element sensitivity
+argument of the classic construction applies unchanged.
 
 Two shapes of the mechanism live here:
 
-* :class:`BinaryMechanismCounter` -- one counter, one time axis.  Its
-  :meth:`~BinaryMechanismCounter.step_many` consumes a whole block of steps in
-  ``O(block + L)`` work: only the dyadic blocks that *survive* to the end of
-  the block ever influence a later release, so the noise for at most ``L``
-  surviving blocks is drawn instead of one draw per step.  (Intermediate
-  releases inside the block are never produced, hence never observed.)
+* :class:`BinaryMechanismCounter` -- one counter, one time axis, one step
+  at a time: the scalar reference the bank is checked against.
 * :class:`BinaryMechanismCounterBank` -- a fixed-size vector of counters
   advancing one *shared* time axis.  This is the batch-native layout used by
   the continual sketches and the continual PrivHP tree levels: every
@@ -54,12 +49,12 @@ class BinaryMechanismCounter:
 
     Example:
         >>> counter = BinaryMechanismCounter(epsilon=1000.0, horizon=16, rng=0)
-        >>> round(counter.step_many([1.0, 1.0, 1.0]))
-        3
+        >>> round(counter.step(1.0))
+        1
         >>> round(counter.step(2.0))
-        5
+        3
         >>> counter.steps
-        4
+        2
     """
 
     def __init__(
@@ -104,77 +99,6 @@ class BinaryMechanismCounter:
         self._noisy_alpha[lowest_zero] = self._alpha[lowest_zero] + self._rng.laplace(
             0.0, self._noise_scale
         )
-        return self.query()
-
-    def step_many(self, values) -> float:
-        """Consume a whole block of per-step increments and return the final
-        noisy running count.
-
-        Equivalent to calling :meth:`step` once per element -- the exact block
-        partial sums after the batch are bit-identical to the loop's (up to
-        float summation order) -- but the dyadic bookkeeping is closed-form:
-        one prefix-sum pass over the block locates every surviving dyadic
-        block, and fresh ``Laplace(L/epsilon)`` noise is drawn only for the
-        (at most ``L``) blocks formed inside the batch.  Blocks completed and
-        absorbed strictly inside the batch would only have influenced the
-        intermediate releases that batch ingestion never emits, so skipping
-        their noise draws leaves every *observable* release with exactly the
-        distribution of the item-at-a-time mechanism.
-        """
-        values = np.asarray(values, dtype=float).ravel()
-        count = int(values.size)
-        if count == 0:
-            return self.query()
-        if self._steps + count > self.horizon:
-            raise RuntimeError(
-                f"counter horizon of {self.horizon} steps exhausted; "
-                "construct the counter with a larger horizon"
-            )
-        start = self._steps
-        end = start + count
-        prefix = np.concatenate(([0.0], np.cumsum(values)))
-        running_before = self.true_count  # exact count S(start)
-
-        new_alpha = np.zeros(self.levels)
-        new_noisy = np.zeros(self.levels)
-        fresh_levels = []
-        for level in range(self.levels):
-            if not (end >> level) & 1:
-                continue
-            block_end = (end >> level) << level
-            block_start = block_end - (1 << level)
-            if block_end <= start:
-                # The block was completed before this batch; its partial sum
-                # and noise draw are already in the state (the bits of `start`
-                # above `level` agree with `end`'s, so slot `level` holds it).
-                new_alpha[level] = self._alpha[level]
-                new_noisy[level] = self._noisy_alpha[level]
-                continue
-            upper = running_before + prefix[block_end - start]
-            if block_start >= start:
-                lower = running_before + prefix[block_start - start]
-            else:
-                # block_start < start is a dyadic boundary of the old state:
-                # the old blocks at levels above `level` tile [1, block_start]
-                # exactly, so their partial sums reconstruct S(block_start).
-                lower = float(
-                    sum(
-                        self._alpha[other]
-                        for other in range(level + 1, self.levels)
-                        if (start >> other) & 1
-                    )
-                )
-            new_alpha[level] = upper - lower
-            fresh_levels.append(level)
-
-        if fresh_levels:
-            noise = self._rng.laplace(0.0, self._noise_scale, size=len(fresh_levels))
-            for position, level in enumerate(fresh_levels):
-                new_noisy[level] = new_alpha[level] + noise[position]
-
-        self._alpha = new_alpha
-        self._noisy_alpha = new_noisy
-        self._steps = end
         return self.query()
 
     # ------------------------------------------------------------------ #

@@ -64,6 +64,15 @@ CONTINUAL_STATE_KIND = "privhp-continual"
 class PrivHPContinual(SummarizerBase):
     """PrivHP whose state is differentially private under continual observation.
 
+    Privacy: epsilon-DP under continual observation for streams that differ
+    by one added or removed item.  One item moves one counter of each exact
+    level by 1 and ``j`` cells of each ``j``-row sketch, at one event, and
+    that event touches up to ``L`` dyadic blocks of each binary-mechanism
+    counter; so the exact levels' counters add ``Laplace(L/sigma_l)`` and
+    the sketch cells ``Laplace(j*L/sigma_l)``, the level budgets
+    ``sigma_l`` summing to epsilon.  When one item's value changes instead,
+    the same noise gives 2 epsilon.
+
     Example:
         >>> import numpy as np
         >>> from repro.api.builder import PrivHPBuilder

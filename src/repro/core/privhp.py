@@ -48,7 +48,16 @@ CHECKPOINT_STATE_VERSION = 1
 
 
 class PrivHP(SummarizerBase):
-    """The PrivHP streaming synthetic data generator (Algorithm 1)."""
+    """The PrivHP streaming synthetic data generator (Algorithm 1).
+
+    Privacy: epsilon-DP for streams that differ by one added or removed
+    item.  Level ``l`` adds ``Laplace(1/sigma_l)`` to each exact counter and
+    ``Laplace(j/sigma_l)`` to each cell of its ``j``-row sketch, the level
+    budgets ``sigma_l`` summing to epsilon, because one item moves each
+    exact level by 1 and each sketch table by ``j``
+    (``tests/test_privacy_calibration.py``).  When one item's value changes
+    instead, the same noise gives 2 epsilon.
+    """
 
     def __init__(
         self,

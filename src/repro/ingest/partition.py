@@ -50,6 +50,10 @@ __all__ = ["partition_of", "IngestWorker", "ReplyBox", "AppendError"]
 #: How long a caller waits on a worker reply before giving up (seconds).
 DEFAULT_REPLY_TIMEOUT = 60.0
 
+#: Messages a worker's inbox holds; a send to a full inbox blocks, which is
+#: the service's backpressure.
+INBOX_SIZE = 4096
+
 
 def partition_of(tenant_id: str, partitions: int) -> int:
     """The stable hash partition owning ``tenant_id``.
@@ -164,30 +168,23 @@ class IngestWorker(threading.Thread):
         index: int,
         checkpoint_dir=None,
         memory_budget_words: int | None = None,
-        queue_size: int = 4096,
         on_live_event=None,
         counters: dict | None = None,
-        checkpoint_format: str = "binary",
         checkpoint_writer=None,
         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
     ) -> None:
         super().__init__(name=f"ingest-worker-{index}", daemon=True)
-        if checkpoint_format not in ("binary", "json"):
-            raise ValueError(
-                f"checkpoint_format must be 'binary' or 'json', got {checkpoint_format!r}"
-            )
         if reply_timeout <= 0:
             raise ValueError(f"reply_timeout must be positive, got {reply_timeout}")
         if checkpoint_dir is not None and checkpoint_writer is None:
             raise ValueError("a checkpoint_dir needs a checkpoint_writer to evict tenants through")
         self.index = index
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_format = checkpoint_format
         #: Shared service-level async writer, the one path evictions take.
         self._writer = checkpoint_writer
         self.reply_timeout = float(reply_timeout)
         self.memory_budget_words = memory_budget_words
-        self.inbox: queue.Queue = queue.Queue(maxsize=queue_size)
+        self.inbox: queue.Queue = queue.Queue(maxsize=INBOX_SIZE)
         #: ``(tenant_id, kind)`` live-serving callback (kind in
         #: ``{"data", "evict", "release"}``), invoked from the worker thread.
         self._on_live_event = on_live_event or (lambda tenant, kind: None)
@@ -301,20 +298,20 @@ class IngestWorker(threading.Thread):
     def _checkpoint_path(self, tenant_id: str):
         if self.checkpoint_dir is None:
             return None
-        suffix = "bin" if self.checkpoint_format == "binary" else "json"
-        return self.checkpoint_dir / f"{tenant_id}.state.{suffix}"
+        return self.checkpoint_dir / f"{tenant_id}.state.bin"
 
     def _existing_checkpoint(self, tenant_id: str):
-        """The tenant's on-disk checkpoint in *any* format, or ``None``.
+        """The tenant's on-disk checkpoint, or ``None``.
 
-        Restores try the configured format first, then the other suffix, so
-        a service restarted with a different ``checkpoint_format`` still
-        picks up the checkpoints its predecessor wrote (``load_checkpoint``
-        autodetects the content by magic bytes either way).
+        Evictions write ``<tenant>.state.bin``.  A checkpoint directory
+        written with the former ``repro ingest --checkpoint-format json``
+        holds ``<tenant>.state.json`` files and must still restore, so that
+        name is tried second (``load_checkpoint`` autodetects the content
+        by magic bytes).
         """
         if self.checkpoint_dir is None:
             return None
-        for suffix in ("bin", "json") if self.checkpoint_format == "binary" else ("json", "bin"):
+        for suffix in ("bin", "json"):
             path = self.checkpoint_dir / f"{tenant_id}.state.{suffix}"
             if path.exists():
                 return path
@@ -467,10 +464,7 @@ class IngestWorker(threading.Thread):
         # worker drops its reference, so the writer is the sole owner until
         # the write lands or the tenant is restored via take_back.  The
         # tenant leaves the residents only after the hand-over succeeds.
-        self._writer.submit(
-            tenant_id, self._residents[tenant_id].summarizer, path,
-            format=self.checkpoint_format,
-        )
+        self._writer.submit(tenant_id, self._residents[tenant_id].summarizer, path)
         del self._residents[tenant_id]
         self._ledger.drop(tenant_id)
         self.evictions += 1

@@ -12,9 +12,9 @@ What the service adds on top of the workers:
 
 * **append coalescing** -- :meth:`IngestService.append` stages batches in
   per-worker buffers and ships one ``append_many`` inbox message carrying
-  many tenants' arrays once the buffer exceeds ``staging_items`` /
-  ``staging_bytes`` (or when the background flusher's ``flush_interval``
-  timer fires, or when any synchronising call -- ``flush``, ``release``,
+  many tenants' arrays once the buffer holds :data:`STAGE_ITEMS` items (or
+  when the background flusher fires, every :data:`FLUSH_INTERVAL_S`
+  seconds, or when any synchronising call -- ``flush``, ``release``,
   ``snapshot``, ``evict``, ``stats``, ``close`` -- needs the staged data
   applied first).  Batches keep their identity end to end: each original
   append is one segment of the shipped message, so the owning worker lands
@@ -68,6 +68,14 @@ from repro.io.checkpoint_writer import CheckpointWriter
 
 __all__ = ["IngestService", "LiveTenantHandle"]
 
+#: Staged items at which :meth:`IngestService.append` ships a worker's
+#: buffer as one coalesced inbox message.
+STAGE_ITEMS = 2048
+
+#: Seconds between the background flusher's ships of whatever is staged:
+#: the longest a trickling tenant's append waits before it ships.
+FLUSH_INTERVAL_S = 0.05
+
 
 def _unknown_tenant(tenant_id: str) -> KeyError:
     return KeyError(f"unknown tenant {tenant_id!r}; register a TenantSpec for it first")
@@ -100,13 +108,12 @@ class _StagingBuffer:
     the per-tenant append order the determinism contract preserves.
     """
 
-    __slots__ = ("lock", "batches", "items", "nbytes")
+    __slots__ = ("lock", "batches", "items")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.batches: dict[str, list] = {}
         self.items = 0
-        self.nbytes = 0
 
 
 class LiveTenantHandle:
@@ -121,20 +128,20 @@ class LiveTenantHandle:
     :meth:`IngestService.append` returns, and the next snapshot covers it,
     flushed or not.
 
-    Example: the worker has not applied the second append, yet the
-    snapshot covers it.
+    Example: the second append counts as accepted when ``append``
+    returns, and the snapshot covers it whether or not the worker had
+    applied it yet.
         >>> import numpy as np
         >>> from repro.ingest.spec import TenantSpec
-        >>> with IngestService(workers=1, flush_interval=None) as service:
+        >>> with IngestService(workers=1) as service:
         ...     service.register(TenantSpec("live", stream_size=64, seed=2,
         ...                                 continual=True))
         ...     service.append("live", np.linspace(0.0, 1.0, 32))
         ...     _ = service.flush()
         ...     handle = LiveTenantHandle(service, "live")
         ...     service.append("live", np.linspace(0.0, 1.0, 16))
-        ...     counts = handle.items_accepted, handle.items_processed
-        ...     counts, handle.snapshot().items_processed
-        ((48, 32), 48)
+        ...     handle.items_accepted, handle.snapshot().items_processed
+        (48, 48)
     """
 
     def __init__(self, service: "IngestService", tenant_id: str) -> None:
@@ -178,30 +185,22 @@ class IngestService:
         Service-wide bound on resident summarizer words, split evenly
         across workers; cold tenants are evicted to ``checkpoint_dir`` and
         restored byte-identically on their next touch.
-    checkpoint_format:
-        On-disk format for eviction checkpoints: ``"binary"`` (the default
-        -- the raw-array envelope of :mod:`repro.io.binary`, which is what
-        makes high-frequency eviction affordable) or ``"json"``.  Restores
-        autodetect the format, so either setting reads both.
     store:
         Optional :class:`repro.serve.store.ReleaseStore`; continual tenants
         are served live from the moment they have data.
     service_epsilon_budget:
         Optional cap on the summed epsilon across every admitted tenant.
-    queue_size:
-        Inbox size per worker; a full inbox blocks the staged-batch shipping
-        inside ``append`` (backpressure).
-    staging_items / staging_bytes:
-        Per-worker staging bounds: once a worker's staged batches exceed
-        either, ``append`` ships them as one coalesced inbox message.
-    flush_interval:
-        Seconds between background ships of whatever is staged (bounds the
-        latency of a trickling tenant; ``None`` disables the timer and
-        leaves shipping to the bounds and the synchronising calls).
     reply_timeout:
         Seconds callers wait for a worker reply (``flush``, ``release``,
         ...) before raising ``TimeoutError``; a deep coalesced queue under
         heavy load can legitimately need more than the default 60 s.
+
+    Appends stage per worker and ship once :data:`STAGE_ITEMS` items
+    accumulate; a background flusher ships whatever is staged every
+    :data:`FLUSH_INTERVAL_S` seconds.  Each worker's inbox holds
+    :data:`~repro.ingest.partition.INBOX_SIZE` messages, and a full inbox
+    blocks the shipping ``append`` (backpressure).  Eviction checkpoints
+    are written in the binary envelope of :mod:`repro.io.binary`.
 
     Example:
         >>> import numpy as np
@@ -225,19 +224,10 @@ class IngestService:
         memory_budget_words: int | None = None,
         store=None,
         service_epsilon_budget: float | None = None,
-        queue_size: int = 4096,
-        checkpoint_format: str = "binary",
-        staging_items: int = 2048,
-        staging_bytes: int = 1 << 20,
-        flush_interval: float | None = 0.05,
         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if checkpoint_format not in ("binary", "json"):
-            raise ValueError(
-                f"checkpoint_format must be 'binary' or 'json', got {checkpoint_format!r}"
-            )
         if memory_budget_words is not None and memory_budget_words < 1:
             raise ValueError(
                 f"memory_budget_words must be >= 1, got {memory_budget_words}"
@@ -245,14 +235,6 @@ class IngestService:
         if memory_budget_words is not None and checkpoint_dir is None:
             raise ValueError(
                 "a memory budget needs a checkpoint_dir to evict cold tenants to"
-            )
-        if staging_items < 1:
-            raise ValueError(f"staging_items must be >= 1, got {staging_items}")
-        if staging_bytes < 1:
-            raise ValueError(f"staging_bytes must be >= 1, got {staging_bytes}")
-        if flush_interval is not None and flush_interval <= 0:
-            raise ValueError(
-                f"flush_interval must be positive (or None to disable), got {flush_interval}"
             )
         if reply_timeout <= 0:
             raise ValueError(f"reply_timeout must be positive, got {reply_timeout}")
@@ -263,9 +245,6 @@ class IngestService:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.store = store
         self.budget_registry = TenantBudgetRegistry(service_budget=service_epsilon_budget)
-        self.staging_items = int(staging_items)
-        self.staging_bytes = int(staging_bytes)
-        self.flush_interval = flush_interval
         self.reply_timeout = float(reply_timeout)
         self._specs: dict[str, TenantSpec] = {}
         self._counters: dict[str, _ItemCounter] = {}
@@ -282,10 +261,8 @@ class IngestService:
                 index=index,
                 checkpoint_dir=self.checkpoint_dir,
                 memory_budget_words=per_worker_budget,
-                queue_size=queue_size,
                 on_live_event=self._on_live_event,
                 counters=self._counters,
-                checkpoint_format=checkpoint_format,
                 checkpoint_writer=self._writer,
                 reply_timeout=self.reply_timeout,
             )
@@ -295,12 +272,10 @@ class IngestService:
         for worker in self._workers:
             worker.start()
         self._flusher_stop = threading.Event()
-        self._flusher = None
-        if self.flush_interval is not None:
-            self._flusher = threading.Thread(
-                target=self._flush_loop, name="ingest-flusher", daemon=True
-            )
-            self._flusher.start()
+        self._flusher = threading.Thread(
+            target=self._flush_loop, name="ingest-flusher", daemon=True
+        )
+        self._flusher.start()
         if specs is not None:
             entries = specs.values() if hasattr(specs, "values") else specs
             for spec in entries:
@@ -376,10 +351,10 @@ class IngestService:
 
         Fire-and-forget: the batch lands in the worker's staging buffer and
         ships -- coalesced with other tenants' batches into one inbox
-        message -- once the buffer exceeds ``staging_items`` or
-        ``staging_bytes`` (the call blocks only when that ship hits a full
-        inbox, which is the backpressure).  Whatever stays staged is shipped
-        by the ``flush_interval`` timer or the next synchronising call.
+        message -- once the buffer holds :data:`STAGE_ITEMS` items (the
+        call blocks only when that ship hits a full inbox, which is the
+        backpressure).  Whatever stays staged is shipped by the background
+        flusher or the next synchronising call.
         Per-tenant ordering is the caller's append order; failures (horizon
         exhausted, bad values) surface on the next :meth:`flush`.
 
@@ -399,8 +374,7 @@ class IngestService:
             items = int(batch.shape[0]) if batch.ndim else 1
             stage.items += items
             counter.accepted += items
-            stage.nbytes += int(batch.nbytes)
-            if stage.items >= self.staging_items or stage.nbytes >= self.staging_bytes:
+            if stage.items >= STAGE_ITEMS:
                 self._ship_locked(index, stage)
 
     def _ship_locked(self, index: int, stage: _StagingBuffer) -> None:
@@ -415,7 +389,6 @@ class IngestService:
         message = list(stage.batches.items())
         stage.batches = {}
         stage.items = 0
-        stage.nbytes = 0
         self._workers[index].send("append_many", message)
 
     def _ship_worker(self, index: int) -> None:
@@ -427,8 +400,8 @@ class IngestService:
         for index in range(len(self._workers)):
             self._ship_worker(index)
 
-    def _flush_loop(self) -> None:  # pragma: no cover - timing-dependent
-        while not self._flusher_stop.wait(self.flush_interval):
+    def _flush_loop(self) -> None:
+        while not self._flusher_stop.wait(FLUSH_INTERVAL_S):
             try:
                 self._ship_all()
             except Exception:
@@ -570,8 +543,7 @@ class IngestService:
         if self._closed:
             return {"workers": 0, "closed": True}
         self._flusher_stop.set()
-        if self._flusher is not None:
-            self._flusher.join(timeout=self.reply_timeout)
+        self._flusher.join(timeout=self.reply_timeout)
         self._ship_all()
         rows = [worker.request("drain") for worker in self._workers]
         self._closed = True

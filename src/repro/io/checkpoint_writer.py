@@ -43,18 +43,21 @@ __all__ = ["CheckpointWriter"]
 class _Pending:
     """One queued (or in-flight) checkpoint write for a stem."""
 
-    __slots__ = ("sequence", "summarizer", "path", "format", "writing")
+    __slots__ = ("sequence", "summarizer", "path", "writing")
 
-    def __init__(self, sequence: int, summarizer, path: pathlib.Path, format: str) -> None:
+    def __init__(self, sequence: int, summarizer, path: pathlib.Path) -> None:
         self.sequence = sequence
         self.summarizer = summarizer
         self.path = path
-        self.format = format
         self.writing = False
 
 
 class CheckpointWriter:
     """Background thread that persists evicted summarizers with coalescing.
+
+    Every checkpoint is written in the binary envelope of
+    :mod:`repro.io.binary`; ``repro convert`` turns one into JSON for
+    reading.
 
     >>> import tempfile, pathlib
     >>> from repro.ingest.spec import TenantSpec
@@ -65,7 +68,7 @@ class CheckpointWriter:
     >>> writer = CheckpointWriter()
     >>> with tempfile.TemporaryDirectory() as root:
     ...     path = pathlib.Path(root) / "t.state.bin"
-    ...     sequence = writer.submit("t", summarizer, path, format="binary")
+    ...     sequence = writer.submit("t", summarizer, path)
     ...     landed = writer.wait_for("t")
     ...     restored = load_checkpoint(path)
     ...     writer.close()
@@ -75,8 +78,8 @@ class CheckpointWriter:
     0
     """
 
-    def __init__(self, *, queue_size: int = 1024) -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=max(1, int(queue_size)))
+    def __init__(self) -> None:
+        self._queue: queue.Queue = queue.Queue(maxsize=1024)
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
         self._pending: dict[str, _Pending] = {}
@@ -96,7 +99,7 @@ class CheckpointWriter:
     # ------------------------------------------------------------------ #
     # producer side (worker threads)
     # ------------------------------------------------------------------ #
-    def submit(self, stem: str, summarizer, path: str | pathlib.Path, *, format: str) -> int:
+    def submit(self, stem: str, summarizer, path: str | pathlib.Path) -> int:
         """Hand a summarizer over for background persistence.
 
         The caller must drop its own reference: the object is owned by the
@@ -119,9 +122,8 @@ class CheckpointWriter:
                 previous.sequence = sequence
                 previous.summarizer = summarizer
                 previous.path = path
-                previous.format = format
             else:
-                self._pending[stem] = _Pending(sequence, summarizer, path, format)
+                self._pending[stem] = _Pending(sequence, summarizer, path)
         # put() outside the lock: a full queue must not block take_back/drain.
         self._queue.put((stem, sequence))
         return sequence
@@ -207,9 +209,9 @@ class CheckpointWriter:
                     self.skipped_writes += 1
                     continue
                 entry.writing = True
-                summarizer, path, format = entry.summarizer, entry.path, entry.format
+                summarizer, path = entry.summarizer, entry.path
             try:
-                save_checkpoint(summarizer, path, format=format)
+                save_checkpoint(summarizer, path, format="binary")
                 error = None
             except BaseException as exc:  # noqa: BLE001 - surfaced via pop_errors
                 error = f"{type(exc).__name__}: {exc}"

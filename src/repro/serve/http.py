@@ -42,7 +42,8 @@ wait for the client's delayed ACK of the ones before it (~40 ms on Linux).
 
 A request whose body is not read gets ``Connection: close``, so the unread
 body is never parsed as the next request.  Rejected before the body are: an
-unknown path; a missing, invalid or out-of-range ``Content-Length``; two
+unknown path; a missing or out-of-range ``Content-Length``, or one that
+is not all ASCII digits (a sign or a ``_`` separator included); two
 ``Content-Length`` fields whose values differ; a POST that carries a
 ``Transfer-Encoding``, whose coded body is never decoded; and a head line
 that is not a field (no colon, whitespace before the colon, a folded
@@ -332,8 +333,14 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
         if self.path.split("?", 1)[0].rstrip("/") != "/query":
             self._send_error_json(f"unknown path {self.path!r}", status=404, close=True)
             return
+        value = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            # RFC 9110 section 8.6 allows only ASCII digits; int() alone also
+            # takes a sign, "_" separators and other scripts' digits, which a
+            # proxy in front may frame differently.
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(value)
+            length = int(value)  # raises past sys.get_int_max_str_digits()
         except ValueError:
             self._send_error_json("invalid Content-Length", status=400, close=True)
             return

@@ -202,11 +202,12 @@ class ReleaseStore:
         :class:`repro.serve.service.QueryService` keys its cache on the
         answering snapshot's ``items_processed``.
 
-        Example: an append no flush has applied is covered by the next read.
+        Example: the next read covers an append, whether or not the
+        worker has applied it yet.
             >>> import numpy as np
             >>> from repro.ingest import IngestService, TenantSpec
             >>> store = ReleaseStore()
-            >>> with IngestService(workers=1, store=store, flush_interval=None) as service:
+            >>> with IngestService(workers=1, store=store) as service:
             ...     service.register(TenantSpec("live", stream_size=64, seed=2,
             ...                                 continual=True))
             ...     service.append("live", np.linspace(0.0, 1.0, 32))

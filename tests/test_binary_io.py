@@ -620,21 +620,34 @@ class TestStoreAndConcurrency:
         assert _canonical(release.to_dict()) == control_bytes
 
     def test_ingest_json_checkpoint_format_still_supported(self, tmp_path):
+        """A ``<tenant>.state.json`` checkpoint, as services once wrote with
+        ``checkpoint_format="json"``, restores on the tenant's first touch,
+        and the release removes it."""
         from repro.ingest import IngestService, TenantSpec
 
         spec = TenantSpec("tenant", stream_size=64, seed=4)
+        rng = np.random.default_rng(22)
+        batches = [rng.beta(2.0, 5.0, 32) for _ in range(2)]
+        control = spec.build_summarizer()
+        for batch in batches:
+            control.update_batch(spec.make_domain().coerce_stream(batch))
+        control_bytes = _canonical(control.release().to_dict())
+
         checkpoint_dir = tmp_path / "ckpt"
-        with IngestService(
-            workers=1, checkpoint_dir=checkpoint_dir, checkpoint_format="json"
-        ) as service:
+        checkpoint_dir.mkdir()
+        evicted = spec.build_summarizer()
+        evicted.update_batch(spec.make_domain().coerce_stream(batches[0]))
+        path = save_checkpoint(evicted, checkpoint_dir / "tenant.state.json", format="json")
+        assert json.loads(path.read_text())["format"] == "privhp-checkpoint"
+        with IngestService(workers=1, checkpoint_dir=checkpoint_dir) as service:
             service.register(spec)
-            service.append("tenant", np.linspace(0.1, 0.9, 32))
-            assert service.evict("tenant") is True
-            path = checkpoint_dir / "tenant.state.json"
-            assert path.exists()
-            assert json.loads(path.read_text())["format"] == "privhp-checkpoint"
-            service.append("tenant", np.linspace(0.1, 0.9, 32))
-            service.release("tenant")
+            service.append("tenant", batches[1])
+            assert service.flush()["restores"] == 1
+            assert service.items_processed("tenant") == 64
+            release = service.release("tenant")
+            assert not path.exists()
+            assert not (checkpoint_dir / "tenant.state.bin").exists()
+        assert _canonical(release.to_dict()) == control_bytes
 
 
 # --------------------------------------------------------------------------- #

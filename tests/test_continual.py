@@ -71,66 +71,6 @@ class TestBinaryMechanismCounter:
             BinaryMechanismCounter(epsilon=1.0, horizon=0)
 
 
-class TestStepMany:
-    @pytest.mark.parametrize("split", [0, 1, 100, 255, 256, 511])
-    def test_exact_state_matches_item_loop(self, split):
-        """The dyadic partial sums after a block equal the loop's exactly."""
-        values = np.random.default_rng(9).random(511)
-        loop = BinaryMechanismCounter(1.0, 1024, rng=np.random.default_rng(0))
-        block = BinaryMechanismCounter(1.0, 1024, rng=np.random.default_rng(0))
-        for value in values:
-            loop.step(value)
-        for value in values[:split]:
-            block.step(value)
-        block.step_many(values[split:])
-        assert block.steps == loop.steps
-        np.testing.assert_allclose(block._alpha, loop._alpha)
-        assert block.true_count == pytest.approx(loop.true_count)
-
-    def test_chunking_is_invariant(self):
-        """Any chunking of the same stream yields the same exact state."""
-        values = np.random.default_rng(3).random(737)
-        whole = BinaryMechanismCounter(1.0, 1000, rng=np.random.default_rng(1))
-        whole.step_many(values)
-        chunked = BinaryMechanismCounter(1.0, 1000, rng=np.random.default_rng(1))
-        for chunk in np.array_split(values, 13):
-            chunked.step_many(chunk)
-        np.testing.assert_allclose(chunked._alpha, whole._alpha)
-
-    def test_returns_noisy_running_count(self, rng):
-        counter = BinaryMechanismCounter(epsilon=300.0, horizon=512, rng=rng)
-        estimate = counter.step_many(np.ones(100))
-        assert estimate == pytest.approx(100, abs=3.0)
-        assert counter.query() == pytest.approx(estimate)
-
-    def test_empty_block_is_a_no_op(self, rng):
-        counter = BinaryMechanismCounter(epsilon=1.0, horizon=8, rng=rng)
-        counter.step(1.0)
-        before = counter.query()
-        assert counter.step_many([]) == pytest.approx(before)
-        assert counter.steps == 1
-
-    def test_horizon_enforced_before_mutation(self, rng):
-        counter = BinaryMechanismCounter(epsilon=1.0, horizon=10, rng=rng)
-        counter.step_many(np.ones(8))
-        with pytest.raises(RuntimeError):
-            counter.step_many(np.ones(3))
-        assert counter.steps == 8  # the failed block left the state untouched
-
-    def test_draws_at_most_levels_noise_per_block(self):
-        """Batch noise cost is O(log horizon) draws, not one per step."""
-        counter = BinaryMechanismCounter(1.0, 2**14, rng=np.random.default_rng(0))
-        draws = []
-        original = counter._rng.laplace
-        counter._rng = type(
-            "R", (), {"laplace": lambda self, loc, scale, size=None: (
-                draws.append(size), original(loc, scale, size=size))[1]}
-        )()
-        counter.step_many(np.ones(10_000))
-        total_drawn = sum(size for size in draws if size)
-        assert total_drawn <= counter.levels
-
-
 class TestExpectedErrorAndMemoryBounds:
     """Property-style checks of the paper's O(log n) continual factors."""
 
@@ -169,7 +109,8 @@ class TestExpectedErrorAndMemoryBounds:
             counter = BinaryMechanismCounter(
                 epsilon=1.0, horizon=horizon, rng=np.random.default_rng(seed)
             )
-            counter.step_many(np.ones(horizon))
+            for _ in range(horizon):
+                counter.step(1.0)
             errors.append(abs(counter.query() - horizon))
         assert float(np.mean(errors)) <= counter.expected_error()
 

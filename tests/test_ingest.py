@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -40,6 +41,8 @@ from repro.domain.geo import GeoDomain
 from repro.domain.hypercube import Hypercube
 from repro.domain.interval import UnitInterval
 from repro.domain.ipv4 import IPv4Domain
+from repro.ingest import partition as partition_module
+from repro.ingest import service as service_module
 from repro.ingest import (
     AppendError,
     IngestService,
@@ -61,6 +64,11 @@ from repro.serve.http import create_server
 from repro.serve.service import QueryService
 from repro.serve.store import ReleaseStore
 from repro.sketch.countmin import CountMinSketch
+
+
+#: A flush interval longer than any test: appends stay staged until a
+#: synchronising call (or a full buffer) ships them.
+HOUR_S = 3600.0
 
 
 def _release_bytes(release) -> str:
@@ -523,22 +531,28 @@ class TestThousandTenantFleet:
 # --------------------------------------------------------------------------- #
 # append coalescing: staging buffers, drains, and the determinism contract
 # --------------------------------------------------------------------------- #
-#: ``(workers, staging_items, flush_interval)`` of each coalescing shape.
+#: ``(workers, STAGE_ITEMS, FLUSH_INTERVAL_S)`` of each coalescing shape.
 COALESCING_SHAPES = pytest.mark.parametrize(
-    ("workers", "staging_items", "flush_interval"),
+    ("workers", "stage_items", "flush_interval_s"),
     [
-        (1, 1, None),  # every append ships alone, no timer
-        (2, 2048, None),  # everything stages until a sync point
+        (1, 1, HOUR_S),  # every append ships alone, the timer never fires
+        (2, 2048, HOUR_S),  # everything stages until a sync point
         (4, 4, 0.001),  # aggressive timer races the appenders
         (3, 2048, 0.05),  # the defaults
     ],
 )
 
 
+def _patch_staging(monkeypatch, stage_items: int, flush_interval_s: float) -> None:
+    """Set the service's staging constants for the services built after."""
+    monkeypatch.setattr(service_module, "STAGE_ITEMS", stage_items)
+    monkeypatch.setattr(service_module, "FLUSH_INTERVAL_S", flush_interval_s)
+
+
 class TestCoalescedAppends:
     @COALESCING_SHAPES
     def test_releases_byte_identical_across_coalescing_shapes(
-        self, workers, staging_items, flush_interval
+        self, monkeypatch, workers, stage_items, flush_interval_s
     ):
         """The determinism oracle must hold for every coalescing shape:
         whether appends ship one-by-one, as timer-shipped partials, or as
@@ -552,12 +566,8 @@ class TestCoalescedAppends:
         streams = {
             spec.tenant_id: [rng.random(n) for n in (16, 1, 33, 7)] for spec in specs
         }
-        with IngestService(
-            specs,
-            workers=workers,
-            staging_items=staging_items,
-            flush_interval=flush_interval,
-        ) as service:
+        _patch_staging(monkeypatch, stage_items, flush_interval_s)
+        with IngestService(specs, workers=workers) as service:
             for round_index in range(4):
                 for spec in specs:
                     service.append(
@@ -574,7 +584,7 @@ class TestCoalescedAppends:
 
     @COALESCING_SHAPES
     def test_horizon_overrun_inside_a_run_drops_only_the_failing_append(
-        self, workers, staging_items, flush_interval
+        self, monkeypatch, workers, stage_items, flush_interval_s
     ):
         """A continual tenant with ``horizon=64`` gets 50, 20 and 5 items.
         Only the 20-item append overruns the horizon, so every coalescing
@@ -583,12 +593,8 @@ class TestCoalescedAppends:
         spec = TenantSpec("h", stream_size=64, seed=4, continual=True, horizon=64)
         rng = np.random.default_rng(24)
         batches = [rng.random(n) for n in (50, 20, 5)]
-        with IngestService(
-            [spec],
-            workers=workers,
-            staging_items=staging_items,
-            flush_interval=flush_interval,
-        ) as service:
+        _patch_staging(monkeypatch, stage_items, flush_interval_s)
+        with IngestService([spec], workers=workers) as service:
             for batch in batches:
                 service.append("h", batch)
             stats = service.flush(raise_on_failure=False)
@@ -600,21 +606,33 @@ class TestCoalescedAppends:
             release = _release_bytes(service.release("h"))
         assert release == _control_release(spec, [batches[0], batches[2]])
 
-    def test_flush_observes_staged_but_unshipped_buffers(self):
-        """With huge staging bounds and no flush timer, appends sit in the
-        staging buffers; ``flush`` must ship and settle every one of them."""
+    def test_flush_observes_staged_but_unshipped_buffers(self, monkeypatch):
+        """With a huge staging bound and an hour-long flush interval,
+        appends sit in the staging buffers; ``flush`` must ship and settle
+        every one of them."""
         spec = TenantSpec("staged", stream_size=64, seed=3)
-        with IngestService(
-            [spec], workers=2, staging_items=10_000, flush_interval=None
-        ) as service:
+        _patch_staging(monkeypatch, 10_000, HOUR_S)
+        with IngestService([spec], workers=2) as service:
             for _ in range(5):
                 service.append("staged", np.linspace(0.0, 1.0, 8))
             stats = service.flush()
             assert stats["items_ingested"] == 40
             assert service.items_processed("staged") == 40
 
-    def test_appends_block_on_tiny_queue_without_loss_or_reorder(self):
-        """Backpressure contract: a queue_size-1 inbox with per-append
+    def test_background_flusher_ships_a_partial_buffer(self):
+        """An append below ``STAGE_ITEMS`` reaches its worker with no
+        synchronising call: the background flusher ships it.  Polling
+        ``items_processed`` reads a counter and ships nothing."""
+        spec = TenantSpec("trickle", stream_size=64, seed=6)
+        with IngestService([spec], workers=1) as service:
+            service.append("trickle", np.linspace(0.0, 1.0, 8))
+            deadline = time.monotonic() + 10.0
+            while service.items_processed("trickle") < 8 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.items_processed("trickle") == 8
+
+    def test_appends_block_on_tiny_queue_without_loss_or_reorder(self, monkeypatch):
+        """Backpressure contract: a one-message inbox with per-append
         shipping and many concurrent appenders may block, but must never
         drop or reorder a tenant's batches (the releases stay byte-identical
         to the in-process control)."""
@@ -632,13 +650,9 @@ class TestCoalescedAppends:
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 
-        with IngestService(
-            specs,
-            workers=2,
-            queue_size=1,
-            staging_items=1,
-            flush_interval=None,
-        ) as service:
+        monkeypatch.setattr(partition_module, "INBOX_SIZE", 1)
+        monkeypatch.setattr(service_module, "STAGE_ITEMS", 1)
+        with IngestService(specs, workers=2) as service:
             threads = [
                 threading.Thread(target=appender, args=(spec,)) for spec in specs
             ]
@@ -872,7 +886,7 @@ class TestCheckpointWriter:
         writer = CheckpointWriter()
         try:
             path = tmp_path / "w.state.bin"
-            writer.submit("w", summarizer, path, format="binary")
+            writer.submit("w", summarizer, path)
             assert writer.wait_for("w", timeout=30.0)
             assert path.exists()
             assert _release_bytes(load_checkpoint(path).release()) == expected
@@ -892,8 +906,7 @@ class TestCheckpointWriter:
             path = tmp_path / "w.state.bin"
             versions = 10
             for index in range(versions):
-                writer.submit("w", self._summarizer(seed=2, items=8 + index), path,
-                              format="binary")
+                writer.submit("w", self._summarizer(seed=2, items=8 + index), path)
             assert writer.drain(timeout=30.0)
             assert writer.writes + writer.skipped_writes == versions
             assert writer.writes >= 1
@@ -908,7 +921,7 @@ class TestCheckpointWriter:
         writer = CheckpointWriter()
         try:
             summarizer = self._summarizer(seed=3)
-            writer.submit("w", summarizer, tmp_path / "w.state.bin", format="binary")
+            writer.submit("w", summarizer, tmp_path / "w.state.bin")
             reclaimed = writer.take_back("w", timeout=30.0)
             # Either reclaimed before the write started (identity preserved)
             # or the write already finished and take_back found nothing.
@@ -923,7 +936,7 @@ class TestCheckpointWriter:
         writer = CheckpointWriter()
         try:
             missing = tmp_path / "not" / "a" / "dir" / "w.state.bin"
-            writer.submit("w", self._summarizer(seed=4), missing, format="binary")
+            writer.submit("w", self._summarizer(seed=4), missing)
             writer.drain(timeout=30.0)
             errors = writer.pop_errors()
             assert len(errors) == 1 and errors[0][0] == "w"
@@ -1042,9 +1055,15 @@ class TestReadYourWrites:
 
     QUERY = {"type": "mass", "lower": 0.0, "upper": 0.5}
 
+    @pytest.fixture(autouse=True)
+    def _appends_stay_staged(self, monkeypatch):
+        """An hour-long flush interval: a staged append reaches the worker
+        only when a query, a flush or a full buffer ships it."""
+        monkeypatch.setattr(service_module, "FLUSH_INTERVAL_S", HOUR_S)
+
     def test_unflushed_append_is_covered_by_the_next_answer(self):
         store = ReleaseStore()
-        with IngestService(workers=1, store=store, flush_interval=None) as service:
+        with IngestService(workers=1, store=store) as service:
             service.register(TenantSpec("mine", stream_size=1024, seed=11, continual=True))
             service.append("mine", np.linspace(0.0, 1.0, 64))
             service.flush()
@@ -1061,7 +1080,7 @@ class TestReadYourWrites:
         the next read re-snapshots at most once and later reads reuse that
         snapshot, rather than re-snapshotting on every query."""
         store = ReleaseStore()
-        with IngestService(workers=1, store=store, flush_interval=None) as service:
+        with IngestService(workers=1, store=store) as service:
             service.register(TenantSpec("full", stream_size=64, seed=12, continual=True))
             service.append("full", np.linspace(0.0, 1.0, 60))
             service.flush()
@@ -1082,7 +1101,7 @@ class TestReadYourWrites:
                 service.flush()
             assert [tenant for tenant, _ in excinfo.value.failures] == ["full"]
 
-    def test_appenders_read_their_writes_under_contention(self):
+    def test_appenders_read_their_writes_under_contention(self, monkeypatch):
         """Four appender threads, two per tenant, beside two workers on a
         short switch interval.  After each append a thread reads the
         tenant's accepted count, and its next answer covers at least that
@@ -1091,9 +1110,8 @@ class TestReadYourWrites:
         tenants, rounds, batch = ("a", "b"), 200, 8
         store = ReleaseStore()
         errors: list[BaseException] = []
-        with IngestService(
-            workers=2, store=store, flush_interval=None, staging_items=64
-        ) as service:
+        monkeypatch.setattr(service_module, "STAGE_ITEMS", 64)
+        with IngestService(workers=2, store=store) as service:
             for index, tenant in enumerate(tenants):
                 service.register(
                     TenantSpec(tenant, stream_size=1 << 14, seed=40 + index, continual=True)
@@ -1140,7 +1158,7 @@ class TestReadYourWrites:
         stream, and the query answers from the final release the service
         registered under the name, as if it had arrived a moment later."""
         store = ReleaseStore()
-        with IngestService(workers=1, store=store, flush_interval=None) as service:
+        with IngestService(workers=1, store=store) as service:
             service.register(TenantSpec("ends", stream_size=256, seed=13, continual=True))
             service.append("ends", np.linspace(0.0, 1.0, 64))
             service.flush()
@@ -1363,6 +1381,8 @@ class TestIngestCLI:
         assert "released 4 tenant(s)" in output
 
     def test_ingest_accepts_coalescing_flags(self, tmp_path, capsys):
+        """``--reply-timeout`` is the one coalescing flag left; the staging,
+        flushing and checkpoint-format flags are gone and exit 2."""
         from repro.cli import main
 
         spec_dir, intake = self._write_fleet(tmp_path)
@@ -1373,9 +1393,6 @@ class TestIngestCLI:
                 "--specs", str(spec_dir),
                 "--append", str(intake),
                 "--workers", "2",
-                "--flush-interval", "0",  # 0 disables the background flusher
-                "--staging-items", "1",
-                "--staging-bytes", "65536",
                 "--reply-timeout", "30",
                 "--release-dir", str(out_dir),
             ]
@@ -1385,6 +1402,15 @@ class TestIngestCLI:
             "t0", "t1", "t2", "t3",
         ]
         assert "released 4 tenant(s)" in capsys.readouterr().out
+        for flag, value in (
+            ("--flush-interval", "0"),
+            ("--staging-items", "1"),
+            ("--staging-bytes", "65536"),
+            ("--checkpoint-format", "json"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["ingest", "--specs", str(spec_dir), flag, value])
+            assert excinfo.value.code == 2, flag
 
     def test_ingest_snapshot_single_tenant(self, tmp_path):
         from repro.api.release import Release

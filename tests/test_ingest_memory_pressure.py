@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ingest import IngestService, TenantSpec
+from repro.ingest import service as service_module
 from repro.io.checkpoint_writer import CheckpointWriter
 
 #: Tenant indices in the order the worker handed them to the checkpoint
@@ -75,6 +76,8 @@ def test_eviction_decisions_under_a_tight_budget_are_pinned(tmp_path, monkeypatc
         return submit(self, stem, *args, **kwargs)
 
     monkeypatch.setattr(CheckpointWriter, "submit", recording_submit)
+    # An hour-long flush interval: the flusher never ships a round's appends.
+    monkeypatch.setattr(service_module, "FLUSH_INTERVAL_S", 3600.0)
     rng = np.random.default_rng(2026)
     rows = []
     with IngestService(
@@ -82,7 +85,6 @@ def test_eviction_decisions_under_a_tight_budget_are_pinned(tmp_path, monkeypatc
         workers=1,
         checkpoint_dir=tmp_path,
         memory_budget_words=40_000,
-        flush_interval=None,
     ) as service:
         for _ in range(12):
             # All of a round's appends stay staged until the snapshot ships

@@ -1516,6 +1516,18 @@ class TestRejectedBodiesCloseTheConnection:
                 % len(_SMUGGLED),
                 400,
             ),
+            # int() reads both lengths as covering a valid query and the
+            # blank line after it; RFC 9110 allows only digits.
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: +%d\r\n\r\n%s"
+                % (len(_QUERY) + 2, _QUERY),
+                400,
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n%s"
+                % (b"%d_%d" % divmod(len(_QUERY) + 2, 10), _QUERY),
+                400,
+            ),
         ],
         ids=[
             "missing",
@@ -1529,6 +1541,8 @@ class TestRejectedBodiesCloseTheConnection:
             "space-before-colon",
             "folded-line",
             "bare-cr",
+            "plus-sign",
+            "digit-separator",
         ],
     )
     def test_one_response_then_close(self, releases, head, status):
