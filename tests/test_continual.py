@@ -137,6 +137,93 @@ class TestCounterBank:
         assert bank.true_counts()[0] == pytest.approx(counter.true_count)
         np.testing.assert_allclose(bank._alpha[0], counter._alpha)
 
+    @pytest.mark.parametrize("steps", [0, 1, 100, 255, 256, 511])
+    def test_each_cell_matches_its_own_scalar_counter(self, steps):
+        """Every cell walks a scalar counter's dyadic state, across block merges."""
+        weights = np.random.default_rng(9).random((steps, 3))
+        bank = BinaryMechanismCounterBank(1.0, 1024, 3, rng=np.random.default_rng(0))
+        counters = [
+            BinaryMechanismCounter(1.0, 1024, rng=np.random.default_rng(cell))
+            for cell in range(3)
+        ]
+        for row in weights:
+            bank.step(row)
+            for counter, value in zip(counters, row):
+                counter.step(value)
+        assert bank.steps == steps
+        np.testing.assert_allclose(bank.true_counts(), weights.sum(axis=0))
+        for cell, counter in enumerate(counters):
+            assert counter.steps == steps
+            np.testing.assert_allclose(bank._alpha[cell], counter._alpha)
+            # Noise sits on exactly the scalar counter's live blocks.
+            np.testing.assert_array_equal(
+                bank._noisy_alpha[cell] != 0.0, counter._noisy_alpha != 0.0
+            )
+        if steps == 0:
+            np.testing.assert_array_equal(bank.query_all(), np.zeros(3))
+
+    def test_horizon_and_shape_enforced_before_mutation(self):
+        bank = BinaryMechanismCounterBank(1.0, 4, 2, rng=np.random.default_rng(0))
+        refusals = [(3, ValueError, "shape", [1.0]), (4, RuntimeError, "horizon", [1.0, 2.0])]
+        for steps, error, match, weights in refusals:
+            while bank.steps < steps:
+                bank.step([1.0, 2.0])
+            alpha, noisy = bank._alpha.copy(), bank._noisy_alpha.copy()
+            with pytest.raises(error, match=match):
+                bank.step(weights)
+            assert bank.steps == steps  # the refused event left the state untouched
+            np.testing.assert_array_equal(bank._alpha, alpha)
+            np.testing.assert_array_equal(bank._noisy_alpha, noisy)
+
+    def test_every_cell_draws_noise_on_every_event(self):
+        """Untouched cells are noised too, so the noise shows no hit pattern."""
+        bank = BinaryMechanismCounterBank(1.0, 64, 4, rng=np.random.default_rng(0))
+        draws = []
+        original = bank._rng.laplace
+        bank._rng = type(
+            "R", (), {"laplace": lambda self, loc, scale, size=None: (
+                draws.append(size), original(loc, scale, size=size))[1]}
+        )()
+        for step in range(10):
+            bank.step([float(step), 0.0, 0.0, 0.0] if step % 2 else np.zeros(4))
+        assert draws == [4] * 10
+        np.testing.assert_array_equal(bank.true_counts()[1:], np.zeros(3))
+        assert np.all(bank.query_all()[1:] != 0.0)
+
+    def test_pad_to_current_step_is_a_no_op_and_beyond_horizon_refused(self):
+        bank = BinaryMechanismCounterBank(1.0, 8, 2, rng=np.random.default_rng(0))
+        bank.step([1.0, 2.0])
+        bank.step([3.0, 4.0])
+        before = bank.query_all()
+        bank.pad_to(2)
+        bank.pad_to(1)
+        assert bank.steps == 2
+        np.testing.assert_array_equal(bank.query_all(), before)
+        with pytest.raises(ValueError, match="beyond horizon"):
+            bank.pad_to(9)
+        assert bank.steps == 2
+        np.testing.assert_array_equal(bank.query_all(), before)
+
+    def test_merged_shards_hold_the_exact_state_of_one_bank(self):
+        """Padded shards merge into the partial sums of one bank fed both streams."""
+        rows = np.random.default_rng(3).random((37, 3))
+        left = BinaryMechanismCounterBank(1.0, 64, 3, rng=np.random.default_rng(0))
+        right = BinaryMechanismCounterBank(1.0, 64, 3, rng=np.random.default_rng(1))
+        whole = BinaryMechanismCounterBank(1.0, 64, 3, rng=np.random.default_rng(2))
+        for row in rows[:23]:
+            left.step(row)
+        for row in rows[23:]:
+            right.step(row)
+        right.pad_to(23)
+        whole_rows = rows[:23].copy()
+        whole_rows[: 37 - 23] += rows[23:]
+        for row in whole_rows:
+            whole.step(row)
+        merged = left.merged_with(right)
+        assert merged.steps == whole.steps == 23
+        np.testing.assert_allclose(merged._alpha, whole._alpha)
+        np.testing.assert_allclose(merged.true_counts(), rows.sum(axis=0))
+
     def test_pad_to_adds_data_free_events(self):
         bank = BinaryMechanismCounterBank(
             epsilon=100.0, horizon=32, size=2, rng=np.random.default_rng(0)
