@@ -93,7 +93,7 @@ def decompose_error(
     data = list(data)
     if not data:
         raise ValueError("data must be non-empty")
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
     if synthetic_size is None:
         synthetic_size = len(data)
     data_array = np.asarray(data)

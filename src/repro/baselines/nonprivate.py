@@ -49,7 +49,7 @@ class NonPrivateHistogramMethod(SyntheticDataMethod):
         data = list(data)
         if not data:
             raise ValueError("data must be non-empty")
-        generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        generator = np.random.default_rng(rng)
         depth = self._resolve_depth(len(data))
         tree = build_exact_tree(data, self.domain, depth)
         self._tree = tree

@@ -46,7 +46,15 @@ def build_exact_tree(data, domain: Domain, depth: int) -> PartitionTree:
 
 
 class PMMMethod(SyntheticDataMethod):
-    """The full-tree private measure mechanism (no pruning, no sketches)."""
+    """The full-tree private measure mechanism (no pruning, no sketches).
+
+    Privacy: epsilon-DP for datasets that differ by one added or removed
+    item.  Level ``l`` of the complete tree adds ``Laplace(1/b_l)`` to each
+    of its ``2^l`` counts, the level budgets ``b_l`` summing to epsilon,
+    because one item moves one count per level by 1.  When one item's value
+    changes instead, two counts per level move and the same noise gives
+    2 epsilon.
+    """
 
     name = "PMM"
 
@@ -84,7 +92,7 @@ class PMMMethod(SyntheticDataMethod):
         data = list(data)
         if not data:
             raise ValueError("data must be non-empty")
-        generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        generator = np.random.default_rng(rng)
         depth = self._resolve_depth(len(data))
 
         tree = build_exact_tree(data, self.domain, depth)

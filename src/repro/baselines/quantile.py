@@ -66,7 +66,13 @@ class QuantileSampler:
 
 
 class QuantileMethod(SyntheticDataMethod):
-    """Noisy-CDF inverse sampling on a bounded number of bins (d=1 only)."""
+    """Noisy-CDF inverse sampling on a bounded number of bins (d=1 only).
+
+    Privacy: epsilon-DP for datasets that differ by one added or removed
+    item: one item moves one bin count by 1, and every bin gets
+    ``Laplace(1/epsilon)``.  When one item's value changes instead, two
+    bins move and the same noise gives 2 epsilon.
+    """
 
     name = "DP-Quantile"
 
@@ -86,7 +92,7 @@ class QuantileMethod(SyntheticDataMethod):
         values = np.asarray(list(data), dtype=float)
         if values.size == 0:
             raise ValueError("data must be non-empty")
-        generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        generator = np.random.default_rng(rng)
 
         if isinstance(self.domain, DiscreteDomain):
             upper = float(self.domain.size)

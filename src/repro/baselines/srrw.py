@@ -22,7 +22,13 @@ __all__ = ["SRRWMethod"]
 
 
 class SRRWMethod(PMMMethod):
-    """Dyadic prefix-noise private measure (SRRW stand-in): PMM, uniform budgets."""
+    """Dyadic prefix-noise private measure (SRRW stand-in): PMM, uniform budgets.
+
+    Privacy: as :class:`~repro.baselines.pmm.PMMMethod`, epsilon-DP for
+    datasets that differ by one added or removed item, with every level at
+    ``Laplace(1/b_l)`` and ``b_l = epsilon / (depth + 1)``.  One changed
+    item costs 2 epsilon.
+    """
 
     name = "SRRW"
 

@@ -70,7 +70,7 @@ class BinaryMechanismCounter:
         self.epsilon = float(epsilon)
         self.horizon = int(horizon)
         self.levels = _dyadic_levels(self.horizon)
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         self._noise_scale = self.levels / self.epsilon
         # alpha[i] holds the exact partial sum of the current dyadic block at
         # level i; noisy_alpha[i] the corresponding noisy release.
@@ -187,7 +187,7 @@ class BinaryMechanismCounterBank:
         self.horizon = int(horizon)
         self.size = int(size)
         self.levels = _dyadic_levels(self.horizon)
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         self._noise_scale = self.levels / self.epsilon
         self._alpha = np.zeros((self.size, self.levels))
         self._noisy_alpha = np.zeros((self.size, self.levels))

@@ -7,7 +7,7 @@ private under continual observation when each cell's counter is run with
 budget ``epsilon / depth``.
 
 The cells live in one :class:`~repro.continual.counter.BinaryMechanismCounterBank`
-sharing a single event-driven time axis: each :meth:`update` /
+sharing a single event-driven time axis: each
 :meth:`ContinualPrivateCountMinSketch.update_batch` call is one synchronized
 step of the whole ``depth x width`` table (cells the event does not touch
 step with weight 0).  That makes the time axis data-independent and lets one
@@ -31,14 +31,20 @@ __all__ = ["ContinualPrivateCountMinSketch"]
 class ContinualPrivateCountMinSketch:
     """Count-Min sketch whose cells release privately at every event.
 
+    Writes and reads take the canonical keys ``(1 << l) | code`` of
+    :func:`repro.core.base.cell_keys`; each :meth:`update_batch` is one
+    event.
+
     Example:
+        >>> from repro.core.base import cell_keys
         >>> sketch = ContinualPrivateCountMinSketch(
         ...     width=16, depth=2, epsilon=1000.0, horizon=8, seed=0, rng=0
         ... )
-        >>> sketch.update("hot", 5.0)
-        >>> sketch.update("hot", 2.0)
-        >>> round(sketch.query("hot"))
-        7
+        >>> hot = cell_keys(3, np.array([5]))
+        >>> sketch.update_batch(hot, np.array([5.0]))
+        >>> sketch.update_batch(hot, np.array([2.0]))
+        >>> sketch.events, round(sketch.query(int(hot[0])))
+        (2, 7)
     """
 
     def __init__(
@@ -60,7 +66,7 @@ class ContinualPrivateCountMinSketch:
         self.horizon = int(horizon)
         self.seed = seed
         self._hashes = HashFamily(depth=self.depth, width=self.width, seed=seed)
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         # Per-cell budget: one element touches one cell per row, so the rows
         # compose and each cell's counter runs with epsilon / depth.
         self._bank = BinaryMechanismCounterBank(
@@ -75,34 +81,15 @@ class ContinualPrivateCountMinSketch:
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
-    def update(self, key, count: float = 1.0) -> None:
-        """Add ``count`` to the key's cell in every row (one event)."""
-        weights = np.zeros((self.depth, self.width))
-        for row in range(self.depth):
-            weights[row, self._hashes.bucket(row, key)] = count
-        self._step(weights, updates=1)
-
-    def update_many(self, keys, counts=None) -> None:
-        """Add several (key, count) pairs in one synchronized event."""
-        keys = list(keys)
-        if counts is None:
-            counts = [1.0] * len(keys)
-        weights = np.zeros((self.depth, self.width))
-        for key, count in zip(keys, counts):
-            for row in range(self.depth):
-                weights[row, self._hashes.bucket(row, key)] += float(count)
-        self._step(weights, updates=len(keys))
-
     def update_batch(self, keys, counts) -> None:
-        """Aggregated vectorised update: one event for a whole batch.
+        """Add a batch of keyed counts as one event: the one write.
 
         ``keys`` must be a 1-d integer array of canonical keys in
         ``[0, 2^63)`` (see
-        :meth:`repro.sketch.countmin.CountMinSketch.update_batch`; the batched
-        ingestion path packs hierarchy cells this way) and ``counts`` their
-        aggregated weights.  One ``bincount`` per block of hashed rows builds
-        the weight table, summing each bucket from 0.0 in key order, and the
-        bank advances a single step, so the cost is
+        :meth:`repro.sketch.countmin.CountMinSketch.update_batch`) and
+        ``counts`` their aggregated weights.  One ``bincount`` per block of
+        hashed rows builds the weight table, summing each bucket from 0.0 in
+        key order, and the bank advances a single step, so the cost is
         ``O(batch * depth + depth * width * levels)`` independent of how many
         items the aggregated weights represent.
         """
@@ -115,11 +102,8 @@ class ContinualPrivateCountMinSketch:
             weights[rows] = np.bincount(
                 cells.ravel(), weights=np.tile(counts, height), minlength=height * self.width
             ).reshape(height, self.width)
-        self._step(weights, updates=int(counts.size))
-
-    def _step(self, weights: np.ndarray, updates: int) -> None:
         self._bank.step(weights.ravel())
-        self._updates += updates
+        self._updates += int(counts.size)
         self._released = None
 
     # ------------------------------------------------------------------ #
@@ -131,18 +115,18 @@ class ContinualPrivateCountMinSketch:
             self._released = self._bank.query_all().reshape(self.depth, self.width)
         return self._released
 
-    def query(self, key) -> float:
-        """Noisy point estimate: minimum of the rows' current releases."""
-        table = self.released_table()
-        return float(
-            min(table[row, self._hashes.bucket(row, key)] for row in range(self.depth))
-        )
+    def query(self, key: int) -> float:
+        """Noisy point estimate of one canonical key: :meth:`query_many` of
+        ``[key]``; a key that is not an integer in ``[0, 2^63)`` raises
+        ``ValueError``."""
+        return float(self.query_many(np.array([key]))[0])
 
     def query_many(self, keys) -> np.ndarray:
         """Noisy point estimates of canonical integer keys, as one array.
 
         ``keys`` are canonical integer keys below ``2^63``, as for
-        :meth:`update_batch`; entry ``i`` equals ``query`` of key ``i``.
+        :meth:`update_batch`; each estimate is the minimum of the key's
+        buckets across the rows of :meth:`released_table`.
         """
         return self._hashes.min_over_rows(self.released_table(), keys)
 

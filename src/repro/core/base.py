@@ -82,8 +82,12 @@ def level_counts(
 def cell_keys(level: int, cells: np.ndarray) -> np.ndarray:
     """Canonical sketch keys ``(1 << level) | code`` of level-``level`` cells.
 
-    This is :func:`repro.sketch.hashing.canonical_key` of each cell's bit
-    tuple, so batched sketch updates hit the same buckets as per-item ones.
+    The one producer of the keys every Count-Min sketch takes: the bit tuple
+    ``b_0 .. b_{l-1}`` of a cell is packed as the bits ``1 b_0 .. b_{l-1}``,
+    so cells of different levels never share a key.
+
+    >>> cell_keys(2, np.array([0b01, 0b10])).tolist()
+    [5, 6]
     """
     return cells.astype(np.uint64) | (np.uint64(1) << np.uint64(level))
 

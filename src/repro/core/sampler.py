@@ -49,12 +49,12 @@ class SyntheticDataGenerator:
     ) -> None:
         self.tree = tree
         self.domain = domain
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         self._descent: CompiledDescentTable | None = None
 
     def reseed(self, rng: np.random.Generator | int | None) -> "SyntheticDataGenerator":
         """Replace the sampling generator; the tree counts are never touched."""
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         return self
 
     # ------------------------------------------------------------------ #

@@ -39,10 +39,6 @@ class GeoDomain(Domain):
     # ------------------------------------------------------------------ #
     # normalisation helpers
     # ------------------------------------------------------------------ #
-    @property
-    def _spans(self) -> np.ndarray:
-        return np.array([self.lat_max - self.lat_min, self.lon_max - self.lon_min])
-
     def _normalise(self, point) -> np.ndarray:
         """Map a (lat, lon) pair to the unit square."""
         lat, lon = float(point[0]), float(point[1])

@@ -1,20 +1,12 @@
 """Shared plumbing for the experiment modules.
 
-Provides batched ingestion through the unified ``repro.api`` surface, the
-shared measured-row schema, and plain-text table formatting so every
-experiment prints results in the same shape the paper's tables use.
+Provides the shared measured-row schema and plain-text table formatting so
+every experiment prints results in the same shape the paper's tables use.
 """
 
 from __future__ import annotations
 
-from repro.api.builder import PrivHPBuilder
-from repro.api.release import Release
-from repro.api.summarizer import DEFAULT_BATCH_SIZE, ingest_batches
-from repro.domain.base import Domain
-
 __all__ = [
-    "ingest_batches",
-    "fit_release",
     "format_table",
     "domain_spec_for_dimension",
     "measured_row",
@@ -41,32 +33,6 @@ def measured_row(aggregate_row: dict) -> dict:
         "fit_seconds": aggregate_row.get("fit_seconds", 0.0),
         "sample_seconds": aggregate_row.get("sample_seconds", 0.0),
     }
-
-
-def fit_release(
-    domain: Domain | str,
-    data,
-    epsilon: float,
-    pruning_k: int,
-    seed: int | None = 0,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    **overrides,
-) -> Release:
-    """One-stop config -> fit -> release through the builder (batched path).
-
-    This is the plumbing every experiment used to re-implement by hand;
-    ``overrides`` are forwarded to the Corollary-1 defaults (``depth``,
-    ``sketch_width``, ...).
-    """
-    builder = (
-        PrivHPBuilder(domain)
-        .epsilon(epsilon)
-        .pruning_k(pruning_k)
-        .stream_size(len(data))
-        .seed(seed)
-        .override(**overrides)
-    )
-    return ingest_batches(builder.build(), data, batch_size).release()
 
 
 def format_table(rows: list[dict], float_format: str = "{:.5g}") -> str:

@@ -15,11 +15,11 @@ import time
 
 import numpy as np
 
+from repro.api.summarizer import ingest_batches
 from repro.core.config import PrivHPConfig
 from repro.core.privhp import PrivHP
 from repro.domain.hypercube import Hypercube
 from repro.domain.interval import UnitInterval
-from repro.experiments.harness import ingest_batches
 from repro.memory.accounting import measure_privhp
 from repro.stream.generators import gaussian_mixture_stream
 from repro.stream.stream import DataStream

@@ -148,7 +148,8 @@ class IngestWorker(threading.Thread):
 
     Constructed and driven by :class:`repro.ingest.service.IngestService`;
     nothing here is shared -- specs arrive as ``register`` messages, data as
-    ``append`` messages, and results leave through :class:`ReplyBox` slots.
+    ``append_many`` messages of ``(tenant_id, arrays)`` pairs, and results
+    leave through :class:`ReplyBox` slots.
 
     Example:
         >>> import numpy as np
@@ -156,7 +157,7 @@ class IngestWorker(threading.Thread):
         >>> worker = IngestWorker(index=0)
         >>> worker.start()
         >>> worker.send("register", TenantSpec("demo", stream_size=64, seed=3))
-        >>> worker.send("append", "demo", np.linspace(0.0, 1.0, 64))
+        >>> worker.send("append_many", [("demo", [np.linspace(0.0, 1.0, 64)])])
         >>> release = worker.request("release", "demo")
         >>> release.items_processed
         64
@@ -256,9 +257,6 @@ class IngestWorker(threading.Thread):
             pending.clear()
 
         for op, box, payload in messages:
-            if op == "append":
-                pending.setdefault(str(payload[0]), []).append(payload[1])
-                continue
             if op == "append_many":
                 for tenant_id, arrays in payload[0]:
                     pending.setdefault(str(tenant_id), []).extend(arrays)

@@ -278,8 +278,14 @@ class IngestService:
         self._flusher.start()
         if specs is not None:
             entries = specs.values() if hasattr(specs, "values") else specs
-            for spec in entries:
-                self.register(spec)
+            try:
+                for spec in entries:
+                    self.register(spec)
+            except BaseException:
+                # A refused spec must not leave the threads started above
+                # running for the life of the process.
+                self.close()
+                raise
 
     # ------------------------------------------------------------------ #
     # tenant lifecycle

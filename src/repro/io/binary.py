@@ -625,7 +625,7 @@ def _attach_engines(release, tree, domain, compiled: dict, envelope: BinaryEnvel
             root_count=_table_root_count(leaf_info, "leaf table"),
             arrays=_compiled_arrays(envelope, "compiled.leaf."),
         )
-        release._engines["range"] = RangeQueryEngine.from_compiled(tree, domain, table)
+        release._engines["range"] = RangeQueryEngine(tree, domain, table=table)
     descent_info = compiled.get("descent")
     if isinstance(descent_info, dict):
         table = CompiledDescentTable.from_arrays(
@@ -633,7 +633,7 @@ def _attach_engines(release, tree, domain, compiled: dict, envelope: BinaryEnvel
             root_count=_table_root_count(descent_info, "descent table"),
             arrays=_compiled_arrays(envelope, "compiled.descent."),
         )
-        release._engines["quantile"] = QuantileEngine.from_compiled(tree, domain, table)
+        release._engines["quantile"] = QuantileEngine(tree, domain, table=table)
 
 
 def load_release_binary(path: str | pathlib.Path, sampling_seed: int | None = None):

@@ -109,7 +109,7 @@ def evaluate_method(
     data = list(data)
     if not data:
         raise ValueError("data must be non-empty")
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
     if synthetic_size is None:
         synthetic_size = len(data)
 
@@ -214,7 +214,7 @@ def evaluate_method_trajectory(
         }
         return result
 
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
     per_rep: list[list[float | None]] = []
     memory_words = 0
     fit_seconds = 0.0

@@ -136,7 +136,7 @@ def sliced_wasserstein(
     b = _as_2d(samples_b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share their dimension")
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
     dimension = a.shape[1]
     if dimension == 1:
         return wasserstein1_1d(a.ravel(), b.ravel())

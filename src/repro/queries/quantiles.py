@@ -60,18 +60,6 @@ class QuantileEngine:
         self.domain = domain
         self._table = table if table is not None else CompiledDescentTable(tree, domain)
 
-    @classmethod
-    def from_compiled(
-        cls, tree: PartitionTree, domain: Domain, table: CompiledDescentTable
-    ) -> "QuantileEngine":
-        """An engine over an already-compiled (e.g. memory-mapped) descent table.
-
-        Used by the binary cold-start path
-        (:func:`repro.io.binary.load_release_binary`) to skip the tree walk
-        entirely: the node arrays come straight from the envelope's sections.
-        """
-        return cls(tree, domain, table=table)
-
     def _interpolated_point(self, node: int, fraction: float):
         """A point ``fraction`` of the way through a node's cell (linear interpolation)."""
         fraction = min(max(fraction, 0.0), 1.0)

@@ -73,18 +73,6 @@ class RangeQueryEngine:
         self.domain = domain
         self._table = table if table is not None else CompiledLeafTable(tree, domain)
 
-    @classmethod
-    def from_compiled(
-        cls, tree: PartitionTree, domain: Domain, table: CompiledLeafTable
-    ) -> "RangeQueryEngine":
-        """An engine over an already-compiled (e.g. memory-mapped) leaf table.
-
-        This is the binary cold-start path: :func:`repro.io.binary.load_release_binary`
-        reconstructs the table straight from the envelope's array sections, so
-        the engine is ready without walking the tree at all.
-        """
-        return cls(tree, domain, table=table)
-
     # ------------------------------------------------------------------ #
     # canonicalisation: raw per-query bounds -> kernel-ready arrays
     # ------------------------------------------------------------------ #

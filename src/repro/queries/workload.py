@@ -63,7 +63,7 @@ def random_range_queries(
         raise ValueError(f"count must be non-negative, got {count}")
     if not 0 < min_width <= max_width <= 1:
         raise ValueError("widths must satisfy 0 < min_width <= max_width <= 1")
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    generator = np.random.default_rng(rng)
 
     queries: list[RangeQuery] = []
     for _ in range(count):

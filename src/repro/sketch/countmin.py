@@ -18,7 +18,7 @@ __all__ = ["CountMinSketch"]
 
 
 class CountMinSketch:
-    """A Count-Min sketch over arbitrary hashable keys.
+    """A Count-Min sketch over canonical integer cell keys.
 
     Parameters
     ----------
@@ -35,14 +35,15 @@ class CountMinSketch:
 
     Examples
     --------
-    Scalar updates take a cell's bit tuple; batched ones take its canonical
-    key ``(1 << l) | code`` and land in the same buckets:
+    Writes and reads take the canonical keys ``(1 << l) | code`` of
+    :func:`repro.core.base.cell_keys`:
 
+    >>> from repro.core.base import cell_keys
     >>> sketch = CountMinSketch(width=64, depth=4, seed=0)
-    >>> sketch.update((0, 1), 3.0)
-    >>> sketch.update_batch(np.array([(1 << 2) | 0b01], dtype=np.uint64), np.array([2.0]))
-    >>> sketch.query((0, 1))
-    5.0
+    >>> keys = cell_keys(2, np.array([0b01, 0b10]))
+    >>> sketch.update_batch(keys, np.array([3.0, 2.0]))
+    >>> sketch.query_many(keys).tolist(), sketch.query(int(keys[0]))
+    ([3.0, 2.0], 3.0)
     """
 
     def __init__(self, width: int, depth: int, seed: int | None = None) -> None:
@@ -58,55 +59,19 @@ class CountMinSketch:
         self._total = 0.0
         self._updates = 0
 
-    # ------------------------------------------------------------------ #
-    # update / query
-    # ------------------------------------------------------------------ #
-    def update(self, key, count: float = 1.0) -> None:
-        """Add ``count`` to ``key``'s bucket in every row."""
-        for row in range(self.depth):
-            self._table[row, self._hashes.bucket(row, key)] += count
-        self._total += count
-        self._updates += 1
-
-    def query(self, key) -> float:
-        """Point estimate: minimum bucket value across rows."""
-        return float(
-            min(
-                self._table[row, self._hashes.bucket(row, key)]
-                for row in range(self.depth)
-            )
-        )
-
-    def __contains__(self, key) -> bool:
-        """Membership is not tracked exactly; a zero estimate means 'absent'."""
-        return self.query(key) > 0
-
-    # ------------------------------------------------------------------ #
-    # bulk helpers
-    # ------------------------------------------------------------------ #
-    def update_many(self, keys, counts=None) -> None:
-        """Update the sketch with an iterable of keys (optionally weighted)."""
-        if counts is None:
-            for key in keys:
-                self.update(key)
-        else:
-            for key, count in zip(keys, counts):
-                self.update(key, count)
-
     def update_batch(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Aggregated vectorised update: canonical integer keys with weights.
+        """Add each key's count to its bucket in every row: the one write.
 
-        ``keys`` must be a 1-d integer array of canonical keys (see
-        :func:`repro.sketch.hashing.canonical_key`) in ``[0, 2^63)``, or
-        ``ValueError`` is raised; for a hierarchy cell at level ``l`` with
-        in-level index ``c`` that is the packed value ``(1 << l) | c``, so the
-        batch lands in exactly the same buckets as per-item tuple updates.
-        Each block of rows from :meth:`HashFamily.cell_blocks` is one
-        ``np.add.at`` over the flat table, so every bucket's adds arrive in
-        key order, as they do from per-item updates.  ``counts`` are
-        aggregated multiplicities, and the ``updates`` counter advances by
-        their sum so batched and per-item ingestion of the same stream leave
-        identical sketch state.
+        ``keys`` must be a 1-d integer array of canonical keys in ``[0,
+        2^63)``, or ``ValueError`` is raised before the table changes; for a
+        hierarchy cell at level ``l`` with in-level index ``c`` that is
+        ``(1 << l) | c`` (:func:`repro.core.base.cell_keys`).  Each block of
+        rows from :meth:`HashFamily.cell_blocks` is one ``np.add.at`` over
+        the flat table, so every bucket's adds arrive in key order: the
+        table equals adding each count at ``HashFamily.buckets(key)[row]``,
+        key by key.  ``counts`` are aggregated multiplicities, and the
+        ``updates`` counter advances by their sum, the number of items they
+        stand for.
         """
         counts = np.asarray(counts, dtype=float)
         if np.shape(keys) != counts.shape or counts.ndim != 1:
@@ -116,17 +81,23 @@ class CountMinSketch:
         self._total += float(counts.sum())
         self._updates += int(round(float(counts.sum())))
 
+    def query(self, key: int) -> float:
+        """Point estimate of one canonical key: :meth:`query_many` of ``[key]``.
+
+        A key that is not an integer in ``[0, 2^63)`` raises ``ValueError``.
+        """
+        return float(self.query_many(np.array([key]))[0])
+
     def query_many(self, keys) -> np.ndarray:
         """Point estimates of canonical integer keys, as one array.
 
         ``keys`` are canonical integer keys below ``2^63``, as for
-        :meth:`update_batch`; entry ``i`` equals ``query`` of key ``i``.
+        :meth:`update_batch`; each estimate is the minimum of the key's
+        buckets across rows, under ``min()``'s tie rule
+        (:meth:`HashFamily.min_over_rows`).
         """
         return self._hashes.min_over_rows(self._table, keys)
 
-    # ------------------------------------------------------------------ #
-    # state / composition
-    # ------------------------------------------------------------------ #
     @property
     def table(self) -> np.ndarray:
         """A copy of the counter matrix (rows x buckets)."""
@@ -139,21 +110,13 @@ class CountMinSketch:
 
     @property
     def updates(self) -> int:
-        """Number of update operations performed."""
+        """Number of items added: the rounded sum of every batch's counts."""
         return self._updates
 
-    def add_noise_matrix(self, noise: np.ndarray) -> None:
-        """Add a pre-sampled noise matrix to the counters (oblivious release)."""
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != self._table.shape:
-            raise ValueError(
-                f"noise shape {noise.shape} does not match sketch shape {self._table.shape}"
-            )
-        self._table += noise
-
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        """Merge another sketch built with identical parameters and seed."""
-        if not isinstance(other, CountMinSketch):
+        """Merge another sketch of the same type built with identical
+        parameters and seed (a plain and a private sketch never merge)."""
+        if type(other) is not type(self):
             raise TypeError("can only merge with another CountMinSketch")
         if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
             raise ValueError("sketches must share width, depth and seed to merge")

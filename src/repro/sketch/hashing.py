@@ -4,16 +4,16 @@ The paper's error analysis (Lemma 4) assumes fully random hash functions, but
 its privacy guarantee does not.  In the implementation we use seeded
 polynomial hashing over a Mersenne prime, which is the standard practical
 substitute: it is deterministic given the seed (so sketches are reproducible
-and mergeable) and behaves like a random function on the bit-string keys used
-by the hierarchy.
+and mergeable) and behaves like a random function on the cell keys used by
+the hierarchy.
 
-Scalar keys are arbitrary hashable Python objects; bit-tuples (the ``theta``
-indices of hierarchy cells) and integers are the common cases.
-:func:`canonical_key` maps each of them to an integer below the prime, so
-equal keys always collide with themselves.  Batched reads and writes take
-those integers directly: :meth:`HashFamily.cell_blocks` hashes a 1-d array of
-integer keys in ``[0, 2^63)`` against every row of the family, a block of
-rows at a time, and puts each key in the bucket the scalar hash gives it.
+Keys are canonical integers: a hierarchy cell at level ``l`` with in-level
+index ``c`` is the key ``(1 << l) | c`` that
+:func:`repro.core.base.cell_keys` produces.  Row ``i`` of a family maps key
+``k`` to ``((a_i k + b_i) mod p) mod width``.  :meth:`HashFamily.cell_blocks`
+hashes a 1-d array of keys in ``[0, 2^63)`` against every row of the family,
+a block of rows at a time; :meth:`HashFamily.buckets` computes one key's
+buckets in Python ints, the oracle the batched paths are tested against.
 
 The residue ``(a k + b) mod p`` of a batch is computed one of two ways, and
 the largest key picks which.  Keys below ``2^50`` (the cell keys of levels
@@ -30,46 +30,15 @@ gives.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MERSENNE_PRIME", "canonical_key", "PairwiseHash", "HashFamily"]
+__all__ = ["MERSENNE_PRIME", "HashFamily"]
 
 # 2^61 - 1: large Mersenne prime that still fits comfortably in 64-bit ints.
 MERSENNE_PRIME = (1 << 61) - 1
-
-
-def canonical_key(key) -> int:
-    """Map an arbitrary key to a non-negative integer deterministically.
-
-    Bit tuples (the hierarchy's ``theta`` indices) are packed as
-    ``1 b_0 b_1 ... b_{l-1}`` so that tuples of different lengths never
-    collide by construction.  Integers map to themselves (offset to be
-    non-negative), strings and bytes are hashed via a simple polynomial over
-    their bytes.  The mapping must be stable across processes, so Python's
-    built-in randomised ``hash`` is deliberately avoided.
-    """
-    if isinstance(key, (tuple, list)):
-        value = 1
-        for element in key:
-            if isinstance(element, (int, np.integer)) and int(element) in (0, 1):
-                value = ((value << 1) | int(element)) % MERSENNE_PRIME
-            else:
-                # General tuples: fold each element recursively.
-                value = (value * 1_000_003 + canonical_key(element)) % MERSENNE_PRIME
-        return value % MERSENNE_PRIME
-    if isinstance(key, (int, np.integer)):
-        return int(key) % MERSENNE_PRIME
-    if isinstance(key, str):
-        key = key.encode("utf-8")
-    if isinstance(key, (bytes, bytearray)):
-        value = 0
-        for byte in key:
-            value = (value * 257 + byte + 1) % MERSENNE_PRIME
-        return value
-    raise TypeError(f"unsupported sketch key type: {type(key)!r}")
 
 
 _MASK61 = np.uint64(MERSENNE_PRIME)
@@ -99,7 +68,7 @@ def _exact_keys(keys) -> tuple[np.ndarray, int]:
 
     Both residue paths are exact for keys below ``2^63`` only, and a signed
     or float key would be wrapped or truncated by the cast; such keys raise
-    instead of landing in a bucket the scalar hash would not pick.
+    instead of landing in a bucket :meth:`HashFamily.buckets` would not pick.
     """
     keys = np.asarray(keys)
     if keys.ndim != 1 or keys.dtype.kind not in "iu":
@@ -113,19 +82,19 @@ def _exact_keys(keys) -> tuple[np.ndarray, int]:
     return keys.astype(np.uint64, copy=False), top
 
 
-def _coefficient_columns(hashes) -> tuple[np.ndarray, ...]:
+def _coefficient_columns(rows) -> tuple[np.ndarray, ...]:
     """The ``(a, b, fl(a / p), fl(b / p - 1/2))`` columns of
-    :func:`_residue_blocks`, one row per hash.
+    :func:`_residue_blocks`, one row per ``(a, b)`` pair of ``rows``.
 
     ``a`` and ``b`` are uint64.  The float64 columns come from Python's int
     true division, which is correctly rounded: ``a / p`` and ``(2 b - p) /
     (2 p)``.
     """
     return (
-        np.array([[h.a] for h in hashes], dtype=np.uint64),
-        np.array([[h.b] for h in hashes], dtype=np.uint64),
-        np.array([[h.a / MERSENNE_PRIME] for h in hashes]),
-        np.array([[(2 * h.b - MERSENNE_PRIME) / (2 * MERSENNE_PRIME)] for h in hashes]),
+        np.array([[a] for a, _ in rows], dtype=np.uint64),
+        np.array([[b] for _, b in rows], dtype=np.uint64),
+        np.array([[a / MERSENNE_PRIME] for a, _ in rows]),
+        np.array([[(2 * b - MERSENNE_PRIME) / (2 * MERSENNE_PRIME)] for _, b in rows]),
     )
 
 
@@ -231,29 +200,12 @@ def _split_residues(hi8, hi, lo, b, k_hi, k_lo) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class PairwiseHash:
-    """A single pairwise-independent hash ``h(x) = ((a x + b) mod p) mod width``."""
-
-    a: int
-    b: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"hash width must be positive, got {self.width}")
-        if not (1 <= self.a < MERSENNE_PRIME):
-            raise ValueError("hash coefficient a must be in [1, p)")
-        if not (0 <= self.b < MERSENNE_PRIME):
-            raise ValueError("hash coefficient b must be in [0, p)")
-
-    def __call__(self, key) -> int:
-        value = canonical_key(key)
-        return int(((self.a * value + self.b) % MERSENNE_PRIME) % self.width)
-
-
 class HashFamily:
-    """A reproducible family of ``depth`` row hashes."""
+    """A reproducible family of ``depth`` row hashes of one ``width``.
+
+    Row ``i`` is the pair ``(a_i, b_i)`` of Python ints, drawn from ``seed``
+    row by row: ``a = rng.integers(1, p)``, then ``b = rng.integers(0, p)``.
+    """
 
     def __init__(self, depth: int, width: int, seed: int | None = None) -> None:
         if depth <= 0:
@@ -263,27 +215,19 @@ class HashFamily:
         self.depth = depth
         self.width = width
         rng = np.random.default_rng(seed)
-        self._row_hashes = [
-            PairwiseHash(
-                a=int(rng.integers(1, MERSENNE_PRIME)),
-                b=int(rng.integers(0, MERSENNE_PRIME)),
-                width=width,
-            )
+        self._rows = [
+            (int(rng.integers(1, MERSENNE_PRIME)), int(rng.integers(0, MERSENNE_PRIME)))
             for _ in range(depth)
         ]
-        self._row_columns = _coefficient_columns(self._row_hashes)
+        self._row_columns = _coefficient_columns(self._rows)
         self._row_offsets = np.arange(depth, dtype=np.uint64)[:, None] * np.uint64(width)
-
-    def bucket(self, row: int, key) -> int:
-        """Bucket index of ``key`` in ``row``."""
-        return self._row_hashes[row](key)
 
     def cell_blocks(self, keys) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield ``(rows, cells)`` covering every row once, a block at a time.
 
         ``keys`` is a 1-d integer array of canonical keys in ``[0, 2^63)``
         (anything else raises ``ValueError`` before the first block);
-        ``cells[i, j]`` is ``i * width + bucket(rows.start + i, keys[j])``,
+        ``cells[i, j]`` is ``i * width + buckets(keys[j])[rows.start + i]``,
         the flat index of key ``j``'s bucket in ``table[rows].reshape(-1)``.
         See :func:`_residue_blocks` for the block rule and the two residue
         paths.
@@ -293,13 +237,15 @@ class HashFamily:
         libdivide's multiply-and-shift, about twice as fast on a 16,384-value
         block as its uint64 remainder, and the two give the same integers.
 
-        A key below ``2^50`` (quotient path) and one above (integer path)
-        land in the buckets the scalar hash gives them:
+        The cell keys of a level-42 cell (quotient path) and a level-57 one
+        (integer path) land in the buckets :meth:`buckets` gives them:
 
+        >>> from repro.core.base import cell_keys
         >>> family = HashFamily(depth=3, width=10, seed=0)
-        >>> for key in (5 << 40, 5 << 55):
-        ...     [(rows, cells)] = family.cell_blocks(np.array([key], dtype=np.uint64))
-        ...     print((cells[:, 0] % 10).tolist(), family.buckets(key))
+        >>> for level in (42, 57):
+        ...     key = cell_keys(level, np.array([1 << (level - 2)]))
+        ...     [(rows, cells)] = family.cell_blocks(key)
+        ...     print((cells[:, 0] % 10).tolist(), family.buckets(int(key[0])))
         [2, 7, 5] [2, 7, 5]
         [5, 0, 7] [5, 0, 7]
         """
@@ -337,6 +283,11 @@ class HashFamily:
             estimates = lowest
         return estimates
 
-    def buckets(self, key) -> list[int]:
-        """Bucket indices of ``key`` for every row."""
-        return [h(key) for h in self._row_hashes]
+    def buckets(self, key: int) -> list[int]:
+        """Bucket of one canonical key in every row, in Python ints.
+
+        ``((a k + b) mod p) mod width`` per row: the scalar oracle of
+        :meth:`cell_blocks` and of every sketch read and write.
+        """
+        key = operator.index(key)
+        return [(a * key + b) % MERSENNE_PRIME % self.width for a, b in self._rows]

@@ -21,8 +21,14 @@ from repro.sketch.countmin import CountMinSketch
 __all__ = ["PrivateCountMinSketch"]
 
 
-class PrivateCountMinSketch:
+class PrivateCountMinSketch(CountMinSketch):
     """Count-Min sketch with oblivious Laplace noise (the paper's choice).
+
+    Writes and reads are the plain sketch's: :meth:`update_batch` and
+    :meth:`query_many` over the canonical keys of
+    :func:`repro.core.base.cell_keys`.  This class adds the privacy parts:
+    ``epsilon``, the single noise draw, its sensitivity and scale, and the
+    merge rule for shards.
 
     With ``apply_noise=False`` the sketch starts from a *raw* (non-private)
     table -- the shard mode of the batched ingestion API.  Raw shards can be
@@ -30,11 +36,13 @@ class PrivateCountMinSketch:
     later via :meth:`apply_noise_now`, which keeps the privacy accounting at
     exactly one noise injection per released table.
 
+    >>> from repro.core.base import cell_keys
     >>> shard = PrivateCountMinSketch(width=64, depth=4, epsilon=1.0, seed=0,
     ...                               apply_noise=False)
-    >>> shard.update_batch(np.array([5], dtype=np.uint64), np.array([10.0]))
-    >>> shard.query(5)   # a raw shard holds exact sums
-    10.0
+    >>> keys = cell_keys(2, np.array([1]))
+    >>> shard.update_batch(keys, np.array([10.0]))
+    >>> shard.query_many(keys).tolist()   # a raw shard holds exact sums
+    [10.0]
     >>> shard.apply_noise_now(np.random.default_rng(1))
     >>> shard.noise_applied, shard.noise_scale   # Laplace(depth / epsilon)
     (True, 4.0)
@@ -51,9 +59,9 @@ class PrivateCountMinSketch:
     ) -> None:
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self._sketch = CountMinSketch(width=width, depth=depth, seed=seed)
+        super().__init__(width=width, depth=depth, seed=seed)
         self.epsilon = float(epsilon)
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         self._noise_applied = False
         if apply_noise:
             self.apply_noise_now()
@@ -63,41 +71,8 @@ class PrivateCountMinSketch:
         if self._noise_applied:
             raise RuntimeError("oblivious noise has already been applied to this sketch")
         generator = rng if rng is not None else self._rng
-        scale = self._sketch.depth / self.epsilon
-        noise = generator.laplace(0.0, scale, size=(self._sketch.depth, self._sketch.width))
-        self._sketch.add_noise_matrix(noise)
+        self._table += generator.laplace(0.0, self.noise_scale, size=self._table.shape)
         self._noise_applied = True
-
-    # Delegate the sketch interface -------------------------------------------------
-    def update(self, key, count: float = 1.0) -> None:
-        """Add an item to the underlying sketch (stream-side, pre-release)."""
-        self._sketch.update(key, count)
-
-    def update_many(self, keys, counts=None) -> None:
-        """Bulk update of the underlying sketch."""
-        self._sketch.update_many(keys, counts)
-
-    def update_batch(self, keys, counts) -> None:
-        """Aggregated vectorised update (see :meth:`CountMinSketch.update_batch`)."""
-        self._sketch.update_batch(keys, counts)
-
-    def query(self, key) -> float:
-        """Noisy frequency estimate (private by post-processing)."""
-        return self._sketch.query(key)
-
-    def query_many(self, keys) -> np.ndarray:
-        """Vector of noisy frequency estimates."""
-        return self._sketch.query_many(keys)
-
-    @property
-    def width(self) -> int:
-        """Buckets per row of the wrapped sketch."""
-        return self._sketch.width
-
-    @property
-    def depth(self) -> int:
-        """Rows of the wrapped sketch (equals the L1 sensitivity)."""
-        return self._sketch.depth
 
     @property
     def noise_applied(self) -> bool:
@@ -105,44 +80,18 @@ class PrivateCountMinSketch:
         return self._noise_applied
 
     @property
-    def seed(self):
-        """Hash-family seed of the wrapped sketch."""
-        return self._sketch.seed
-
-    @property
-    def total(self) -> float:
-        """Total mass added to the wrapped sketch (noise excluded)."""
-        return self._sketch.total
-
-    @property
-    def updates(self) -> int:
-        """Number of update operations recorded by the wrapped sketch."""
-        return self._sketch.updates
-
-    @property
     def sensitivity(self) -> float:
         """L1 sensitivity of the sketch table on neighbouring streams."""
-        return float(self._sketch.depth)
+        return float(self.depth)
 
     @property
     def noise_scale(self) -> float:
         """Scale of the per-cell Laplace noise, ``depth / epsilon``."""
-        return self._sketch.depth / self.epsilon
-
-    def memory_words(self) -> int:
-        """Words used by the sketch table."""
-        return self._sketch.memory_words()
-
-    @property
-    def table(self) -> np.ndarray:
-        """Copy of the (noisy) counter matrix."""
-        return self._sketch.table
+        return self.depth / self.epsilon
 
     def error_bound(self, tail_norm: float, total_norm: float) -> float:
         """Lemma 4 error plus the expected noise magnitude at the minimum."""
-        sketch_error = self._sketch.error_bound(tail_norm, total_norm)
-        noise_error = self.noise_scale
-        return sketch_error + noise_error
+        return super().error_bound(tail_norm, total_norm) + self.noise_scale
 
     def merge(self, other: "PrivateCountMinSketch") -> "PrivateCountMinSketch":
         """Linear merge of two shard sketches built with identical parameters.
@@ -151,7 +100,7 @@ class PrivateCountMinSketch:
         two noisy tables would double the injected noise while the privacy
         ledger only accounts for one release.
         """
-        if not isinstance(other, PrivateCountMinSketch):
+        if type(other) is not type(self):
             raise TypeError("can only merge with another PrivateCountMinSketch")
         if (self.width, self.depth, self.seed, self.epsilon) != (
             other.width,
@@ -170,15 +119,15 @@ class PrivateCountMinSketch:
             rng=self._rng,
             apply_noise=False,
         )
-        merged._sketch.load_state(
-            self._sketch.table + other._sketch.table,
+        merged.load_state(
+            self._table + other._table,
             total=self.total + other.total,
             updates=self.updates + other.updates,
+            noise_applied=self._noise_applied or other._noise_applied,
         )
-        merged._noise_applied = self._noise_applied or other._noise_applied
         return merged
 
     def load_state(self, table: np.ndarray, total: float, updates: int, noise_applied: bool) -> None:
         """Overwrite the table state (checkpoint restore)."""
-        self._sketch.load_state(table, total=total, updates=updates)
+        super().load_state(table, total=total, updates=updates)
         self._noise_applied = bool(noise_applied)

@@ -24,10 +24,6 @@ from repro.domain.ipv4 import ADDRESS_SPACE
 __all__ = ["ipv4_traffic_stream", "geo_checkin_stream", "transaction_amount_stream"]
 
 
-def _generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 def ipv4_traffic_stream(
     size: int,
     num_heavy_subnets: int = 12,
@@ -47,7 +43,7 @@ def ipv4_traffic_stream(
         raise ValueError(f"heavy_fraction must lie in [0,1], got {heavy_fraction}")
     if num_heavy_subnets < 1:
         raise ValueError(f"num_heavy_subnets must be at least 1, got {num_heavy_subnets}")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
 
     subnet_prefixes = generator.integers(0, 1 << 16, size=num_heavy_subnets, dtype=np.int64)
     ranks = np.arange(1, num_heavy_subnets + 1, dtype=float)
@@ -82,7 +78,7 @@ def geo_checkin_stream(
         raise ValueError(f"city_fraction must lie in [0,1], got {city_fraction}")
     if num_cities < 1:
         raise ValueError(f"num_cities must be at least 1, got {num_cities}")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
     if domain is None:
         # Roughly the continental United States.
         domain = GeoDomain(lat_min=24.0, lat_max=49.0, lon_min=-125.0, lon_max=-66.0)
@@ -125,6 +121,6 @@ def transaction_amount_stream(
         raise ValueError(f"size must be non-negative, got {size}")
     if cap <= 0:
         raise ValueError(f"cap must be positive, got {cap}")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
     amounts = generator.lognormal(mean_log, sigma_log, size=size)
     return np.clip(amounts, 0.0, cap) / cap

@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 
-def _generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 def _shape(points: np.ndarray, dimension: int) -> np.ndarray:
     if dimension == 1:
         return points.reshape(-1)
@@ -48,7 +44,7 @@ def uniform_stream(
     """Uniform points over ``[0,1]^d`` -- the no-skew worst case for pruning."""
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
     return _shape(generator.random((size, dimension)), dimension)
 
 
@@ -68,7 +64,7 @@ def gaussian_mixture_stream(
         raise ValueError(f"size must be non-negative, got {size}")
     if num_components < 1:
         raise ValueError(f"num_components must be at least 1, got {num_components}")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
     centres = generator.random((num_components, dimension))
     weights = generator.dirichlet(np.ones(num_components))
     assignments = generator.choice(num_components, size=size, p=weights)
@@ -96,7 +92,7 @@ def zipf_cell_stream(
         raise ValueError(f"level must be at least 1, got {level}")
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
     num_cells = 2**level
     ranks = np.arange(1, num_cells + 1, dtype=float)
     probabilities = ranks**-exponent if exponent > 0 else np.ones(num_cells)
@@ -135,7 +131,7 @@ def sparse_cluster_stream(
         raise ValueError(f"size must be non-negative, got {size}")
     if num_clusters < 1:
         raise ValueError(f"num_clusters must be at least 1, got {num_clusters}")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
     centres = generator.random((num_clusters, dimension)) * (1 - 2 * cluster_width) + cluster_width
     assignments = generator.integers(0, num_clusters, size=size)
     offsets = generator.uniform(-cluster_width, cluster_width, size=(size, dimension))
@@ -154,7 +150,7 @@ def beta_stream(
         raise ValueError(f"size must be non-negative, got {size}")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    generator = _generator(rng)
+    generator = np.random.default_rng(rng)
     return generator.beta(alpha, beta, size=size)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.budget import _big_gamma, _gamma
 from repro.domain.base import Domain
 
 __all__ = [
@@ -22,20 +23,6 @@ __all__ = [
     "srrw_bound",
     "smooth_bound",
 ]
-
-
-def _gamma(domain: Domain, level: int) -> float:
-    """``gamma_level`` with ``gamma_{-1} = diam(Omega)``."""
-    if level < 0:
-        return domain.diameter()
-    return domain.level_max_diameter(level)
-
-
-def _big_gamma(domain: Domain, level: int) -> float:
-    """``Gamma_level`` with ``Gamma_{-1} = Gamma_0``."""
-    if level < 0:
-        return domain.level_total_diameter(0)
-    return domain.level_total_diameter(level)
 
 
 def privhp_noise_term(

@@ -11,6 +11,7 @@ from repro.api.summarizer import StreamSummarizer, ingest_batches
 from repro.continual.counter import BinaryMechanismCounter, BinaryMechanismCounterBank
 from repro.continual.privhp import PrivHPContinual
 from repro.continual.sketch import ContinualPrivateCountMinSketch
+from repro.core.base import cell_keys
 from repro.core.config import PrivHPConfig
 from repro.core.privhp import PrivHP
 from repro.metrics.wasserstein import wasserstein1_1d
@@ -275,47 +276,42 @@ class TestCounterBank:
 
 
 class TestContinualSketch:
+    HOT = int(cell_keys(3, np.array([5]))[0])
+
+    def _one_key_event(self, sketch, key, count=1.0):
+        sketch.update_batch(np.array([key], dtype=np.uint64), np.array([count]))
+
     def test_estimates_track_counts_with_large_budget(self, rng):
         sketch = ContinualPrivateCountMinSketch(width=64, depth=3, epsilon=300.0,
                                                 horizon=512, seed=0, rng=rng)
         for _ in range(50):
-            sketch.update("hot")
-        assert sketch.query("hot") == pytest.approx(50, abs=8)
+            self._one_key_event(sketch, self.HOT)
+        assert sketch.events == 50
+        assert sketch.query(self.HOT) == pytest.approx(50, abs=8)
 
     def test_queries_available_mid_stream(self, rng):
         sketch = ContinualPrivateCountMinSketch(width=32, depth=2, epsilon=100.0,
                                                 horizon=256, seed=1, rng=rng)
         estimates = []
         for step in range(1, 41):
-            sketch.update("key")
-            estimates.append(sketch.query("key"))
+            self._one_key_event(sketch, self.HOT)
+            estimates.append(sketch.query(self.HOT))
         # Estimates should grow roughly linearly with the updates.
         assert estimates[-1] > estimates[9]
 
-    def test_update_batch_matches_itemwise_counts(self):
-        """One aggregated event accumulates exactly the itemwise mass."""
-        from repro.sketch.hashing import canonical_key
-
-        itemwise = ContinualPrivateCountMinSketch(
+    def test_update_batch_is_one_event_carrying_every_count(self):
+        """One aggregated batch is one event that carries every key's mass,
+        and ``query`` reads what ``query_many`` reads."""
+        sketch = ContinualPrivateCountMinSketch(
             width=32, depth=3, epsilon=500.0, horizon=64, seed=0,
             rng=np.random.default_rng(0),
         )
-        batched = ContinualPrivateCountMinSketch(
-            width=32, depth=3, epsilon=500.0, horizon=64, seed=0,
-            rng=np.random.default_rng(0),
-        )
-        cells = [(0, 1), (1, 0), (0, 1), (0, 1), (1, 1)]
-        itemwise.update_many(cells)
-        keys = {}
-        for cell in cells:
-            keys[canonical_key(cell)] = keys.get(canonical_key(cell), 0) + 1
-        batched.update_batch(
-            np.array(list(keys), dtype=np.uint64), np.array(list(keys.values()), float)
-        )
-        for cell in set(cells):
-            assert batched.query(cell) == pytest.approx(itemwise.query(cell), abs=1.0)
-        canonical = np.array([canonical_key(cell) for cell in cells], dtype=np.uint64)
-        assert batched.query_many(canonical).tolist() == [batched.query(cell) for cell in cells]
+        keys = cell_keys(2, np.array([0b01, 0b10, 0b11]))
+        sketch.update_batch(keys, np.array([3.0, 1.0, 1.0]))
+        assert (sketch.events, sketch.updates) == (1, 3)
+        estimates = sketch.query_many(keys)
+        np.testing.assert_allclose(estimates, [3.0, 1.0, 1.0], atol=1.0)
+        assert estimates.tolist() == [sketch.query(key) for key in keys.tolist()]
 
     def test_memory_words_positive(self, rng):
         sketch = ContinualPrivateCountMinSketch(width=8, depth=2, epsilon=1.0,
@@ -331,13 +327,14 @@ class TestContinualSketch:
             width=32, depth=2, epsilon=400.0, horizon=64, seed=3,
             rng=np.random.default_rng(1),
         )
-        left.update("a", 10.0)
-        right.update("a", 7.0)
-        right.update("b", 2.0)
+        a, b = cell_keys(1, np.array([0, 1])).tolist()
+        left.update_batch(np.array([a]), np.array([10.0]))
+        right.update_batch(np.array([a]), np.array([7.0]))
+        right.update_batch(np.array([b]), np.array([2.0]))
         right.pad_events_to(2)
         left.pad_events_to(2)
         merged = left.merge(right)
-        assert merged.query("a") == pytest.approx(17.0, abs=2.0)
+        assert merged.query(a) == pytest.approx(17.0, abs=2.0)
         assert merged.updates == 3
 
     def test_state_roundtrip(self):
@@ -345,11 +342,12 @@ class TestContinualSketch:
             width=16, depth=2, epsilon=5.0, horizon=32, seed=4,
             rng=np.random.default_rng(0),
         )
-        sketch.update("x", 3.0)
+        key = int(cell_keys(4, np.array([9]))[0])
+        sketch.update_batch(np.array([key]), np.array([3.0]))
         restored = ContinualPrivateCountMinSketch.from_state(
             json.loads(json.dumps(sketch.state_dict())), rng=np.random.default_rng(1)
         )
-        assert restored.query("x") == pytest.approx(sketch.query("x"))
+        assert restored.query(key) == pytest.approx(sketch.query(key))
         assert restored.updates == sketch.updates
 
     def test_invalid_parameters(self):

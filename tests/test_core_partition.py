@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.base import cell_keys
 from repro.core.partition import grow_partition, select_top_k
 from repro.core.tree import PartitionTree
-from repro.sketch.hashing import canonical_key
+from repro.domain.base import Domain
 
 
 class ExactSketch:
     """A stand-in sketch that returns exact counts from a dictionary."""
 
     def __init__(self, counts):
-        self.counts = {canonical_key(cell): float(count) for cell, count in counts.items()}
+        self.counts = {
+            int(cell_keys(len(cell), Domain.pack_paths(np.array([cell])))[0]): float(count)
+            for cell, count in counts.items()
+        }
 
     def query_many(self, keys):
         return np.array([self.counts.get(int(key), 0.0) for key in keys])

@@ -63,7 +63,7 @@ from repro.privacy.accountant import BudgetExceededError
 from repro.serve.http import create_server
 from repro.serve.service import QueryService
 from repro.serve.store import ReleaseStore
-from repro.sketch.countmin import CountMinSketch
+from repro.sketch.hashing import HashFamily
 
 
 #: A flush interval longer than any test: appends stay staged until a
@@ -353,6 +353,35 @@ class TestIngestService:
         service = IngestService(workers=1)
         service.close()
         service.close()
+
+    @pytest.mark.parametrize("checkpoints", [False, True], ids=["memory", "checkpoint-dir"])
+    @pytest.mark.parametrize("refusal", ["duplicate-id", "over-service-budget"])
+    def test_refused_spec_stops_the_threads_the_constructor_started(
+        self, refusal, checkpoints, tmp_path
+    ):
+        """A spec the constructor cannot register raises out of it, and the
+        workers, the flusher and the checkpoint writer it started end."""
+        if refusal == "duplicate-id":
+            specs = [TenantSpec("a", stream_size=64), TenantSpec("a", stream_size=64)]
+            options, error = {}, ValueError
+        else:
+            specs = [TenantSpec("a", stream_size=64), TenantSpec("b", stream_size=64)]
+            options, error = {"service_epsilon_budget": 1.5}, BudgetExceededError
+        if checkpoints:
+            options["checkpoint_dir"] = tmp_path / "checkpoints"
+        before = set(threading.enumerate())
+        with pytest.raises(error):
+            IngestService(specs, workers=2, **options)
+        started = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before
+            and thread.name.startswith(("ingest-worker-", "ingest-flusher", "repro-checkpoint"))
+        ]
+        deadline = time.monotonic() + 10.0
+        for thread in started:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert [thread.name for thread in started if thread.is_alive()] == []
 
 
 class TestEvictionRoundTrip:
@@ -785,9 +814,11 @@ class TestUpdateSegments:
     )
     def test_raw_state_matches_scalar_oracles(self, name, lengths, seed, data):
         """Exact levels hold the prefix counts of scalar ``locate``; each
-        sketch holds what a scalar Count-Min sketch with the level's seed
-        holds after the same per-segment cell counts.  The cut-off is 0, 4
-        or, on the discrete domain, its depth, where no sketch level exists."""
+        sketch's table is the Python-int oracle's: each segment's cell
+        counts, cells in ascending order, added at ``buckets(key)[row]`` of
+        the level's hash family, key ``1 b_0 .. b_{l-1}`` for the cell
+        ``b_0 .. b_{l-1}``.  The cut-off is 0, 4 or, on the discrete domain,
+        its depth, where no sketch level exists."""
         domain, draw, depth = SEGMENT_DOMAINS[name]
         points = draw(np.random.default_rng(seed), sum(lengths))
         config = _segment_config(depth, seed, data.draw(_segment_cutoffs(name), label="cutoff"))
@@ -800,14 +831,17 @@ class TestUpdateSegments:
             _, counts = summarizer.tree.level(level)
             assert np.array_equal(counts, _prefix_counts(paths, level)), level
         for level, sketch in summarizer.sketches.items():
-            oracle = CountMinSketch(config.sketch_width, config.sketch_depth, seed=sketch.seed)
+            family = HashFamily(config.sketch_depth, config.sketch_width, seed=sketch.seed)
+            oracle = np.zeros((config.sketch_depth, config.sketch_width))
             start = 0
             for length in lengths:
                 cells = Counter(path[:level] for path in paths[start : start + length])
                 for theta in sorted(cells):
-                    oracle.update(theta, float(cells[theta]))
+                    key = int("".join(map(str, (1, *theta))), 2)
+                    for row, bucket in enumerate(family.buckets(key)):
+                        oracle[row, bucket] += float(cells[theta])
                 start += length
-            assert np.array_equal(sketch.table, oracle.table), level
+            assert np.array_equal(sketch.table, oracle), level
 
     @SEGMENT_SETTINGS
     @given(

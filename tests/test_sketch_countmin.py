@@ -3,47 +3,44 @@
 import numpy as np
 import pytest
 
+from repro.core.base import cell_keys
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.hashing import canonical_key
+from repro.sketch.private import PrivateCountMinSketch
+
+
+def _unique_cells(level: int, codes) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending cell keys of ``codes`` at ``level`` and each one's count."""
+    cells, counts = np.unique(np.asarray(codes), return_counts=True)
+    return cell_keys(level, cells), counts.astype(float)
 
 
 class TestCountMinBasics:
     def test_query_never_underestimates_nonnegative_stream(self):
         sketch = CountMinSketch(width=32, depth=4, seed=0)
-        counts = {("a" + str(i)): (i % 7) + 1 for i in range(100)}
-        for key, count in counts.items():
-            sketch.update(key, count)
-        for key, count in counts.items():
+        keys = cell_keys(7, np.arange(100))
+        counts = np.arange(100) % 7 + 1.0
+        sketch.update_batch(keys, counts)
+        for key, count in zip(keys.tolist(), counts):
             assert sketch.query(key) >= count
 
     def test_exact_when_no_collisions(self):
         sketch = CountMinSketch(width=1024, depth=5, seed=1)
-        sketch.update((0, 1), 3)
-        sketch.update((1, 0), 5)
-        assert sketch.query((0, 1)) == pytest.approx(3)
-        assert sketch.query((1, 0)) == pytest.approx(5)
+        keys = cell_keys(2, np.array([0b01, 0b10]))
+        sketch.update_batch(keys, np.array([3.0, 5.0]))
+        assert sketch.query(int(keys[0])) == pytest.approx(3)
+        assert sketch.query(int(keys[1])) == pytest.approx(5)
 
     def test_absent_key_estimate_is_small(self):
         sketch = CountMinSketch(width=256, depth=6, seed=2)
-        for i in range(50):
-            sketch.update(i, 1)
-        assert sketch.query("never-seen") <= 2
+        sketch.update_batch(cell_keys(6, np.arange(50)), np.ones(50))
+        assert sketch.query(int(cell_keys(6, np.array([63]))[0])) <= 2
 
     def test_total_and_updates_tracked(self):
+        """``updates`` counts the items the counts stand for."""
         sketch = CountMinSketch(width=8, depth=2, seed=0)
-        sketch.update("x", 2.0)
-        sketch.update("y", 3.0)
+        sketch.update_batch(cell_keys(1, np.array([0, 1])), np.array([2.0, 3.0]))
         assert sketch.total == pytest.approx(5.0)
-        assert sketch.updates == 2
-
-    def test_update_many_and_query_many(self):
-        sketch = CountMinSketch(width=64, depth=4, seed=0)
-        keys = [(i % 10,) for i in range(100)]
-        sketch.update_many(keys)
-        estimates = sketch.query_many([canonical_key((i,)) for i in range(10)])
-        assert estimates.shape == (10,)
-        assert np.all(estimates >= 10)
-        assert estimates.tolist() == [sketch.query((i,)) for i in range(10)]
+        assert sketch.updates == 5
 
     @pytest.mark.parametrize(
         "depth, n", [(3, 4), (20, 25), (20, 250), (20, 820), (20, 16385)]
@@ -75,35 +72,24 @@ class TestCountMinBasics:
 
 class TestCountMinAccuracy:
     def test_error_shrinks_with_width(self, rng):
-        keys = rng.zipf(1.3, size=5000) % 1000
+        keys, counts = _unique_cells(10, rng.zipf(1.3, size=5000) % 1000)
         errors = {}
         for width in (8, 64, 512):
             sketch = CountMinSketch(width=width, depth=4, seed=0)
-            for key in keys:
-                sketch.update(int(key))
-            true_counts = {}
-            for key in keys:
-                true_counts[int(key)] = true_counts.get(int(key), 0) + 1
-            errors[width] = np.mean(
-                [sketch.query(key) - count for key, count in true_counts.items()]
-            )
+            sketch.update_batch(keys, counts)
+            errors[width] = np.mean(sketch.query_many(keys) - counts)
         assert errors[512] <= errors[64] <= errors[8]
 
     def test_lemma4_expected_error_bound_holds_on_skewed_stream(self, rng):
         """Mean overestimate stays below the Lemma-4 style tail bound (with slack)."""
         width, depth = 64, 5
-        keys = (rng.zipf(1.5, size=8000) % 500).astype(int)
-        true_counts: dict = {}
-        for key in keys:
-            true_counts[key] = true_counts.get(key, 0) + 1
+        keys, counts = _unique_cells(9, rng.zipf(1.5, size=8000) % 500)
         sketch = CountMinSketch(width=width, depth=depth, seed=3)
-        for key in keys:
-            sketch.update(int(key))
+        sketch.update_batch(keys, counts)
 
-        counts_sorted = sorted(true_counts.values(), reverse=True)
-        tail = sum(counts_sorted[width // 2:])
-        bound = sketch.error_bound(tail_norm=tail, total_norm=len(keys))
-        mean_error = np.mean([sketch.query(k) - c for k, c in true_counts.items()])
+        tail = np.sort(counts)[::-1][width // 2:].sum()
+        bound = sketch.error_bound(tail_norm=tail, total_norm=counts.sum())
+        mean_error = np.mean(sketch.query_many(keys) - counts)
         # The bound is on the expectation for each item; allow a 3x slack for
         # the finite-sample average and the pairwise (not fully random) hashes.
         assert mean_error <= 3.0 * bound + 1.0
@@ -113,12 +99,13 @@ class TestCountMinComposition:
     def test_merge_adds_tables(self):
         left = CountMinSketch(width=32, depth=3, seed=9)
         right = CountMinSketch(width=32, depth=3, seed=9)
-        left.update("a", 2)
-        right.update("a", 3)
-        right.update("b", 1)
+        a, b = cell_keys(1, np.array([0, 1])).tolist()
+        left.update_batch(np.array([a]), np.array([2.0]))
+        right.update_batch(np.array([a, b]), np.array([3.0, 1.0]))
         merged = left.merge(right)
-        assert merged.query("a") >= 5
+        assert merged.query(a) >= 5
         assert merged.total == pytest.approx(6.0)
+        assert np.array_equal(merged.table, left.table + right.table)
 
     def test_merge_requires_matching_parameters(self):
         left = CountMinSketch(width=32, depth=3, seed=9)
@@ -131,14 +118,13 @@ class TestCountMinComposition:
         with pytest.raises(TypeError):
             left.merge("not a sketch")
 
-    def test_add_noise_matrix_shape_checked(self):
-        sketch = CountMinSketch(width=8, depth=2, seed=0)
-        with pytest.raises(ValueError):
-            sketch.add_noise_matrix(np.zeros((3, 8)))
-
-    def test_add_noise_matrix_changes_estimates(self):
-        sketch = CountMinSketch(width=8, depth=2, seed=0)
-        sketch.update("a", 1)
-        before = sketch.query("a")
-        sketch.add_noise_matrix(np.full((2, 8), 2.0))
-        assert sketch.query("a") == pytest.approx(before + 2.0)
+    @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-private", "private-plain"])
+    def test_plain_and_private_sketches_do_not_merge(self, plain_first):
+        """A raw private shard has the plain sketch's parameters and table,
+        yet merging the two in either order is refused: the result would
+        fall outside the private sketch's one-noise-draw accounting."""
+        plain = CountMinSketch(width=8, depth=2, seed=0)
+        private = PrivateCountMinSketch(width=8, depth=2, epsilon=1.0, seed=0, apply_noise=False)
+        left, right = (plain, private) if plain_first else (private, plain)
+        with pytest.raises(TypeError):
+            left.merge(right)

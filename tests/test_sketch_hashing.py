@@ -1,4 +1,5 @@
-"""Tests for the seeded hash families."""
+"""Tests for the seeded hash families and the sketches' batched reads and
+writes, checked against the Python-int oracle ``HashFamily.buckets``."""
 
 import numpy as np
 import pytest
@@ -6,59 +7,87 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.continual.sketch import ContinualPrivateCountMinSketch
+from repro.core.base import cell_keys
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.hashing import (
-    MERSENNE_PRIME,
-    HashFamily,
-    PairwiseHash,
-    _coefficient_columns,
-    canonical_key,
-)
+from repro.sketch.hashing import MERSENNE_PRIME, HashFamily, _coefficient_columns
 from repro.sketch.private import PrivateCountMinSketch
 
 
-class TestCanonicalKey:
-    def test_bit_tuples_of_different_lengths_do_not_collide(self):
-        assert canonical_key((0,)) != canonical_key((0, 0))
-        assert canonical_key(()) != canonical_key((0,))
-
-    def test_bit_tuples_deterministic(self):
-        assert canonical_key((1, 0, 1)) == canonical_key((1, 0, 1))
-
-    def test_distinct_tuples_map_to_distinct_values(self):
-        keys = {canonical_key(tuple((i >> b) & 1 for b in range(8))) for i in range(256)}
-        assert len(keys) == 256
-
-    def test_integers_and_strings_supported(self):
-        assert canonical_key(42) == 42
-        assert isinstance(canonical_key("10.0.0.1"), int)
-
-    def test_numpy_integers_supported(self):
-        assert canonical_key(np.int64(7)) == 7
-
-    def test_values_stay_below_prime(self):
-        assert canonical_key("some fairly long string key") < MERSENNE_PRIME
-
-    def test_unsupported_type_raises(self):
-        with pytest.raises(TypeError):
-            canonical_key(3.14)
+def oracle_table(family: HashFamily, keys, counts, start=None) -> np.ndarray:
+    """The table a write of ``counts`` at ``keys`` must leave on ``start``
+    (zeros by default): each count added at ``family.buckets(key)[row]``,
+    key by key in the order given."""
+    table = np.zeros((family.depth, family.width)) if start is None else np.array(start)
+    for key, count in zip(np.asarray(keys).tolist(), np.asarray(counts).tolist()):
+        for row, bucket in enumerate(family.buckets(key)):
+            table[row, bucket] += count
+    return table
 
 
-class TestPairwiseHash:
+def oracle_estimates(family: HashFamily, table: np.ndarray, keys) -> np.ndarray:
+    """Each key's minimum bucket across the rows of ``table``, by ``min()``."""
+    return np.array(
+        [
+            min(table[row, bucket] for row, bucket in enumerate(family.buckets(key)))
+            for key in np.asarray(keys).tolist()
+        ],
+        dtype=float,
+    )
+
+
+class TestCellKeys:
+    """``cell_keys`` packs a cell's bit tuple ``b_0 .. b_{l-1}`` as the bits
+    ``1 b_0 .. b_{l-1}``: one key per cell, across levels."""
+
+    def test_key_is_the_bit_tuple_behind_a_leading_one(self):
+        for level in range(9):
+            keys = cell_keys(level, np.arange(1 << level)).tolist()
+            bits = [format(code, f"0{level}b") if level else "" for code in range(1 << level)]
+            assert keys == [int("1" + cell, 2) for cell in bits]
+
+    def test_cells_of_different_levels_do_not_collide(self):
+        assert cell_keys(1, np.array([0]))[0] != cell_keys(2, np.array([0]))[0]
+        assert cell_keys(0, np.array([0]))[0] != cell_keys(1, np.array([0]))[0]
+
+    def test_distinct_cells_map_to_distinct_keys(self):
+        keys = np.concatenate([cell_keys(level, np.arange(1 << level)) for level in range(9)])
+        assert len(set(keys.tolist())) == keys.size == (1 << 9) - 1
+
+    def test_deepest_cells_stay_below_2_63(self):
+        deepest = cell_keys(62, np.array([0, (1 << 62) - 1]))
+        assert deepest.tolist() == [1 << 62, (1 << 63) - 1]
+
+
+class TestBuckets:
+    def test_buckets_are_python_int_hashes_of_the_drawn_rows(self):
+        """Rows are drawn from the seed row by row, ``a`` in [1, p) then
+        ``b`` in [0, p), and a key's bucket in row ``i`` is ``(a_i k + b_i)
+        mod p mod width``."""
+        rng = np.random.default_rng(7)
+        rows = [
+            (int(rng.integers(1, MERSENNE_PRIME)), int(rng.integers(0, MERSENNE_PRIME)))
+            for _ in range(5)
+        ]
+        family = HashFamily(depth=5, width=17, seed=7)
+        for key in (0, 1, 5, 42, MERSENNE_PRIME, (1 << 63) - 1):
+            assert family.buckets(key) == [(a * key + b) % MERSENNE_PRIME % 17 for a, b in rows]
+
     def test_output_in_range(self):
-        hasher = PairwiseHash(a=12345, b=678, width=17)
+        family = HashFamily(depth=3, width=17, seed=0)
         for key in range(200):
-            assert 0 <= hasher(key) < 17
+            assert all(0 <= bucket < 17 for bucket in family.buckets(key))
 
-    def test_deterministic(self):
-        hasher = PairwiseHash(a=999, b=3, width=8)
-        assert hasher((1, 0, 1)) == hasher((1, 0, 1))
+    def test_numpy_integers_hash_like_python_ints(self):
+        family = HashFamily(depth=4, width=32, seed=7)
+        for key in (7, (1 << 63) - 1):
+            assert family.buckets(np.uint64(key)) == family.buckets(key)
+        assert family.buckets(np.int64(7)) == family.buckets(7)
 
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            PairwiseHash(a=1, b=0, width=0)
-        with pytest.raises(ValueError):
-            PairwiseHash(a=0, b=0, width=4)
+    def test_non_integer_keys_raise(self):
+        family = HashFamily(depth=2, width=8, seed=0)
+        for key in (3.14, "5", (0, 1)):
+            with pytest.raises(TypeError):
+                family.buckets(key)
 
 
 def _keys_of_bit_length(bits: int):
@@ -73,11 +102,12 @@ _EDGE_KEYS = [1, 1 << 49, (1 << 50) - 1, 1 << 50, (1 << 52) + 1, (1 << 53) - 1,
 _EDGE_KEY_IDS = ["1", "2^49", "2^50-1", "2^50", "2^52+1", "2^53-1", "2^54-1", "2^63-1"]
 
 
-def _family_of(hashes: list[PairwiseHash]) -> HashFamily:
-    """A family whose rows are exactly ``hashes`` (all of one width)."""
-    family = HashFamily(depth=len(hashes), width=hashes[0].width, seed=0)
-    family._row_hashes = list(hashes)
-    family._row_columns = _coefficient_columns(family._row_hashes)
+def _family_of(rows: list[tuple[int, int]], width: int) -> HashFamily:
+    """A family of ``width`` whose rows are exactly the ``(a, b)`` pairs
+    ``rows``."""
+    family = HashFamily(depth=len(rows), width=width, seed=0)
+    family._rows = list(rows)
+    family._row_columns = _coefficient_columns(family._rows)
     return family
 
 
@@ -85,19 +115,18 @@ class TestHashFamily:
     def test_same_seed_same_hashes(self):
         family_a = HashFamily(depth=4, width=32, seed=7)
         family_b = HashFamily(depth=4, width=32, seed=7)
-        for key in [(0, 1), (1, 1, 0), 42, "x"]:
+        for key in [0b101, 0b1110, 42, (1 << 63) - 1]:
             assert family_a.buckets(key) == family_b.buckets(key)
 
     def test_different_rows_are_different_functions(self):
         family = HashFamily(depth=6, width=64, seed=11)
-        keys = list(range(200))
-        rows = [[family.bucket(row, key) for key in keys] for row in range(6)]
-        distinct_rows = {tuple(row) for row in rows}
+        rows = list(zip(*(family.buckets(key) for key in range(200))))
+        distinct_rows = set(rows)
         assert len(distinct_rows) == 6
 
     def test_buckets_spread_over_width(self):
         family = HashFamily(depth=1, width=16, seed=3)
-        buckets = [family.bucket(0, key) for key in range(1000)]
+        buckets = [family.buckets(key)[0] for key in range(1000)]
         occupied = len(set(buckets))
         assert occupied >= 14
 
@@ -112,23 +141,18 @@ class TestHashFamily:
         """Cell keys ``(1 << level) | code`` of levels up to 49 are below
         2^50 and take the quotient path; from level 50 on they take the
         integer path, and from level 61 on they reach past the prime.  Both
-        must match the scalar hash of the cell's bit tuple (which reduces
-        mod p) for every key below 2^63."""
+        must match the Python-int hash for every key below 2^63."""
         rng = np.random.default_rng(level)
         codes = [0, 1, (1 << level) - 2, (1 << level) - 1]
         codes += [int(code) for code in rng.integers(0, 1 << level, size=60, dtype=np.int64)]
-        keys = np.array([(1 << level) | code for code in codes], dtype=np.uint64)
-        cells = [
-            tuple((code >> shift) & 1 for shift in range(level - 1, -1, -1)) for code in codes
-        ]
+        keys = cell_keys(level, np.array(codes, dtype=np.int64))
         for seed in range(3):
             family = HashFamily(depth=8, width=13, seed=seed)
             buckets = np.vstack([
                 blocked - 13 * np.arange(len(blocked))[:, None]
                 for _, blocked in family.cell_blocks(keys)
             ])
-            for row in range(family.depth):
-                assert buckets[row].tolist() == [family.bucket(row, cell) for cell in cells]
+            assert buckets.T.tolist() == [family.buckets(key) for key in keys.tolist()]
 
     @pytest.mark.parametrize("width", [6, 13, 16])
     @pytest.mark.parametrize(
@@ -144,8 +168,8 @@ class TestHashFamily:
         each of them."""
         family = HashFamily(depth=6, width=width, seed=5)
         targets = [
-            ((residue - h.b) * pow(h.a, -1, MERSENNE_PRIME)) % MERSENNE_PRIME
-            for h in family._row_hashes
+            ((residue - b) * pow(a, -1, MERSENNE_PRIME)) % MERSENNE_PRIME
+            for a, b in family._rows
         ]
         keys = np.array(
             [k + m * MERSENNE_PRIME for k in targets for m in range(4)], dtype=np.uint64
@@ -154,8 +178,7 @@ class TestHashFamily:
             blocked - width * np.arange(len(blocked))[:, None]
             for _, blocked in family.cell_blocks(keys)
         ])
-        for row in range(family.depth):
-            assert buckets[row].tolist() == [family.bucket(row, int(k)) for k in keys]
+        assert buckets.T.tolist() == [family.buckets(key) for key in keys.tolist()]
         assert (buckets[np.arange(6).repeat(4), np.arange(24)] == residue % width).all()
 
     @pytest.mark.parametrize("width", [6, 13, 16])
@@ -176,10 +199,10 @@ class TestHashFamily:
         so these residues would put it off by more than the ``min`` repairs."""
         residues = [0, 1, MERSENNE_PRIME // 2, MERSENNE_PRIME // 2 + 1,
                     MERSENNE_PRIME - 2, MERSENNE_PRIME - 1]
-        hashes = [PairwiseHash(a, (r - a * key) % MERSENNE_PRIME, width) for r in residues]
-        [(_, cells)] = _family_of(hashes).cell_blocks(np.array([key], dtype=np.uint64))
-        buckets = (cells[:, 0] - width * np.arange(len(hashes))).tolist()
-        assert buckets == [(h.a * key + h.b) % MERSENNE_PRIME % width for h in hashes]
+        rows = [(a, (r - a * key) % MERSENNE_PRIME) for r in residues]
+        [(_, cells)] = _family_of(rows, width).cell_blocks(np.array([key], dtype=np.uint64))
+        buckets = (cells[:, 0] - width * np.arange(len(rows))).tolist()
+        assert buckets == [(a * key + b) % MERSENNE_PRIME % width for a, b in rows]
         assert buckets == [r % width for r in residues]
 
     @settings(max_examples=200, deadline=None)
@@ -194,7 +217,7 @@ class TestHashFamily:
         bit length up to 63: hashed one at a time (each key picks its own
         path), together with ``2^50 - 1`` below 2^50 (the quotient path at
         its limit) and together with ``2^50`` (the integer path)."""
-        family = _family_of([PairwiseHash(a, b, width)])
+        family = _family_of([(a, b)], width)
         low = [key for key in keys if key < 1 << 50] + [(1 << 50) - 1]
         for batch in [[key] for key in keys] + [low, keys + [1 << 50]]:
             [(_, cells)] = family.cell_blocks(np.array(batch, dtype=np.uint64))
@@ -240,8 +263,8 @@ def _pin_keys(n: int, seed: int, source: str) -> np.ndarray:
 # 498 hashed values: 20 -> 19 rows at 25 keys, 12 -> 11 at 42, 2 -> 1 at
 # 250.  From 499 keys on it holds up to 2^14: back to 20 rows at 499, 20 ->
 # 19 at 820, 10 -> 9 at 1,639 and one clamped row from 16,385 on.  The clamp
-# cases run once, at 20 rows: the scalar oracle costs ~2 us per key and row,
-# and the clamp depends on neither depth nor width.
+# cases run once, at 20 rows: the Python-int oracle costs ~1 us per key and
+# row, and the clamp depends on neither depth nor width.
 _PIN_CASES = [
     (depth, width, n)
     for depth in (1, 12, 20)
@@ -252,10 +275,11 @@ _PIN_CASES = [
 
 @pytest.mark.parametrize("depth, width, n", _PIN_CASES)
 @pytest.mark.parametrize("source", sorted(_KEY_SOURCES))
-class TestBatchedSketchesMatchScalarSketches:
-    """Every batched sketch read and write equals its scalar counterpart bit
-    for bit, on either residue path: same buckets, and each bucket's adds
-    arrive in key order."""
+class TestBatchedSketchesMatchTheOracle:
+    """Every batched sketch read and write equals the Python-int oracle bit
+    for bit, on either residue path and at every block height: each count
+    lands at ``HashFamily.buckets(key)[row]`` with each bucket's adds in key
+    order, and each estimate is ``min()`` over the key's buckets."""
 
     def _inputs(self, depth, width, n, source):
         rng = np.random.default_rng([depth, width, n])
@@ -264,35 +288,98 @@ class TestBatchedSketchesMatchScalarSketches:
 
     def test_countmin_update_batch(self, depth, width, n, source):
         keys, counts, noise = self._inputs(depth, width, n, source)
-        batched, scalar = (CountMinSketch(width, depth, seed=3) for _ in range(2))
-        for sketch in (batched, scalar):
-            sketch.add_noise_matrix(noise)
-        batched.update_batch(keys, counts)
-        for key, count in zip(keys, counts):
-            scalar.update(int(key), float(count))
-        assert batched.table.tobytes() == scalar.table.tobytes()
+        sketch = CountMinSketch(width, depth, seed=3)
+        sketch.load_state(noise, total=0.0, updates=0)
+        sketch.update_batch(keys, counts)
+        expected = oracle_table(HashFamily(depth, width, seed=3), keys, counts, start=noise)
+        assert sketch.table.tobytes() == expected.tobytes()
 
     def test_countmin_query_many(self, depth, width, n, source):
         keys, _, noise = self._inputs(depth, width, n, source)
         sketch = CountMinSketch(width, depth, seed=4)
-        sketch.add_noise_matrix(noise)
-        expected = np.array([sketch.query(int(key)) for key in keys], dtype=float)
+        sketch.load_state(noise, total=0.0, updates=0)
+        expected = oracle_estimates(HashFamily(depth, width, seed=4), noise, keys)
         assert sketch.query_many(keys).tobytes() == expected.tobytes()
 
     def test_continual_update_batch(self, depth, width, n, source):
+        """One write is one event whose weights, the bank's exact state
+        after it, are the oracle's table built from zeros."""
         keys, counts, _ = self._inputs(depth, width, n, source)
-        batched, itemwise = (
-            ContinualPrivateCountMinSketch(
-                width, depth, epsilon=1.0, horizon=4, seed=5, rng=np.random.default_rng(6)
-            )
-            for _ in range(2)
+        sketch = ContinualPrivateCountMinSketch(
+            width, depth, epsilon=1.0, horizon=4, seed=5, rng=np.random.default_rng(6)
         )
-        batched.update_batch(keys, counts)
-        itemwise.update_many([int(key) for key in keys], [float(count) for count in counts])
-        banks = [sketch.state_dict(arrays=True)["bank"] for sketch in (batched, itemwise)]
-        for table in ("alpha", "noisy_alpha"):
-            assert banks[0][table].tobytes() == banks[1][table].tobytes()
-        assert batched.updates == itemwise.updates
+        sketch.update_batch(keys, counts)
+        bank = sketch.state_dict(arrays=True)["bank"]
+        expected = oracle_table(HashFamily(depth, width, seed=5), keys, counts)
+        assert bank["steps"] == 1
+        assert bank["alpha"][:, 0].tobytes() == expected.tobytes()
+        assert sketch.updates == n
+
+
+#: Float counts, half of them signed zeros, so that a key's buckets often
+#: tie at 0.0 and -0.0 and ``min()``'s tie rule decides its estimate.
+_COUNTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e9, 1e9, allow_nan=False))
+
+#: ``{key: count}`` with every key below ``2^50`` (the quotient path) or
+#: below ``2^63``, where nearly every set holds a key past ``2^50`` (the
+#: integer path).
+_KEYED_COUNTS = st.sampled_from([50, 63]).flatmap(
+    lambda bits: st.dictionaries(st.integers(0, (1 << bits) - 1), _COUNTS, max_size=40)
+)
+
+#: Up to 40 keys over at most 16 buckets a row, so buckets collide and the
+#: order of their adds shows.
+_SHAPES = dict(depth=st.integers(1, 20), width=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+
+
+def _ascending(keyed: dict) -> tuple[np.ndarray, np.ndarray]:
+    keys = sorted(keyed)
+    return np.array(keys, dtype=np.uint64), np.array([keyed[key] for key in keys], dtype=float)
+
+
+class TestSketchesMatchTheOracle:
+    """For random canonical keys in ascending order on both sides of 2^50
+    and random float counts, ``update_batch`` leaves exactly the oracle's
+    table, and ``query`` and ``query_many`` read that table's row minimum
+    under ``min()``'s tie rule."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["countmin", "private"]), keyed=_KEYED_COUNTS, data=st.data(),
+           **_SHAPES)
+    def test_update_batch_then_reads(self, kind, keyed, data, depth, width, seed):
+        start = data.draw(st.lists(_COUNTS, min_size=depth * width, max_size=depth * width))
+        start = np.array(start).reshape(depth, width)
+        if kind == "countmin":
+            sketch = CountMinSketch(width, depth, seed=seed)
+            sketch.load_state(start, total=0.0, updates=0)
+        else:
+            sketch = PrivateCountMinSketch(width, depth, epsilon=1.0, seed=seed, apply_noise=False)
+            sketch.load_state(start, total=0.0, updates=0, noise_applied=True)
+        keys, counts = _ascending(keyed)
+        sketch.update_batch(keys, counts)
+        family = HashFamily(depth, width, seed=seed)
+        table = oracle_table(family, keys, counts, start=start)
+        assert sketch.table.tobytes() == table.tobytes()
+        expected = oracle_estimates(family, table, keys)
+        assert sketch.query_many(keys).tobytes() == expected.tobytes()
+        scalar = np.array([sketch.query(key) for key in keys.tolist()], dtype=float)
+        assert scalar.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(keyed=_KEYED_COUNTS, **_SHAPES)
+    def test_continual_update_batch_then_reads(self, keyed, depth, width, seed):
+        sketch = ContinualPrivateCountMinSketch(
+            width, depth, epsilon=1.0, horizon=4, seed=seed, rng=seed
+        )
+        keys, counts = _ascending(keyed)
+        sketch.update_batch(keys, counts)
+        family = HashFamily(depth, width, seed=seed)
+        alpha = sketch.state_dict(arrays=True)["bank"]["alpha"]
+        assert alpha[:, 0].tobytes() == oracle_table(family, keys, counts).tobytes()
+        expected = oracle_estimates(family, sketch.released_table(), keys)
+        assert sketch.query_many(keys).tobytes() == expected.tobytes()
+        scalar = np.array([sketch.query(key) for key in keys.tolist()], dtype=float)
+        assert scalar.tobytes() == expected.tobytes()
 
 
 def _sketch(kind: str):
@@ -341,3 +428,13 @@ class TestBatchedKeysAreValidated:
             assert sketch.events == 0
         else:
             assert not sketch.table.any()
+
+    @pytest.mark.parametrize(
+        "key",
+        [-1, 1 << 63, 1 << 64, 1.5, "5", (1, 2), None],
+        ids=["negative", "2^63", "2^64", "float", "str", "tuple", "None"],
+    )
+    @pytest.mark.parametrize("kind", ["countmin", "private", "continual"])
+    def test_scalar_queries_raise_what_query_many_raises(self, kind, key):
+        with pytest.raises(ValueError, match="1-d"):
+            _sketch(kind).query(key)
