@@ -45,11 +45,7 @@ class TestCellKeys:
             bits = [format(code, f"0{level}b") if level else "" for code in range(1 << level)]
             assert keys == [int("1" + cell, 2) for cell in bits]
 
-    def test_cells_of_different_levels_do_not_collide(self):
-        assert cell_keys(1, np.array([0]))[0] != cell_keys(2, np.array([0]))[0]
-        assert cell_keys(0, np.array([0]))[0] != cell_keys(1, np.array([0]))[0]
-
-    def test_distinct_cells_map_to_distinct_keys(self):
+    def test_cells_of_every_level_map_to_distinct_keys(self):
         keys = np.concatenate([cell_keys(level, np.arange(1 << level)) for level in range(9)])
         assert len(set(keys.tolist())) == keys.size == (1 << 9) - 1
 
@@ -71,11 +67,6 @@ class TestBuckets:
         family = HashFamily(depth=5, width=17, seed=7)
         for key in (0, 1, 5, 42, MERSENNE_PRIME, (1 << 63) - 1):
             assert family.buckets(key) == [(a * key + b) % MERSENNE_PRIME % 17 for a, b in rows]
-
-    def test_output_in_range(self):
-        family = HashFamily(depth=3, width=17, seed=0)
-        for key in range(200):
-            assert all(0 <= bucket < 17 for bucket in family.buckets(key))
 
     def test_numpy_integers_hash_like_python_ints(self):
         family = HashFamily(depth=4, width=32, seed=7)

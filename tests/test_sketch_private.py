@@ -125,10 +125,3 @@ class TestPrivateMerge:
     def test_merge_requires_matching_parameters(self):
         with pytest.raises(ValueError):
             self._shard(False, seed=0).merge(self._shard(False, seed=1))
-
-    def test_load_state_restores_the_noise_flag(self):
-        sketch = self._shard(False)
-        sketch.load_state(np.ones((2, 8)), total=3.0, updates=3, noise_applied=True)
-        assert sketch.noise_applied
-        assert (sketch.total, sketch.updates) == (3.0, 3)
-        assert sketch.table.tobytes() == np.ones((2, 8)).tobytes()
